@@ -442,7 +442,7 @@ def _check_lanczos_vs_dense(cfg: RunConfig):
     from .chain import build_chain_hamiltonian, enumerate_sector
 
     worst = 0.0
-    for length in (4, 6, 8):
+    for length in (4, 6, 8, 10):
         for jp in (0.1, 1.0):
             spec = ChainSpec(L=length, J=1.0, Jp=jp)
             for twice_sz in range(-length, length + 1, 2):
@@ -570,6 +570,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if cfg.command != "validate":
+            _require_out(cfg)  # before any compute, not after a long sweep
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Lowest eigenpairs of sector Hamiltonians and derived spectral quantities.
 
-The workhorse is a Lanczos iteration with full reorthogonalization against
-all stored Krylov vectors (ghost eigenvalues would corrupt the triplet
-degeneracy check below) and thick restarts once the stored basis saturates.
-Start vectors come from a seeded generator so runs are bit-reproducible.
-Sectors small enough to diagonalize densely are handled densely.
+The workhorse is ARPACK's implicitly restarted Lanczos method, called
+through ``scipy.sparse.linalg.eigsh``; every pair it returns is checked
+against the absolute residual tolerance.  Start vectors come from a seeded
+generator so runs are bit-reproducible.  Sectors small enough to
+diagonalize densely are handled densely.
 
 ``spectral_data`` packages what the thermal two-probe state needs: the
 singlet ground energy, the lowest triplet energy and gap, and the three
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chain import (
     ChainSpec,
@@ -49,7 +50,7 @@ DEFAULT_SEED = 1234
 
 _DENSE_CUTOFF = 64          # sectors this small go straight to numpy.linalg.eigh
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
-_BASIS_BYTES_BUDGET = 2**31  # soft cap on stored Lanczos vectors (~2 GB)
+_NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
 
 
 @dataclass(frozen=True)
@@ -89,25 +90,30 @@ class SpectralData:
                 raise ValueError(f"{name} = {val} outside [-1, 1]")
 
 
-def _dense_pairs(op: SparseOperator, k: int) -> list[EigenPair]:
-    mat = op.matrix
-    energies, vectors = np.linalg.eigh(mat.toarray())
+def _norm_bound(mat) -> float:
+    """Largest absolute row sum, an upper bound on every |eigenvalue|.
+
+    Taken over blocks of rows so that no full copy of the matrix is made.
+    """
+    bound = 0.0
+    for lo in range(0, mat.shape[0], _NORM_ROW_BLOCK):
+        row_sums = abs(mat[lo : lo + _NORM_ROW_BLOCK]).sum(axis=1)
+        bound = max(bound, float(row_sums.max()))
+    return bound
+
+
+def _pairs_with_residuals(mat, energies: np.ndarray, vectors: np.ndarray) -> list[EigenPair]:
     pairs = []
-    for i in range(k):
+    for i in np.argsort(energies, kind="stable"):
         vec = np.ascontiguousarray(vectors[:, i])
         res = float(np.linalg.norm(mat @ vec - energies[i] * vec))
         pairs.append(EigenPair(float(energies[i]), vec, res))
     return pairs
 
 
-def _ritz_pairs(mat, v_rows: np.ndarray, theta: np.ndarray, s: np.ndarray, k: int):
-    pairs = []
-    for i in range(k):
-        vec = s[:, i] @ v_rows
-        vec = vec / np.linalg.norm(vec)
-        res = float(np.linalg.norm(mat @ vec - theta[i] * vec))
-        pairs.append(EigenPair(float(theta[i]), vec, res))
-    return pairs
+def _dense_pairs(op: SparseOperator, k: int) -> list[EigenPair]:
+    energies, vectors = np.linalg.eigh(op.matrix.toarray())
+    return _pairs_with_residuals(op.matrix, energies[:k], vectors[:, :k])
 
 
 def lowest_eigenpairs(
@@ -121,11 +127,13 @@ def lowest_eigenpairs(
 ) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
-    Thick-restart Lanczos: the basis grows to ``max_subspace`` vectors with
-    full (two-pass) reorthogonalization, then restarts from the lowest Ritz
-    vectors plus the current residual direction.  Deterministic for a fixed
-    seed.  Raises ConvergenceError carrying the best residuals if the step
-    budget runs out.
+    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+    started from a seeded random vector, so a fixed seed gives the same
+    pairs on one machine.  ``max_subspace`` is ARPACK's ``ncv``, the number
+    of Lanczos vectors kept (ARPACK's default when None); ``max_steps`` is
+    ARPACK's ``maxiter``, the number of implicit restarts allowed.  Every
+    returned pair has a true residual |Hv - Ev| <= tol; otherwise, or when
+    ARPACK runs out of restarts, ConvergenceError carries the residuals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -139,85 +147,32 @@ def lowest_eigenpairs(
     if dim <= max(_DENSE_CUTOFF, 4 * k):
         return _dense_pairs(op, k)
 
-    if max_subspace is None:
-        max_subspace = max(80, 3 * k + 20)
-        mem_cap = _BASIS_BYTES_BUDGET // (8 * dim)
-        max_subspace = min(max_subspace, max(mem_cap, 2 * k + 12))
-    m_max = int(min(dim, max_subspace))
-    if m_max < k + 4:
-        raise ValueError(f"max_subspace = {m_max} too small for k = {k}")
-    n_keep = min(k + 8, m_max - 4)
+    ncv = None if max_subspace is None else int(min(dim, max_subspace))
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    # ARPACK accepts a Ritz value theta once its error estimate is at most
+    # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.
+    arpack_tol = tol / max(_norm_bound(mat), 1.0)
+    try:
+        energies, vectors = eigsh(
+            mat, k, which="SA", v0=v0, ncv=ncv, maxiter=max_steps, tol=arpack_tol
+        )
+    except ArpackNoConvergence as exc:
+        done = _pairs_with_residuals(mat, exc.eigenvalues, exc.eigenvectors)
+        raise ConvergenceError(
+            f"ARPACK did not reach residual {tol} within {max_steps} restarts "
+            f"({len(done)} of {k} pairs converged; dim = {dim})",
+            residuals=[p.residual for p in done],
+        ) from exc
 
-    rng = np.random.default_rng(seed)
-    V = np.empty((m_max + 1, dim))
-    T = np.zeros((m_max + 1, m_max + 1))
-    v0 = rng.standard_normal(dim)
-    V[0] = v0 / np.linalg.norm(v0)
-
-    j = 0
-    steps = 0
-    scale = 0.0
-    recheck_at = 0
-    best_residuals = None
-
-    while steps < max_steps:
-        w = mat @ V[j]
-        h = V[: j + 1] @ w
-        w -= h @ V[: j + 1]
-        h2 = V[: j + 1] @ w
-        w -= h2 @ V[: j + 1]
-        h += h2
-        T[: j + 1, j] = h
-        T[j, : j + 1] = h
-        beta = float(np.linalg.norm(w))
-        scale = max(scale, float(np.abs(h).max()), beta)
-        steps += 1
-        jdim = j + 1
-        breakdown = beta <= 1e-14 * max(scale, 1.0)
-
-        theta, s = np.linalg.eigh(T[:jdim, :jdim])
-        if jdim > k and steps >= recheck_at:
-            est = np.abs(beta * s[j, :k])
-            if np.all(est <= 0.1 * tol) or (breakdown and jdim >= k):
-                pairs = _ritz_pairs(mat, V[:jdim], theta, s, k)
-                best_residuals = [p.residual for p in pairs]
-                if all(p.residual <= tol for p in pairs):
-                    return pairs
-                if breakdown and jdim >= dim:
-                    return pairs  # complete space spanned; exact up to roundoff
-                recheck_at = steps + 5
-
-        if breakdown:
-            if jdim >= dim:
-                return _ritz_pairs(mat, V[:jdim], theta, s, k)
-            # invariant subspace hit: inject a fresh orthogonal direction
-            w = rng.standard_normal(dim)
-            w -= (V[:jdim] @ w) @ V[:jdim]
-            w -= (V[:jdim] @ w) @ V[:jdim]
-            V[jdim] = w / np.linalg.norm(w)
-            T[jdim, j] = T[j, jdim] = 0.0
-        else:
-            V[jdim] = w / beta
-            T[jdim, j] = T[j, jdim] = beta
-
-        j += 1
-        if j == m_max:
-            theta, s = np.linalg.eigh(T[:m_max, :m_max])
-            keep = s[:, :n_keep]
-            couplings = T[m_max, m_max - 1] * keep[m_max - 1, :]
-            V[:n_keep] = keep.T @ V[:m_max]
-            V[n_keep] = V[m_max]
-            T[:] = 0.0
-            T[:n_keep, :n_keep] = np.diag(theta[:n_keep])
-            T[n_keep, :n_keep] = couplings
-            T[:n_keep, n_keep] = couplings
-            j = n_keep
-
-    raise ConvergenceError(
-        f"Lanczos did not reach residual {tol} within {max_steps} steps "
-        f"(dim = {dim}, k = {k})",
-        residuals=best_residuals,
-    )
+    pairs = _pairs_with_residuals(mat, energies, vectors)
+    residuals = [p.residual for p in pairs]
+    if max(residuals) > tol:
+        raise ConvergenceError(
+            f"eigenpair residual {max(residuals):.3e} above tol {tol} "
+            f"(dim = {dim}, k = {k})",
+            residuals=residuals,
+        )
+    return pairs
 
 
 def dense_spectrum(op: SparseOperator) -> np.ndarray:

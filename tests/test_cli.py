@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import spinchannel.eigensolve
+import spinchannel.scaling
+import spinchannel.teleport
 import spinchannel.transfer
 from spinchannel.cli import main
 
@@ -209,3 +212,22 @@ class TestConfigFile:
 
     def test_missing_out_is_usage_error(self):
         assert run(["gap-scan", "--l-min", "8", "--l-max", "10", "--jp", "0.2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-scan", "--l-min", "8", "--l-max", "22", "--jp", "0.1"],
+            ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "0.01"],
+            ["transfer", "--length", "8", "--jp", "0.2"],
+            ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2"],
+            ["share", "--length", "8", "--jp", "0.2"],
+        ],
+    )
+    def test_missing_out_fails_before_any_solve(self, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although --out is missing")
+
+        for module in (spinchannel.eigensolve, spinchannel.scaling,
+                       spinchannel.teleport, spinchannel.transfer):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
+        assert run(argv) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
 
+import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
 from spinchannel.eigensolve import (
     dense_spectrum,
@@ -43,7 +44,7 @@ class TestLowestEigenpairs:
         assert pairs[1].residual <= 1e-10
 
     def test_restart_path(self):
-        # force tiny subspaces so thick restarts must happen
+        # force a small ARPACK subspace (ncv) so implicit restarts must happen
         spec = ChainSpec(L=10, J=1.0, Jp=0.3)
         op = build_chain_hamiltonian(spec, enumerate_sector(10, 0))
         pairs = lowest_eigenpairs(op, 2, 1e-10, max_subspace=12)
@@ -74,6 +75,23 @@ class TestLowestEigenpairs:
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 2, 1e-14, max_steps=3)
         assert "residual" in str(err.value) or err.value.residuals is None or err.value.residuals
+
+    def test_residual_guard_rejects_inaccurate_pairs(self, monkeypatch):
+        true_eigsh = spinchannel.eigensolve.eigsh
+
+        def perturbed(*args, **kwargs):
+            energies, vectors = true_eigsh(*args, **kwargs)
+            vectors = vectors.copy()
+            vectors[0] += 1e-3
+            return energies, vectors
+
+        monkeypatch.setattr(spinchannel.eigensolve, "eigsh", perturbed)
+        spec = ChainSpec(L=12, J=1.0, Jp=0.1)
+        op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op, 2, 1e-10)
+        assert isinstance(err.value.residuals, list)
+        assert max(err.value.residuals) > 1e-10
 
     def test_bad_arguments(self):
         sector = enumerate_sector(2, 0)
@@ -124,6 +142,14 @@ class TestSpectralData:
         m1 = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(4, 2)))
         assert sd.e0 == pytest.approx(m0[0], abs=1e-12)
         assert sd.gap == pytest.approx(m1[0] - m0[0], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_L16_spectrum_pinned(self, seed):
+        # e0 and gap as computed by the original thick-restart Lanczos solver
+        kwargs = {} if seed is None else {"seed": seed}
+        sd = spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1), **kwargs)
+        assert sd.e0 == pytest.approx(-6.035563591378224, abs=1e-9)
+        assert sd.gap == pytest.approx(0.002929115857094544, abs=1e-9)
 
     def test_triplet_degeneracy_holds(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
