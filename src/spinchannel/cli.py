@@ -314,6 +314,14 @@ def _thermal_g_or_ground(sd: eigensolve.SpectralData, temperature: float) -> flo
     return thermal.thermal_g(sd, temperature)
 
 
+def _predicted_peak(model: transfer.EffectiveModel) -> tuple[float, float]:
+    """(t*, f*) of the three-spin model: closed forms when gamma = j_eff."""
+    if math.isclose(model.gamma, model.j_eff, rel_tol=1e-9):
+        return transfer.optimal_time(model), transfer.max_fidelity(model.g)
+    scale = min(model.j_eff, model.gamma) if model.gamma > 0 else model.j_eff
+    return transfer.numeric_peak(model, 8.0 * math.pi / scale)
+
+
 def cmd_transfer(cfg: RunConfig) -> int:
     if cfg.mode == "full":
         return _cmd_transfer_full(cfg)
@@ -336,12 +344,7 @@ def cmd_transfer(cfg: RunConfig) -> int:
                     valid=scaling.validity_window(jp, cfg.j, transfer.DEFAULT_GAP_EXPONENT, length),
                     phi=(jp / cfg.j) ** 2,
                 )
-                if math.isclose(gamma, sd.gap, rel_tol=1e-9):
-                    t_star = transfer.optimal_time(model)
-                    f_star = transfer.max_fidelity(g)
-                else:
-                    scale = min(sd.gap, gamma) if gamma > 0 else sd.gap
-                    t_star, f_star = transfer.numeric_peak(model, 8.0 * math.pi / scale)
+                t_star, f_star = _predicted_peak(model)
                 rows.append([length, jp, temperature, g, sd.gap, t_star, f_star])
                 derived["points"].append(
                     {"L": length, "jp": jp, "T": temperature, "gamma": gamma,
@@ -362,20 +365,19 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
     temperature = cfg.temp_min
     if temperature < 0.0:
         raise UsageError("temperature must be >= 0")
+    if cfg.t_points < 2:
+        raise UsageError("--t-points must be >= 2")
+    if cfg.t_max is not None and not 0.0 < cfg.t_max < math.inf:
+        raise UsageError("--t-max must be positive and finite")
+    if not 0.0 < cfg.krylov_tol < math.inf:
+        raise UsageError("--krylov-tol must be positive and finite")
     base = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(base, cfg.tol, seed=cfg.seed)
     g = _thermal_g_or_ground(sd, temperature)
     gamma = sd.gap if cfg.gamma == "auto" else cfg.gamma
     model = transfer.EffectiveModel(j_eff=sd.gap, gamma=gamma, g=g)
-    if math.isclose(gamma, sd.gap, rel_tol=1e-9):
-        t_pred = transfer.optimal_time(model)
-        f_pred = transfer.max_fidelity(g)
-    else:
-        scale = min(sd.gap, gamma) if gamma > 0 else sd.gap
-        t_pred, f_pred = transfer.numeric_peak(model, 8.0 * math.pi / scale)
+    t_pred, f_pred = _predicted_peak(model)
     t_max = cfg.t_max if cfg.t_max is not None else 1.35 * t_pred
-    if cfg.t_points < 2:
-        raise UsageError("--t-points must be >= 2")
     times = np.linspace(0.0, t_max, cfg.t_points)
     spec = replace(base, gamma=gamma)
     curve = transfer.full_chain_transfer(
@@ -573,19 +575,13 @@ def main(argv=None) -> int:
         if cfg.command != "validate":
             _require_out(cfg)  # before any compute, not after a long sweep
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError and the ValueError SpinChainErrors
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SpinChainError as exc:
-        if isinstance(exc, ValueError):
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return EXIT_FAILURE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -149,6 +149,57 @@ class TestTransferCommand:
         assert deviation["tstar_rel"] <= 0.1
         assert sidecar["derived"]["gamma"] == pytest.approx(sidecar["derived"]["jeff"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--krylov-tol", "0"],
+            ["--krylov-tol", "-1"],
+            ["--krylov-tol", "nan"],
+            ["--t-points", "1"],
+            ["--t-max", "0"],
+            ["--t-max", "-5"],
+            ["--t-max", "inf"],
+        ],
+    )
+    def test_bad_propagation_args_fail_before_any_solve(self, monkeypatch, tmp_path, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although the arguments are invalid")
+
+        for module in (spinchannel.eigensolve, spinchannel.transfer):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
+        argv = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2",
+                "--out", str(tmp_path / "x.csv")]
+        assert run(argv + flags) == 2
+
+    # t*, f* and theta at five grid points of the L = 10 curve (Jp = 0.1,
+    # gamma = gap, default 600-point grid) as computed by the propagator with
+    # full Lanczos reorthogonalization; later propagators must reproduce them.
+    @pytest.mark.parametrize(
+        "temperature, t_star, f_star, thetas",
+        [
+            ("0", 869.3013199007, 0.9959069828017297,
+             [-1.8551022026487136e-12, 0.11943501639013894, 0.59532164873720694,
+              0.96889570229576227, 0.71807016584213357]),
+            ("1e-3", 888.0393573870462, 0.9751755338877776,
+             [-1.2393835957524857e-12, 0.11286243428139116, 0.56645961648350762,
+              0.92791541754398088, 0.68214238863483456]),
+        ],
+    )
+    def test_full_mode_pinned_at_L10(self, tmp_path, temperature, t_star, f_star, thetas):
+        out = tmp_path / "full.csv"
+        code = run(
+            ["transfer", "--mode", "full", "--length", "10", "--jp", "0.1",
+             "--gamma", "auto", "--temp-min", temperature, "--out", str(out)]
+        )
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (600, 3)
+        np.testing.assert_allclose(rows[[0, 100, 250, 400, 599], 1], thetas, rtol=0, atol=1e-9)
+        measured = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))[
+            "derived"]["measured"]
+        assert measured["tstar"] == pytest.approx(t_star, rel=0, abs=1e-9)
+        assert measured["fstar"] == pytest.approx(f_star, rel=0, abs=1e-9)
+
     def test_full_mode_length_cap(self, tmp_path):
         code = run(
             ["transfer", "--mode", "full", "--length", "18", "--jp", "0.1",

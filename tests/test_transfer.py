@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
     build_chain_hamiltonian,
@@ -12,7 +13,12 @@ from spinchannel.chain import (
     enumerate_sector,
 )
 from spinchannel.eigensolve import lowest_eigenpairs, spectral_data
-from spinchannel.errors import ConfigError, FlatCurveError, UnsupportedRegimeError
+from spinchannel.errors import (
+    ConfigError,
+    FlatCurveError,
+    PropagationError,
+    UnsupportedRegimeError,
+)
 from spinchannel.transfer import (
     EffectiveModel,
     Frequencies,
@@ -245,62 +251,72 @@ class TestEffectiveTransferCurve:
         assert curve.f_star == pytest.approx(max_fidelity(-0.8), abs=1e-8)
 
 
+def dense_mixture_theta(spec, temperature, times):
+    """theta(t) of the truncated four-state mixture by dense eigh evolution."""
+    base = replace(spec, gamma=None)
+    sector0 = enumerate_sector(spec.L, 0)
+    pairs0 = lowest_eigenpairs(build_chain_hamiltonian(base, sector0), 2, 1e-12)
+    branches = [(sector0, pairs0[0].vector, 1.0)]
+    if temperature > 0.0:
+        triplet = [(sector0, pairs0[1].vector)]
+        energies = []
+        for tsz in (2, -2):
+            sector = enumerate_sector(spec.L, tsz)
+            (pair,) = lowest_eigenpairs(build_chain_hamiltonian(base, sector), 1, 1e-12)
+            triplet.append((sector, pair.vector))
+            energies.append(pair.energy)
+        x = np.exp(-(energies[0] - pairs0[0].energy) / temperature)
+        branches = [(sector0, pairs0[0].vector, 1.0 / (1.0 + 3.0 * x))]
+        branches += [(sector, vec, x / (1.0 + 3.0 * x)) for sector, vec in triplet]
+    theta = np.zeros(len(times))
+    for sector, vec, weight in branches:
+        full_sector = enumerate_sector(spec.L + 1, sector.twice_sz + 1)
+        h = build_transfer_hamiltonian(spec, full_sector).matrix.toarray()
+        psi0 = np.zeros(full_sector.dim, dtype=complex)
+        psi0[full_sector.index_of((sector.basis << np.uint64(1)) | np.uint64(1))] = vec
+        bits = (full_sector.basis >> np.uint64(spec.L)) & np.uint64(1)
+        signs = 2.0 * bits.astype(float) - 1.0
+        w, v = np.linalg.eigh(h)
+        for k, t in enumerate(times):
+            psi_t = (v * np.exp(-1j * w * t)) @ (v.T @ psi0)
+            theta[k] += weight * float(np.dot(np.abs(psi_t) ** 2, signs))
+    return theta
+
+
 class TestFullChainTransfer:
-    def test_matches_dense_evolution(self, rng):
+    def test_matches_dense_evolution(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
         times = np.linspace(0.0, 25.0, 40)
         curve = full_chain_transfer(spec, 0.0, times, krylov_tol=1e-12)
-
-        base = replace(spec, gamma=None)
-        sector0 = enumerate_sector(4, 0)
-        ground = lowest_eigenpairs(build_chain_hamiltonian(base, sector0), 1, 1e-12)[0].vector
-        full_sector = enumerate_sector(5, 1)
-        h = build_transfer_hamiltonian(spec, full_sector).matrix.toarray()
-        psi0 = np.zeros(full_sector.dim, dtype=complex)
-        psi0[full_sector.index_of((sector0.basis << np.uint64(1)) | np.uint64(1))] = ground
-        signs = 2.0 * ((full_sector.basis >> np.uint64(4)) & np.uint64(1)).astype(float) - 1.0
-        w, v = np.linalg.eigh(h)
-        theta_dense = [
-            float(np.dot(np.abs((v * np.exp(-1j * w * t)) @ (v.T @ psi0)) ** 2, signs))
-            for t in times
-        ]
-        np.testing.assert_allclose(curve.thetas, theta_dense, atol=1e-10)
+        np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.0, times), atol=1e-10)
 
     def test_finite_temperature_matches_dense(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
-        temperature = 0.2
         times = np.linspace(0.0, 15.0, 25)
-        curve = full_chain_transfer(spec, temperature, times, krylov_tol=1e-12)
+        curve = full_chain_transfer(spec, 0.2, times, krylov_tol=1e-12)
+        np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.2, times), atol=1e-10)
 
-        # dense reference: evolve the truncated four-state mixture
-        base = replace(spec, gamma=None)
-        sector0 = enumerate_sector(4, 0)
-        pairs0 = lowest_eigenpairs(build_chain_hamiltonian(base, sector0), 2, 1e-12)
-        branches = [(sector0, pairs0[0].vector)]
-        branch_list = [(sector0, pairs0[1].vector)]
-        gap = None
-        for tsz in (2, -2):
-            sector = enumerate_sector(4, tsz)
-            (pair,) = lowest_eigenpairs(build_chain_hamiltonian(base, sector), 1, 1e-12)
-            if gap is None:
-                gap = pair.energy - pairs0[0].energy
-            branch_list.append((sector, pair.vector))
-        x = np.exp(-gap / temperature)
-        weights = [1.0 / (1.0 + 3.0 * x)] + [x / (1.0 + 3.0 * x)] * 3
-        theta_dense = np.zeros(times.size)
-        for (sector, vec), weight in zip(branches + branch_list, weights):
-            full_sector = enumerate_sector(5, sector.twice_sz + 1)
-            h = build_transfer_hamiltonian(spec, full_sector).matrix.toarray()
-            psi0 = np.zeros(full_sector.dim, dtype=complex)
-            psi0[full_sector.index_of((sector.basis << np.uint64(1)) | np.uint64(1))] = vec
-            signs = (
-                2.0 * ((full_sector.basis >> np.uint64(4)) & np.uint64(1)).astype(float) - 1.0
-            )
-            w, v = np.linalg.eigh(h)
-            for k, t in enumerate(times):
-                psi_t = (v * np.exp(-1j * w * t)) @ (v.T @ psi0)
-                theta_dense[k] += weight * float(np.dot(np.abs(psi_t) ** 2, signs))
-        np.testing.assert_allclose(curve.thetas, theta_dense, atol=1e-10)
+    @pytest.mark.parametrize("temperature", [0.0, 0.2])
+    def test_truncated_krylov_matches_dense(self, monkeypatch, temperature):
+        # L = 8: sector dims 126 and 84 exceed m_max = 30, so the Lanczos basis
+        # is truncated; the coarse grid (dt = 10) makes the error estimate halve dt
+        steps = []
+        krylov_step = transfer._krylov_step
+
+        def recorded(matrix, psi, dt_req, tol):
+            psi_new, dt_done = krylov_step(matrix, psi, dt_req, tol)
+            steps.append((psi.size, dt_done < dt_req))
+            return psi_new, dt_done
+
+        monkeypatch.setattr(transfer, "_krylov_step", recorded)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        times = np.linspace(0.0, 80.0, 9)
+        curve = full_chain_transfer(spec, temperature, times, krylov_tol=1e-12)
+        assert min(dim for dim, _ in steps) > 30
+        assert any(halved for _, halved in steps)
+        np.testing.assert_allclose(
+            curve.thetas, dense_mixture_theta(spec, temperature, times), atol=1e-10
+        )
 
     def test_decoupled_sender_constant_theta(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.0)
@@ -314,6 +330,16 @@ class TestFullChainTransfer:
         up = full_chain_transfer(spec, 0.0, times, sender_up=True)
         down = full_chain_transfer(spec, 0.0, times, sender_up=False)
         np.testing.assert_allclose(up.thetas, -down.thetas, atol=1e-10)
+
+    @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_krylov_tol_fails_before_any_solve(self, monkeypatch, krylov_tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran although krylov_tol is invalid")
+
+        monkeypatch.setattr(transfer, "_thermal_branches", no_solve)
+        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        with pytest.raises(ValueError, match="krylov_tol"):
+            full_chain_transfer(spec, 0.0, np.linspace(0.0, 1.0, 5), krylov_tol)
 
     def test_requires_gamma_and_valid_grid(self):
         with pytest.raises(ConfigError):
@@ -338,3 +364,24 @@ class TestFullChainTransfer:
         # flying-qubit bound: information cannot arrive faster than the
         # excitations carrying it, so t* J >= L/2 inside the validity window
         assert curve.t_star * spec.J >= 0.5 * spec.L
+
+
+class TestKrylovStep:
+    @staticmethod
+    def random_symmetric(rng, dim=40):
+        a = rng.standard_normal((dim, dim))
+        return a + a.T
+
+    def test_unreachable_tol_raises(self, rng):
+        matrix = self.random_symmetric(rng)
+        psi = rng.standard_normal(matrix.shape[0]).astype(complex)
+        with pytest.raises(PropagationError):
+            transfer._krylov_step(matrix, psi, 1.0, tol=0.0, m_max=2)
+
+    def test_eigenvector_breaks_down_and_takes_full_step(self, rng):
+        matrix = self.random_symmetric(rng)
+        energies, modes = np.linalg.eigh(matrix)
+        psi = modes[:, 3].astype(complex)
+        psi_new, dt_done = transfer._krylov_step(matrix, psi, 2.5, tol=1e-12)
+        assert dt_done == 2.5
+        np.testing.assert_allclose(psi_new, np.exp(-2.5j * energies[3]) * psi, atol=1e-12)
