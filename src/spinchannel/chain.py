@@ -142,7 +142,10 @@ def enumerate_sector(n_sites: int, twice_sz: int) -> Sector:
 
 
 class SparseOperator:
-    """Real symmetric operator stored in compressed-row form.
+    """Hermitian operator with real-valued entries, in compressed-row form.
+
+    Values are float64, or complex128 with zero imaginary parts when the
+    operator multiplies complex vectors (``build_transfer_hamiltonian``).
 
     Immutable after construction; safe to share across threads.  ``apply``
     is a plain CSR matvec and therefore deterministic for a fixed entry
@@ -227,7 +230,12 @@ def build_chain_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperator:
 
 
 def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperator:
-    """Transfer Hamiltonian: chain on sites 1..L plus gamma bond (0, 1) to the sender."""
+    """Transfer Hamiltonian: chain on sites 1..L plus gamma bond (0, 1) to the sender.
+
+    Assembled as real, stored as complex128 (imaginary parts exactly zero):
+    its only consumer, the Krylov propagator, multiplies complex states, and
+    a real CSR matrix is upcast to complex on every such product.
+    """
     if spec.gamma is None:
         raise ConfigError("transfer Hamiltonian needs a sender coupling gamma")
     if sector.n_sites != spec.L + 1:
@@ -235,7 +243,8 @@ def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperato
             f"sector has {sector.n_sites} sites, transfer system has {spec.L + 1}"
         )
     bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
-    return build_bond_hamiltonian(spec.L + 1, bonds, sector)
+    real = build_bond_hamiltonian(spec.L + 1, bonds, sector).matrix
+    return SparseOperator(real.astype(np.complex128))
 
 
 def _pauli_z_signs(sector: Sector, site: int) -> np.ndarray:

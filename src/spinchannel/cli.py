@@ -184,6 +184,14 @@ def _single_jp(cfg: RunConfig) -> float:
     return cfg.jp[0]
 
 
+def _single_temperature(cfg: RunConfig) -> float:
+    if cfg.temp_points != 1 or cfg.temp_max != cfg.temp_min:
+        raise UsageError(f"command '{cfg.command}' needs a single temperature (--temp-min only)")
+    if cfg.temp_min < 0.0:
+        raise UsageError("temperature must be >= 0")
+    return cfg.temp_min
+
+
 def _temperature_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.temp_points < 1:
         raise UsageError("--temp-points must be >= 1")
@@ -362,9 +370,7 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
             f"full mode is capped at L = {FULL_CHAIN_LENGTH_CAP} "
             f"(got {length}); use --mode effective for longer chains"
         )
-    temperature = cfg.temp_min
-    if temperature < 0.0:
-        raise UsageError("temperature must be >= 0")
+    temperature = _single_temperature(cfg)
     if cfg.t_points < 2:
         raise UsageError("--t-points must be >= 2")
     if cfg.t_max is not None and not 0.0 < cfg.t_max < math.inf:
@@ -408,9 +414,7 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
 def cmd_share(cfg: RunConfig) -> int:
     length = _single_length(cfg)
     jp = _single_jp(cfg)
-    temperature = cfg.temp_min
-    if temperature < 0.0:
-        raise UsageError("temperature must be >= 0")
+    temperature = _single_temperature(cfg)
     spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
     g = _thermal_g_or_ground(sd, temperature)

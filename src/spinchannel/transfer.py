@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import zaxpy
 
 from .chain import (
     ChainSpec,
@@ -370,27 +371,31 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, m_max: int 
     J. Sci. Comput. 19, 1998), so nothing is reorthogonalized.  dt halves
     until beta_next * dt * |last coefficient| <= tol, else PropagationError.
     Returns (psi_new, dt_done).
+
+    Updates run in place (BLAS zaxpy; ``w -= beta * v`` allocates a
+    temporary) and normalizing multiplies by 1/beta, since dividing a
+    complex vector by a real costs several times the multiply.
     """
-    nrm = float(np.linalg.norm(psi))
+    nrm = math.sqrt(np.vdot(psi, psi).real)
     v_rows = np.empty((m_max, psi.size), dtype=complex)
-    v_rows[0] = psi / nrm
+    np.multiply(psi, 1.0 / nrm, out=v_rows[0])
     alphas = np.empty(m_max)
     betas = np.empty(m_max)
     beta_next = 0.0
     for m in range(1, m_max + 1):
         w = matrix @ v_rows[m - 1]
         if m > 1:
-            w -= betas[m - 2] * v_rows[m - 2]
+            w = zaxpy(v_rows[m - 2], w, a=-betas[m - 2])
         a = alphas[m - 1] = np.vdot(v_rows[m - 1], w).real
-        w -= a * v_rows[m - 1]
-        beta = float(np.linalg.norm(w))
+        w = zaxpy(v_rows[m - 1], w, a=-a)
+        beta = math.sqrt(np.vdot(w, w).real)
         if beta <= 1e-13 * max(1.0, abs(a)):
             break
         if m == m_max:
             beta_next = beta
             break
         betas[m - 1] = beta
-        np.divide(w, beta, out=v_rows[m])
+        np.multiply(w, 1.0 / beta, out=v_rows[m])
 
     omega, modes = eigh_tridiagonal(alphas[:m], betas[: m - 1])
     first_row = modes[0, :]  # modes.T @ e1

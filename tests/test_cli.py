@@ -282,3 +282,26 @@ class TestConfigFile:
                        spinchannel.teleport, spinchannel.transfer):
             monkeypatch.setattr(module, "spectral_data", no_solve)
         assert run(argv) == 2
+
+    @pytest.mark.parametrize(
+        "command", [["transfer", "--mode", "full"], ["share"]], ids=["transfer-full", "share"]
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--temp-min", "0", "--temp-max", "0.1", "--temp-points", "5"],
+            ["--temp-min", "0.01", "--temp-points", "3"],
+            ["--temp-min", "0", "--temp-max", "0.1"],
+            ["--temp-min", "-0.1"],
+        ],
+    )
+    def test_single_temperature_commands_reject_sweeps_before_any_solve(
+        self, monkeypatch, tmp_path, command, flags
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although the temperature is invalid")
+
+        for module in (spinchannel.eigensolve, spinchannel.transfer):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
+        argv = command + ["--length", "4", "--jp", "0.5", "--out", str(tmp_path / "x.csv")]
+        assert run(argv + flags) == 2

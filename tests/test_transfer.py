@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
+    build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
+    chain_bonds,
     enumerate_sector,
 )
 from spinchannel.eigensolve import lowest_eigenpairs, spectral_data
@@ -278,7 +281,7 @@ def dense_mixture_theta(spec, temperature, times):
         signs = 2.0 * bits.astype(float) - 1.0
         w, v = np.linalg.eigh(h)
         for k, t in enumerate(times):
-            psi_t = (v * np.exp(-1j * w * t)) @ (v.T @ psi0)
+            psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ psi0)
             theta[k] += weight * float(np.dot(np.abs(psi_t) ** 2, signs))
     return theta
 
@@ -385,3 +388,35 @@ class TestKrylovStep:
         psi_new, dt_done = transfer._krylov_step(matrix, psi, 2.5, tol=1e-12)
         assert dt_done == 2.5
         np.testing.assert_allclose(psi_new, np.exp(-2.5j * energies[3]) * psi, atol=1e-12)
+
+    def test_transfer_matrix_is_complex_copy_of_real_assembly(self):
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        sector = enumerate_sector(9, 1)
+        matrix = build_transfer_hamiltonian(spec, sector).matrix
+        bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+        real = build_bond_hamiltonian(9, bonds, sector).matrix
+        assert matrix.dtype == np.complex128
+        assert np.all(matrix.data.imag == 0.0)
+        np.testing.assert_array_equal(matrix.indptr, real.indptr)
+        np.testing.assert_array_equal(matrix.indices, real.indices)
+        np.testing.assert_array_equal(matrix.data.real, real.data)
+
+    def test_chained_steps_match_dense_expm_at_L8(self):
+        # L = 8 transfer sector (dim 126 > m_max) against exp(-iHt) of the
+        # Kronecker-product Hamiltonian restricted to the same sector
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        sector = enumerate_sector(9, 1)
+        assert sector.dim == 126
+        matrix = build_transfer_hamiltonian(spec, sector).matrix
+        states = sector.basis.astype(np.int64)
+        dense = dense_transfer_hamiltonian(spec)[np.ix_(states, states)]
+        rng = np.random.default_rng(8)
+        psi0 = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+        psi0 /= np.linalg.norm(psi0)
+        psi, t_now, halved = psi0, 0.0, False
+        for dt_req in (0.7, 2.0, 40.0, 1.3):
+            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, tol=1e-12)
+            halved |= dt_done < dt_req
+            t_now += dt_done
+            np.testing.assert_allclose(psi, expm(-1j * t_now * dense) @ psi0, atol=1e-10)
+        assert halved
