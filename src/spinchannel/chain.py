@@ -46,6 +46,7 @@ __all__ = [
     "pauli_z_expectation",
     "pauli_zz_expectation",
     "pauli_xx_expectation",
+    "apply_total_spin_ladder",
 ]
 
 
@@ -279,3 +280,20 @@ def pauli_xx_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: i
     mask = np.uint64((1 << site_i) | (1 << site_j))
     partners = np.searchsorted(basis, basis[anti] ^ mask)
     return float(np.real(np.dot(np.conj(vec[anti]), vec[partners])))
+
+
+def apply_total_spin_ladder(
+    sector: Sector, vec: np.ndarray, raising: bool
+) -> tuple[Sector, np.ndarray]:
+    """Total S+ (raising) or S- of a sector vector: (adjacent sector, image).
+
+    One pass per site; the targets of one site's flips are distinct, so
+    each pass is a plain scatter-add of matrix elements 1.
+    """
+    target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
+    image = np.zeros(target.dim, dtype=np.result_type(vec, np.float64))
+    for site in range(sector.n_sites):
+        bit = np.uint64(1 << site)
+        src = np.nonzero(((sector.basis & bit) == 0) == raising)[0]
+        image[target.index_of(sector.basis[src] ^ bit)] += vec[src]
+    return target, image

@@ -316,12 +316,6 @@ def cmd_teleport(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _thermal_g_or_ground(sd: eigensolve.SpectralData, temperature: float) -> float:
-    if temperature == 0.0:
-        return thermal.validate_werner_g(sd.gzz_ground)
-    return thermal.thermal_g(sd, temperature)
-
-
 def _predicted_peak(model: transfer.EffectiveModel) -> tuple[float, float]:
     """(t*, f*) of the three-spin model: closed forms when gamma = j_eff."""
     if math.isclose(model.gamma, model.j_eff, rel_tol=1e-9):
@@ -345,17 +339,13 @@ def cmd_transfer(cfg: RunConfig) -> int:
             spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
             sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
             for temperature in temps:
-                g = _thermal_g_or_ground(sd, temperature)
-                gamma = sd.gap if cfg.gamma == "auto" else cfg.gamma
-                model = transfer.EffectiveModel(
-                    j_eff=sd.gap, gamma=gamma, g=g,
-                    valid=scaling.validity_window(jp, cfg.j, transfer.DEFAULT_GAP_EXPONENT, length),
-                    phi=(jp / cfg.j) ** 2,
+                model = transfer.effective_coupling(
+                    spec, sd, gamma=cfg.gamma, temperature=temperature
                 )
                 t_star, f_star = _predicted_peak(model)
-                rows.append([length, jp, temperature, g, sd.gap, t_star, f_star])
+                rows.append([length, jp, temperature, model.g, model.j_eff, t_star, f_star])
                 derived["points"].append(
-                    {"L": length, "jp": jp, "T": temperature, "gamma": gamma,
+                    {"L": length, "jp": jp, "T": temperature, "gamma": model.gamma,
                      "valid_window": model.valid}
                 )
     _emit(cfg, ["L", "jp", "T", "g", "jeff", "tstar", "fstar"], rows, derived, warnings)
@@ -379,15 +369,12 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
         raise UsageError("--krylov-tol must be positive and finite")
     base = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(base, cfg.tol, seed=cfg.seed)
-    g = _thermal_g_or_ground(sd, temperature)
-    gamma = sd.gap if cfg.gamma == "auto" else cfg.gamma
-    model = transfer.EffectiveModel(j_eff=sd.gap, gamma=gamma, g=g)
+    model = transfer.effective_coupling(base, sd, gamma=cfg.gamma, temperature=temperature)
     t_pred, f_pred = _predicted_peak(model)
     t_max = cfg.t_max if cfg.t_max is not None else 1.35 * t_pred
     times = np.linspace(0.0, t_max, cfg.t_points)
-    spec = replace(base, gamma=gamma)
     curve = transfer.full_chain_transfer(
-        spec, temperature, times, cfg.krylov_tol, tol=cfg.tol, seed=cfg.seed
+        replace(base, gamma=model.gamma), temperature, times, cfg.krylov_tol, spectral=sd
     )
     warnings = []
     if temperature > sd.gap / 2.0:
@@ -396,9 +383,9 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
         )
     rows = [[t, th, f] for t, th, f in zip(curve.times, curve.thetas, curve.fidelities)]
     derived = {
-        "gamma": gamma,
-        "jeff": sd.gap,
-        "g": g,
+        "gamma": model.gamma,
+        "jeff": model.j_eff,
+        "g": model.g,
         "temperature": temperature,
         "measured": {"tstar": curve.t_star, "fstar": curve.f_star},
         "effective_model": {"tstar": t_pred, "fstar": f_pred},
@@ -417,8 +404,8 @@ def cmd_share(cfg: RunConfig) -> int:
     temperature = _single_temperature(cfg)
     spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
-    g = _thermal_g_or_ground(sd, temperature)
-    report = entangle.sharing_report(g)
+    model = transfer.effective_coupling(spec, sd, temperature=temperature)
+    report = entangle.sharing_report(model.g)
     out = _require_out(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -431,7 +418,7 @@ def cmd_share(cfg: RunConfig) -> int:
             "concurrence_in": report.concurrence_in,
             "enhancement": report.enhancement,
         },
-        "derived": {"gap": sd.gap, "temperature": temperature},
+        "derived": {"gap": model.j_eff, "temperature": temperature},
         "warnings": [],
     }
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -6,24 +6,24 @@ against the absolute residual tolerance.  Start vectors come from a seeded
 generator so runs are bit-reproducible.  Sectors small enough to
 diagonalize densely are handled densely.
 
-``spectral_data`` packages what the thermal two-probe state needs: the
-singlet ground energy, the lowest triplet energy and gap, and the three
-end-to-end Pauli correlators.  It verifies that the lowest excitation really
-is the expected spin-1 triplet by checking that the second state of the
-m = 0 sector is degenerate with the lowest m = 1 state, and fails loudly
-otherwise instead of returning nonsense.
+``spectral_data`` packages the low-energy manifold, singlet ground state and
+triplet, from one m = 0 solve; SU(2) symmetry fixes the other triplet
+members.  It checks that the second m = 0 state really is a spin-1 triplet,
+<S^2> = 2, and fails loudly otherwise instead of returning nonsense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chain import (
     ChainSpec,
+    Sector,
     SparseOperator,
+    apply_total_spin_ladder,
     build_chain_hamiltonian,
     enumerate_sector,
     pauli_xx_expectation,
@@ -52,6 +52,11 @@ _DENSE_CUTOFF = 64          # sectors this small go straight to numpy.linalg.eig
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
 _NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
 
+# |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
+# second order, ~L^2 (tol/level spacing)^2, while a singlet or quintet
+# admixture of weight p moves it by 2p or 4p.
+_TRIPLET_S2_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -64,14 +69,16 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Spectral inputs of the thermal two-probe state.
+    """Low-energy manifold of a chain: singlet ground state and triplet.
 
     e0          -- singlet ground energy (m = 0 sector)
-    e_triplet   -- lowest energy of the m = 1 sector
+    e_triplet   -- triplet energy, the second m = 0 level
     gap         -- e_triplet - e0 (> 0)
     gzz_ground  -- <G| sigma_z(A) sigma_z(B) |G>
-    gzz_triplet -- <1| sigma_z(A) sigma_z(B) |1>
-    gxx_triplet -- <1| sigma_x(A) sigma_x(B) |1>
+    gzz_triplet -- <T+1| sigma_z(A) sigma_z(B) |T+1>
+    gxx_triplet -- <T+1| sigma_x(A) sigma_x(B) |T+1>
+    sector, ground, triplet -- m = 0 basis and unit vectors of |G> and of the
+                   m = 0 triplet member |T0>; None in hand-built instances
     """
 
     e0: float
@@ -80,6 +87,9 @@ class SpectralData:
     gzz_ground: float
     gzz_triplet: float
     gxx_triplet: float
+    sector: Sector | None = field(default=None, repr=False, compare=False)
+    ground: np.ndarray | None = field(default=None, repr=False, compare=False)
+    triplet: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gap > 0.0:
@@ -191,11 +201,10 @@ def spectral_data(
     *,
     seed: int = DEFAULT_SEED,
 ) -> SpectralData:
-    """Ground/triplet energies, gap and end-to-end correlators of a chain.
+    """Low-energy manifold of a chain from one solve of the m = 0 sector.
 
-    Diagonalizes the m = 0 sector for the singlet ground state (two states,
-    so the triplet identification can be checked) and the m = 1 sector for
-    the triplet member carrying the transverse correlator.
+    The two lowest m = 0 states are the singlet |G> and the triplet member
+    |T0>; by Wigner-Eckart zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
     """
     if spec.gamma is not None:
         raise ConfigError("spectral_data expects a chain spec without a sender coupling")
@@ -204,31 +213,33 @@ def spectral_data(
 
     sector0 = enumerate_sector(spec.L, 0)
     h0 = build_chain_hamiltonian(spec, sector0)
-    ground, second = lowest_eigenpairs(h0, 2, tol, seed=seed)
+    ground, triplet = lowest_eigenpairs(h0, 2, tol, seed=seed)
 
-    if second.energy - ground.energy <= 10.0 * tol:
+    if triplet.energy - ground.energy <= 10.0 * tol:
         raise OrderingError(
             f"m = 0 ground state degenerate within 10*tol "
-            f"(E1 - E0 = {second.energy - ground.energy:.3e}); "
+            f"(E1 - E0 = {triplet.energy - ground.energy:.3e}); "
             "the thermal truncation assumes a unique singlet"
         )
 
-    sector1 = enumerate_sector(spec.L, 2)
-    h1 = build_chain_hamiltonian(spec, sector1)
-    (triplet,) = lowest_eigenpairs(h1, 1, tol, seed=seed)
-
-    if abs(second.energy - triplet.energy) > 10.0 * tol:
+    _, raised = apply_total_spin_ladder(sector0, triplet.vector, raising=True)
+    s2 = float(np.dot(raised, raised))  # <S^2> = |S+ v|^2 at m = 0
+    if abs(s2 - 2.0) > _TRIPLET_S2_TOL:
         raise OrderingError(
-            f"second m = 0 state (E = {second.energy:.12g}) not degenerate with "
-            f"lowest m = 1 state (E = {triplet.energy:.12g}); the first excitation "
-            "is not the expected triplet (Jp too large?)"
+            f"second m = 0 state has <S^2> = {s2:.6g}, not 2; the first "
+            "excitation is not the expected triplet (Jp too large?)"
         )
 
+    zz0 = pauli_zz_expectation(sector0, triplet.vector, a, b)
+    xx0 = pauli_xx_expectation(sector0, triplet.vector, a, b)
     return SpectralData(
         e0=ground.energy,
         e_triplet=triplet.energy,
         gap=triplet.energy - ground.energy,
         gzz_ground=pauli_zz_expectation(sector0, ground.vector, a, b),
-        gzz_triplet=pauli_zz_expectation(sector1, triplet.vector, a, b),
-        gxx_triplet=pauli_xx_expectation(sector1, triplet.vector, a, b),
+        gzz_triplet=xx0,
+        gxx_triplet=0.5 * (zz0 + xx0),
+        sector=sector0,
+        ground=ground.vector,
+        triplet=triplet.vector,
     )

@@ -48,8 +48,6 @@ def thermal_g(spectral: SpectralData, temperature: float) -> float:
     """Werner parameter of the thermal two-probe state at temperature T > 0."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if spectral.gap <= 0.0:
-        raise ValueError(f"gap must be positive, got {spectral.gap}")
     x = math.exp(-spectral.gap / temperature)
     g = (spectral.gzz_ground + x * (spectral.gzz_triplet + 2.0 * spectral.gxx_triplet)) / (
         1.0 + 3.0 * x

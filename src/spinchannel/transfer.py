@@ -27,7 +27,7 @@ Krylov-propagated dynamics of the full (L+1)-site chain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -37,18 +37,18 @@ from .chain import (
     ChainSpec,
     Sector,
     SparseOperator,
-    build_chain_hamiltonian,
+    apply_total_spin_ladder,
     build_transfer_hamiltonian,
     enumerate_sector,
 )
-from .eigensolve import DEFAULT_SEED, DEFAULT_TOL, lowest_eigenpairs, spectral_data
+from .eigensolve import SpectralData, spectral_data  # noqa: F401  (re-exported)
 from .errors import (
     ConfigError,
     FlatCurveError,
-    OrderingError,
     PropagationError,
     UnsupportedRegimeError,
 )
+from .scaling import validity_window
 from .thermal import thermal_g, validate_werner_g
 
 __all__ = [
@@ -125,31 +125,26 @@ class EffectiveModel:
 
 def effective_coupling(
     spec: ChainSpec,
-    tol: float = DEFAULT_TOL,
+    spectral: SpectralData,
     *,
     gamma="auto",
     temperature: float = 0.0,
     alpha: float = DEFAULT_GAP_EXPONENT,
-    seed: int = DEFAULT_SEED,
 ) -> EffectiveModel:
-    """Build the three-spin model for a chain: j_eff from the gap, g thermal.
+    """Three-spin model of a chain from its spectral_data: j_eff = gap, g thermal.
 
-    gamma = "auto" resolves to the commensurate optimum gamma = j_eff.
-    The validity flag compares (Jp/J)^2 (the small-coupling prefactor of the
-    gap) against L^(alpha-1).
+    gamma = "auto" resolves to the commensurate optimum gamma = j_eff; the
+    validity flag is scaling.validity_window of the chain.  No solve.
     """
-    base = spec if spec.gamma is None else replace(spec, gamma=None)
-    sd = spectral_data(base, tol, seed=seed)
-    j_eff = sd.gap
+    j_eff = spectral.gap
     if temperature == 0.0:
-        g = validate_werner_g(sd.gzz_ground)
+        g = validate_werner_g(spectral.gzz_ground)
     else:
-        g = thermal_g(sd, temperature)
-    resolved_gamma = j_eff if gamma == "auto" else float(gamma)
-    phi = (spec.Jp / spec.J) ** 2
-    valid = phi < spec.L ** (alpha - 1.0)
+        g = thermal_g(spectral, temperature)
     return EffectiveModel(
-        j_eff=j_eff, gamma=resolved_gamma, g=g, valid=valid, alpha=alpha, phi=phi
+        j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g,
+        valid=validity_window(spec.Jp, spec.J, alpha, spec.L), alpha=alpha,
+        phi=(spec.Jp / spec.J) ** 2,
     )
 
 
@@ -452,37 +447,24 @@ def _propagate_expectation(
     return out
 
 
-def _thermal_branches(spec: ChainSpec, temperature: float, tol: float, seed: int):
+def _thermal_branches(spectral: SpectralData, temperature: float):
     """Eigenstate branches of the bare chain entering the truncated mixture.
 
     Returns a list of (sector, vector, weight).  At T = 0 only the ground
     state contributes; at T > 0 the three triplet members join with weight
-    x/(1+3x), x = exp(-gap/T).
+    x/(1+3x), x = exp(-gap/T).  The m = +-1 members are S+-|T0>/sqrt(2),
+    so no eigensolve is made here.
     """
-    base = replace(spec, gamma=None)
-    sector0 = enumerate_sector(spec.L, 0)
-    h0 = build_chain_hamiltonian(base, sector0)
+    sector0 = spectral.sector
     if temperature == 0.0:
-        pairs = lowest_eigenpairs(h0, 1, tol, seed=seed)
-        return [(sector0, pairs[0].vector, 1.0)]
-    ground, second = lowest_eigenpairs(h0, 2, tol, seed=seed)
-    if second.energy - ground.energy <= 10.0 * tol:
-        raise OrderingError("degenerate m = 0 ground state; thermal truncation invalid")
-    branches = []
-    gap = None
-    for twice_sz in (2, -2):
-        sector = enumerate_sector(spec.L, twice_sz)
-        h = build_chain_hamiltonian(base, sector)
-        (pair,) = lowest_eigenpairs(h, 1, tol, seed=seed)
-        if gap is None:
-            gap = pair.energy - ground.energy
-        branches.append((sector, pair.vector))
-    x = math.exp(-gap / temperature)
-    w_triplet = x / (1.0 + 3.0 * x)
-    out = [(sector0, ground.vector, 1.0 / (1.0 + 3.0 * x))]
-    out.append((sector0, second.vector, w_triplet))  # m = 0 triplet member
-    out.extend((sec, vec, w_triplet) for sec, vec in branches)
-    return out
+        return [(sector0, spectral.ground, 1.0)]
+    x = math.exp(-spectral.gap / temperature)
+    w = x / (1.0 + 3.0 * x)
+    branches = [(sector0, spectral.ground, 1.0 / (1.0 + 3.0 * x)), (sector0, spectral.triplet, w)]
+    for raising in (True, False):
+        sector, image = apply_total_spin_ladder(sector0, spectral.triplet, raising)
+        branches.append((sector, image / math.sqrt(2.0), w))
+    return branches
 
 
 def full_chain_transfer(
@@ -491,13 +473,13 @@ def full_chain_transfer(
     times,
     krylov_tol: float = 1e-10,
     *,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
+    spectral: SpectralData,
     sender_up: bool = True,
 ) -> TransferCurve:
     """Transfer fidelity from exact dynamics of the (L+1)-site system.
 
-    The chain starts in its truncated thermal mixture; each eigenstate
+    The chain starts in its truncated thermal mixture of the eigenstates in
+    ``spectral`` (spectral_data of the chain without the sender); each
     branch is tensored with the polarized sender, Krylov-propagated under
     the full Hamiltonian inside its magnetization sector, and the branch
     magnetizations at B are Boltzmann-averaged into theta(t).  The peak is
@@ -515,11 +497,13 @@ def full_chain_transfer(
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("time grid must start at 0 and increase strictly")
+    if spectral.sector is None or spectral.sector.n_sites != spec.L:
+        raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
 
     sender_bit = 1 if sender_up else 0
     theta = np.zeros(times.size)
     full_sectors: dict[int, tuple[Sector, SparseOperator]] = {}
-    for chain_sector, vector, weight in _thermal_branches(spec, temperature, tol, seed):
+    for chain_sector, vector, weight in _thermal_branches(spectral, temperature):
         twice_sz = chain_sector.twice_sz + (1 if sender_up else -1)
         if twice_sz not in full_sectors:
             sector = enumerate_sector(spec.L + 1, twice_sz)

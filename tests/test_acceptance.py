@@ -208,7 +208,7 @@ def test_criterion_08_effective_model_validity():
     f_pred = max_fidelity(sd.gzz_ground)
     spec = ChainSpec(L=8, J=1.0, Jp=0.1, gamma=sd.gap)
     times = np.linspace(0.0, 1.35 * t_pred, 700)
-    curve = full_chain_transfer(spec, 0.0, times, krylov_tol=1e-10)
+    curve = full_chain_transfer(spec, 0.0, times, krylov_tol=1e-10, spectral=sd)
     dev_f = abs(curve.f_star - f_pred)
     dev_t = abs(curve.t_star - t_pred) / t_pred
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ from scipy.sparse import identity
 from spinchannel.chain import (
     ChainSpec,
     SparseOperator,
+    apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
@@ -18,7 +19,14 @@ from spinchannel.chain import (
 from spinchannel.eigensolve import dense_spectrum
 from spinchannel.errors import ConfigError, DimensionError, SectorError
 
-from conftest import dense_chain_hamiltonian, dense_transfer_hamiltonian
+from conftest import (
+    S_MINUS,
+    S_PLUS,
+    S_Z,
+    dense_chain_hamiltonian,
+    dense_transfer_hamiltonian,
+    site_operator,
+)
 
 
 class TestEnumerateSector:
@@ -172,6 +180,39 @@ class TestAssemblyAgainstKronOracle:
         off = np.abs(mat - np.diag(np.diag(mat))).sum(axis=1)
         n_bonds = 5
         assert np.all(off <= n_bonds * 0.5 * 1.0 + 1e-12)
+
+
+class TestTotalSpinLadder:
+    """S+- of m = 0 eigenvectors against the kron-product total spin."""
+
+    @staticmethod
+    def total_spin(n_sites):
+        def total(op):
+            return sum(site_operator(op, i, n_sites) for i in range(n_sites))
+
+        s_plus, s_minus, s_z = total(S_PLUS), total(S_MINUS), total(S_Z)
+        return s_plus, s_minus, s_minus @ s_plus + s_z @ s_z + s_z
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_matches_kron_oracle(self, length):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+        sector = enumerate_sector(length, 0)
+        _, modes = np.linalg.eigh(build_chain_hamiltonian(spec, sector).matrix.toarray())
+        s_plus, s_minus, s_squared = self.total_spin(length)
+        for v in modes.T:
+            full = np.zeros(2**length)
+            full[sector.basis] = v
+            s2 = full @ s_squared @ full
+            for raising, dense_op in ((True, s_plus), (False, s_minus)):
+                target, image = apply_total_spin_ladder(sector, v, raising)
+                dense_image = dense_op @ full
+                assert target.twice_sz == (2 if raising else -2)
+                # every entry is a sum of at most L unit-vector entries and
+                # |S+- v|^2 = <S^2> <= 12 here, so rounding stays near 1e-14;
+                # 1e-12 separates that from any wrong index or sign
+                assert image @ image == pytest.approx(s2, abs=1e-12)
+                np.testing.assert_allclose(image, dense_image[target.basis], rtol=0, atol=1e-12)
+                assert dense_image @ dense_image == pytest.approx(image @ image, abs=1e-12)
 
 
 class TestGuards:

@@ -6,7 +6,9 @@ from scipy.sparse import csr_matrix, diags
 
 import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
+from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation
 from spinchannel.eigensolve import (
+    EigenPair,
     dense_spectrum,
     lowest_eigenpairs,
     spectral_data,
@@ -173,6 +175,39 @@ class TestSpectralData:
     def test_huge_tol_trips_degeneracy_guard(self):
         with pytest.raises(OrderingError):
             spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2), tol=1.0)
+
+    def test_non_triplet_second_state_trips_guard(self, monkeypatch):
+        # L = 4 quintet member at m = 0: the symmetric superposition of the
+        # six configurations, <S^2> = 6, energy (Jp + J + Jp)/4
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        true_solve = spinchannel.eigensolve.lowest_eigenpairs
+
+        def quintet_second(op, k, *args, **kwargs):
+            ground = true_solve(op, 1)[0]
+            quintet = np.full(op.dim, 1.0 / np.sqrt(op.dim))
+            return [ground, EigenPair(0.5, quintet, 0.0)]
+
+        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", quintet_second)
+        with pytest.raises(OrderingError, match="S\\^2"):
+            spectral_data(spec)
+
+    @pytest.mark.parametrize("length", [8, 10, 12])
+    @pytest.mark.parametrize("jp", [0.1, 0.2])
+    def test_triplet_matches_m1_solve(self, length, jp):
+        # the m = 1 route that spectral_data no longer takes, kept as an oracle
+        # for the Wigner-Eckart correlators
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        sd = spectral_data(spec)
+        sector1 = enumerate_sector(length, 2)
+        (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, sector1), 1, tol=1e-12)
+        a, b = spec.site_a, spec.site_b
+        assert sd.e_triplet == pytest.approx(pair.energy, abs=1e-10)
+        assert sd.gzz_triplet == pytest.approx(
+            pauli_zz_expectation(sector1, pair.vector, a, b), abs=1e-10
+        )
+        assert sd.gxx_triplet == pytest.approx(
+            pauli_xx_expectation(sector1, pair.vector, a, b), abs=1e-10
+        )
 
     def test_rejects_transfer_spec(self):
         with pytest.raises(ConfigError):

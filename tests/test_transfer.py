@@ -15,7 +15,7 @@ from spinchannel.chain import (
     chain_bonds,
     enumerate_sector,
 )
-from spinchannel.eigensolve import lowest_eigenpairs, spectral_data
+from spinchannel.eigensolve import SpectralData, lowest_eigenpairs, spectral_data
 from spinchannel.errors import (
     ConfigError,
     FlatCurveError,
@@ -38,6 +38,11 @@ from spinchannel.transfer import (
 from conftest import dense_transfer_hamiltonian, random_pure_qubit
 
 G_VALUES = (-1.0, -0.5, 0.0, 1.0 / 3.0)
+
+
+def chain_spectral(spec):
+    """spectral_data of the bare chain under a transfer spec."""
+    return spectral_data(replace(spec, gamma=None))
 
 
 def commensurate_fidelity(g, u):
@@ -223,24 +228,28 @@ class TestEffectiveCoupling:
     def test_jeff_is_the_gap(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec)
-        model = effective_coupling(spec)
+        model = effective_coupling(spec, sd)
         assert model.j_eff == pytest.approx(sd.gap, abs=1e-12)
         assert model.g == pytest.approx(sd.gzz_ground, abs=1e-12)
         assert model.gamma == pytest.approx(sd.gap)  # "auto"
 
     def test_perturbative_scaling_of_jeff(self):
-        strong = effective_coupling(ChainSpec(L=8, J=1.0, Jp=0.2)).j_eff
-        weak = effective_coupling(ChainSpec(L=8, J=1.0, Jp=0.1)).j_eff
+        strong_spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        weak_spec = ChainSpec(L=8, J=1.0, Jp=0.1)
+        strong = effective_coupling(strong_spec, spectral_data(strong_spec)).j_eff
+        weak = effective_coupling(weak_spec, spectral_data(weak_spec)).j_eff
         assert 3.0 < strong / weak < 5.5  # ~4x from the quadratic prefactor
 
     def test_validity_flag(self):
-        assert effective_coupling(ChainSpec(L=8, J=1.0, Jp=0.1)).valid
-        assert not effective_coupling(ChainSpec(L=8, J=1.0, Jp=1.0)).valid
+        weak = ChainSpec(L=8, J=1.0, Jp=0.1)
+        strong = ChainSpec(L=8, J=1.0, Jp=1.0)
+        assert effective_coupling(weak, spectral_data(weak)).valid
+        assert not effective_coupling(strong, spectral_data(strong)).valid
 
     def test_finite_temperature_g(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec)
-        model = effective_coupling(spec, temperature=sd.gap)
+        model = effective_coupling(spec, sd, temperature=sd.gap)
         assert model.g > sd.gzz_ground
 
 
@@ -290,13 +299,17 @@ class TestFullChainTransfer:
     def test_matches_dense_evolution(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
         times = np.linspace(0.0, 25.0, 40)
-        curve = full_chain_transfer(spec, 0.0, times, krylov_tol=1e-12)
+        curve = full_chain_transfer(
+            spec, 0.0, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+        )
         np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.0, times), atol=1e-10)
 
     def test_finite_temperature_matches_dense(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
         times = np.linspace(0.0, 15.0, 25)
-        curve = full_chain_transfer(spec, 0.2, times, krylov_tol=1e-12)
+        curve = full_chain_transfer(
+            spec, 0.2, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+        )
         np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.2, times), atol=1e-10)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.2])
@@ -314,7 +327,9 @@ class TestFullChainTransfer:
         monkeypatch.setattr(transfer, "_krylov_step", recorded)
         spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
         times = np.linspace(0.0, 80.0, 9)
-        curve = full_chain_transfer(spec, temperature, times, krylov_tol=1e-12)
+        curve = full_chain_transfer(
+            spec, temperature, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+        )
         assert min(dim for dim, _ in steps) > 30
         assert any(halved for _, halved in steps)
         np.testing.assert_allclose(
@@ -323,15 +338,18 @@ class TestFullChainTransfer:
 
     def test_decoupled_sender_constant_theta(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.0)
-        curve = full_chain_transfer(spec, 0.0, np.linspace(0.0, 30.0, 16))
+        curve = full_chain_transfer(
+            spec, 0.0, np.linspace(0.0, 30.0, 16), spectral=chain_spectral(spec)
+        )
         assert np.max(np.abs(curve.thetas - curve.thetas[0])) <= 1e-10
         assert curve.fidelities[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_sender_down_flips_theta(self):
         spec = ChainSpec(L=4, J=1.0, Jp=0.4, gamma=0.2)
         times = np.linspace(0.0, 20.0, 21)
-        up = full_chain_transfer(spec, 0.0, times, sender_up=True)
-        down = full_chain_transfer(spec, 0.0, times, sender_up=False)
+        sd = chain_spectral(spec)
+        up = full_chain_transfer(spec, 0.0, times, spectral=sd, sender_up=True)
+        down = full_chain_transfer(spec, 0.0, times, spectral=sd, sender_up=False)
         np.testing.assert_allclose(up.thetas, -down.thetas, atol=1e-10)
 
     @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -341,17 +359,32 @@ class TestFullChainTransfer:
 
         monkeypatch.setattr(transfer, "_thermal_branches", no_solve)
         spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        sd = chain_spectral(spec)
         with pytest.raises(ValueError, match="krylov_tol"):
-            full_chain_transfer(spec, 0.0, np.linspace(0.0, 1.0, 5), krylov_tol)
+            full_chain_transfer(spec, 0.0, np.linspace(0.0, 1.0, 5), krylov_tol, spectral=sd)
 
     def test_requires_gamma_and_valid_grid(self):
-        with pytest.raises(ConfigError):
-            full_chain_transfer(ChainSpec(L=4, Jp=0.5), 0.0, np.linspace(0.0, 1.0, 5))
         spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        sd = chain_spectral(spec)
+        with pytest.raises(ConfigError):
+            full_chain_transfer(ChainSpec(L=4, Jp=0.5), 0.0, np.linspace(0.0, 1.0, 5), spectral=sd)
         with pytest.raises(ValueError):
-            full_chain_transfer(spec, 0.0, np.linspace(1.0, 2.0, 5))  # must start at 0
+            full_chain_transfer(spec, 0.0, np.linspace(1.0, 2.0, 5), spectral=sd)  # must start at 0
         with pytest.raises(ValueError):
-            full_chain_transfer(spec, -0.1, np.linspace(0.0, 1.0, 5))
+            full_chain_transfer(spec, -0.1, np.linspace(0.0, 1.0, 5), spectral=sd)
+
+    def test_requires_spectral_vectors_of_the_chain(self):
+        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        times = np.linspace(0.0, 1.0, 5)
+        sd = chain_spectral(spec)
+        scalars_only = SpectralData(
+            e0=sd.e0, e_triplet=sd.e_triplet, gap=sd.gap, gzz_ground=sd.gzz_ground,
+            gzz_triplet=sd.gzz_triplet, gxx_triplet=sd.gxx_triplet,
+        )
+        other_length = spectral_data(ChainSpec(L=6, Jp=0.5))
+        for spectral in (scalars_only, other_length):
+            with pytest.raises(ConfigError):
+                full_chain_transfer(spec, 0.0, times, spectral=spectral)
 
     def test_agrees_with_effective_model_at_weak_coupling(self):
         # small version of the headline comparison (L = 6 keeps it quick)
@@ -361,7 +394,7 @@ class TestFullChainTransfer:
         t_pred = optimal_time(model)
         f_pred = max_fidelity(sd.gzz_ground)
         times = np.linspace(0.0, 1.3 * t_pred, 500)
-        curve = full_chain_transfer(replace(spec, gamma=sd.gap), 0.0, times)
+        curve = full_chain_transfer(replace(spec, gamma=sd.gap), 0.0, times, spectral=sd)
         assert abs(curve.f_star - f_pred) < 0.05
         assert abs(curve.t_star - t_pred) / t_pred < 0.1
         # flying-qubit bound: information cannot arrive faster than the
