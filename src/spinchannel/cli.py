@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-FULL_CHAIN_LENGTH_CAP = 16
+FULL_CHAIN_LENGTH_CAP = 18
 
 _DEFAULTS = {
     "length": None,

@@ -21,7 +21,8 @@ f* = 7/8 at g = 0).
 Everything closed-form is cross-checked here against two independent
 routes: exact 8-dimensional unitary evolution (``three_site_oracle``) and
 Krylov-propagated dynamics of the full (L+1)-site chain
-(``full_chain_transfer``).
+(``full_chain_transfer``).  SU(2) and global spin flip put the whole
+T > 0 mixture of the latter into one magnetization sector as three states.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from scipy.linalg.blas import zaxpy
 
 from .chain import (
     ChainSpec,
-    Sector,
-    SparseOperator,
     apply_total_spin_ladder,
     build_transfer_hamiltonian,
     enumerate_sector,
 )
-from .eigensolve import SpectralData, spectral_data  # noqa: F401  (re-exported)
+from .eigensolve import SpectralData
 from .errors import (
     ConfigError,
     FlatCurveError,
@@ -409,30 +408,15 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, m_max: int 
     return psi_new, dt
 
 
-def _propagate_expectation(
-    op: SparseOperator,
-    sector: Sector,
-    psi0: np.ndarray,
-    times: np.ndarray,
-    site: int,
-    tol: float,
-) -> np.ndarray:
-    """<sigma_z(site)>(t) along a Krylov-propagated trajectory.
+def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
+    """Yield psi(t) at each time of a grid that starts at 0, by Krylov steps.
 
-    The propagated state is re-expanded from a fresh Krylov space every
-    step, so the per-step error budget is tol and the accumulated error is
-    bounded by tol times the number of steps.  Steps skip reorthogonalization
-    at no cost in accuracy (Sidje 1998; Druskin, Greenbaum and Knizhnerman
-    1998); a norm drift above 1e-10 at any grid point raises PropagationError.
+    Each step re-expands from a fresh Krylov space, so the error is at most
+    tol per step; a norm drift above 1e-10 at a grid point raises
+    PropagationError.
     """
-    bits = (sector.basis >> np.uint64(site)) & np.uint64(1)
-    signs = 2.0 * bits.astype(np.float64) - 1.0
-    matrix = op.matrix
-    psi = psi0.astype(complex)
-    out = np.empty(times.size)
-    t_now = 0.0  # full_chain_transfer checks that the grid starts at 0
-    dt_hint = None
-    for idx, t_target in enumerate(times):
+    t_now, dt_hint = 0.0, None
+    for t_target in times:
         while t_target - t_now > 1e-14 * max(1.0, t_target):
             dt_req = t_target - t_now
             if dt_hint is not None:
@@ -443,28 +427,42 @@ def _propagate_expectation(
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-10:
             raise PropagationError(f"norm drift {drift:.3e} at t = {t_now}")
-        out[idx] = float(np.dot(np.abs(psi) ** 2, signs))
-    return out
+        yield psi
 
 
-def _thermal_branches(spectral: SpectralData, temperature: float):
-    """Eigenstate branches of the bare chain entering the truncated mixture.
+def _propagate_expectation(matrix, signs: np.ndarray, states, weights: np.ndarray, times, tol):
+    """sum_ij W_ij Re <psi_i(t)|sigma_z|psi_j(t)> on the grid, sigma_z given by its signs.
 
-    Returns a list of (sector, vector, weight).  At T = 0 only the ground
-    state contributes; at T > 0 the three triplet members join with weight
-    x/(1+3x), x = exp(-gap/T).  The m = +-1 members are S+-|T0>/sqrt(2),
-    so no eigensolve is made here.
+    The states move in lockstep, each on its own trajectory (own dt hint),
+    since a cross term needs two of them at the same t.  sigma_z is diagonal,
+    so each nonzero W_ij, i <= j, costs one dot product per grid point.
+    """
+    upper = zip(*np.nonzero(np.triu(weights)))  # W is symmetric: i < j stands for both
+    terms = [(i, j, weights[i, j] * (1 if i == j else 2)) for i, j in upper]
+    lockstep = zip(*(_trajectory(matrix, psi, times, tol) for psi in states))
+    forms = (sum(w * np.vdot(ps[i], signs * ps[j]).real for i, j, w in terms) for ps in lockstep)
+    return np.fromiter(forms, float, len(times))
+
+
+def _thermal_branches(spectral: SpectralData, temperature: float, sender_up: bool):
+    """Chain states of the truncated thermal mixture and their weight matrix W.
+
+    Returns ([(chain sector, vector, sender bit), ...], W) for the theta(t)
+    formula of full_chain_transfer: ground alone with W = [[1]] at T = 0;
+    ground, T0 and S+-|T0>/sqrt(2) (S+ for sender up, with the sender
+    flipped) at T > 0.  No eigensolve is made here.
     """
     sector0 = spectral.sector
+    bit = 1 if sender_up else 0
+    states = [(sector0, spectral.ground, bit)]
     if temperature == 0.0:
-        return [(sector0, spectral.ground, 1.0)]
+        return states, np.ones((1, 1))
     x = math.exp(-spectral.gap / temperature)
+    sector, image = apply_total_spin_ladder(sector0, spectral.triplet, raising=sender_up)
+    states += [(sector0, spectral.triplet, bit), (sector, image / math.sqrt(2.0), 1 - bit)]
     w = x / (1.0 + 3.0 * x)
-    branches = [(sector0, spectral.ground, 1.0 / (1.0 + 3.0 * x)), (sector0, spectral.triplet, w)]
-    for raising in (True, False):
-        sector, image = apply_total_spin_ladder(sector0, spectral.triplet, raising)
-        branches.append((sector, image / math.sqrt(2.0), w))
-    return branches
+    c = math.sqrt(2.0) * w
+    return states, np.array([[1.0 / (1.0 + 3.0 * x), 0, 0], [0, 3.0 * w, c], [0, c, 0]])
 
 
 def full_chain_transfer(
@@ -478,12 +476,20 @@ def full_chain_transfer(
 ) -> TransferCurve:
     """Transfer fidelity from exact dynamics of the (L+1)-site system.
 
-    The chain starts in its truncated thermal mixture of the eigenstates in
-    ``spectral`` (spectral_data of the chain without the sender); each
-    branch is tensored with the polarized sender, Krylov-propagated under
-    the full Hamiltonian inside its magnetization sector, and the branch
-    magnetizations at B are Boltzmann-averaged into theta(t).  The peak is
-    read off the grid with parabolic refinement.
+    The chain starts in the truncated thermal mixture of the eigenstates in
+    ``spectral`` (spectral_data of the chain without the sender): ground with
+    weight w0 = 1/(1+3x), each triplet member with w = x/(1+3x), x = exp(-gap/T).
+    One sector, 2Sz = +1 for sender up and -1 for sender down, holds it all:
+
+        theta(t) = w0 <G|sigma_z(B)|G>
+                   + w [3 <T0|sigma_z(B)|T0> + 2 sqrt(2) Re <P|sigma_z(B)|T0>]
+
+    G and T0 are ground and m = 0 triplet tensored with the sender; P is
+    S+-|T0>/sqrt(2) tensored with the flipped sender.  Spin flip maps the
+    m = -+1 member to -<P|sigma_z(B)|P>; the m = +-1 member is pure S = 3/2,
+    so by SU(2) its sigma_z(B) is 3x that of (P + sqrt(2) T0)/sqrt(3), and
+    the P diagonal terms cancel.  The three states are Krylov-propagated in
+    lockstep; the peak is read off the grid with parabolic refinement.
 
     Memory and time grow combinatorially with L; the command line caps L
     at cli.FULL_CHAIN_LENGTH_CAP.
@@ -500,21 +506,14 @@ def full_chain_transfer(
     if spectral.sector is None or spectral.sector.n_sites != spec.L:
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
 
-    sender_bit = 1 if sender_up else 0
-    theta = np.zeros(times.size)
-    full_sectors: dict[int, tuple[Sector, SparseOperator]] = {}
-    for chain_sector, vector, weight in _thermal_branches(spectral, temperature):
-        twice_sz = chain_sector.twice_sz + (1 if sender_up else -1)
-        if twice_sz not in full_sectors:
-            sector = enumerate_sector(spec.L + 1, twice_sz)
-            full_sectors[twice_sz] = (sector, build_transfer_hamiltonian(spec, sector))
-        sector, hamiltonian = full_sectors[twice_sz]
-        patterns = (chain_sector.basis << np.uint64(1)) | np.uint64(sender_bit)
-        psi0 = np.zeros(sector.dim, dtype=complex)
-        psi0[sector.index_of(patterns)] = vector
-        theta += weight * _propagate_expectation(
-            hamiltonian, sector, psi0, times, site=spec.L, tol=krylov_tol
-        )
+    branches, weights = _thermal_branches(spectral, temperature, sender_up)
+    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
+    hamiltonian = build_transfer_hamiltonian(spec, sector)
+    states = np.zeros((len(branches), sector.dim), dtype=complex)
+    for psi0, (chain_sector, vector, bit) in zip(states, branches):
+        psi0[sector.index_of((chain_sector.basis << np.uint64(1)) | np.uint64(bit))] = vector
+    signs = 2.0 * ((sector.basis >> np.uint64(spec.L)) & np.uint64(1)).astype(np.float64) - 1.0
+    theta = _propagate_expectation(hamiltonian.matrix, signs, states, weights, times, krylov_tol)
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))

@@ -167,8 +167,7 @@ class TestTransferCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although the arguments are invalid")
 
-        for module in (spinchannel.eigensolve, spinchannel.transfer):
-            monkeypatch.setattr(module, "spectral_data", no_solve)
+        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         argv = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2",
                 "--out", str(tmp_path / "x.csv")]
         assert run(argv + flags) == 2
@@ -207,9 +206,13 @@ class TestTransferCommand:
         assert measured["tstar"] == pytest.approx(t_star, rel=0, abs=1e-9)
         assert measured["fstar"] == pytest.approx(f_star, rel=0, abs=1e-9)
 
-    def test_full_mode_length_cap(self, tmp_path):
+    def test_full_mode_length_cap(self, monkeypatch, tmp_path):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although the length is above the cap")
+
+        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         code = run(
-            ["transfer", "--mode", "full", "--length", "18", "--jp", "0.1",
+            ["transfer", "--mode", "full", "--length", "20", "--jp", "0.1",
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
@@ -319,8 +322,7 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although --out is missing")
 
-        for module in (spinchannel.eigensolve, spinchannel.scaling,
-                       spinchannel.teleport, spinchannel.transfer):
+        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
             monkeypatch.setattr(module, "spectral_data", no_solve)
         assert run(argv) == 2
 
@@ -342,7 +344,6 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although the temperature is invalid")
 
-        for module in (spinchannel.eigensolve, spinchannel.transfer):
-            monkeypatch.setattr(module, "spectral_data", no_solve)
+        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         argv = command + ["--length", "4", "--jp", "0.5", "--out", str(tmp_path / "x.csv")]
         assert run(argv + flags) == 2

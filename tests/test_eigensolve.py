@@ -157,11 +157,11 @@ class TestSpectralData:
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec, 1e-10)
         assert sd.gap > 0
-        # second m=0 level must sit on the m=1 level; spectral_data already
-        # enforces it, re-derive independently here
-        op = build_chain_hamiltonian(spec, enumerate_sector(8, 0))
-        second = dense_spectrum(op)[1]
-        assert second == pytest.approx(sd.e_triplet, abs=1e-9)
+        # e_triplet is the second m = 0 level; it must sit on the lowest
+        # m = 1 level, taken here from an independent dense solve
+        op = build_chain_hamiltonian(spec, enumerate_sector(8, 2))
+        lowest_m1 = dense_spectrum(op)[0]
+        assert lowest_m1 == pytest.approx(sd.e_triplet, abs=1e-9)
 
     def test_weak_probes_strongly_entangled(self):
         sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))

@@ -314,8 +314,8 @@ class TestFullChainTransfer:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.2])
     def test_truncated_krylov_matches_dense(self, monkeypatch, temperature):
-        # L = 8: sector dims 126 and 84 exceed m_max = 30, so the Lanczos basis
-        # is truncated; the coarse grid (dt = 10) makes the error estimate halve dt
+        # L = 8: the sector dim 126 exceeds m_max = 30, so the Lanczos basis is
+        # truncated; the coarse grid (dt = 10) makes the error estimate halve dt
         steps = []
         krylov_step = transfer._krylov_step
 
@@ -344,13 +344,32 @@ class TestFullChainTransfer:
         assert np.max(np.abs(curve.thetas - curve.thetas[0])) <= 1e-10
         assert curve.fidelities[0] == pytest.approx(0.5, abs=1e-10)
 
-    def test_sender_down_flips_theta(self):
+    @pytest.mark.parametrize("temperature", [0.0, 0.2])
+    def test_sender_down_flips_theta(self, temperature):
         spec = ChainSpec(L=4, J=1.0, Jp=0.4, gamma=0.2)
         times = np.linspace(0.0, 20.0, 21)
         sd = chain_spectral(spec)
-        up = full_chain_transfer(spec, 0.0, times, spectral=sd, sender_up=True)
-        down = full_chain_transfer(spec, 0.0, times, spectral=sd, sender_up=False)
+        up = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=True)
+        down = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=False)
         np.testing.assert_allclose(up.thetas, -down.thetas, atol=1e-10)
+
+    @pytest.mark.parametrize("sender_up, twice_sz", [(True, 1), (False, -1)])
+    def test_one_transfer_sector_per_run(self, monkeypatch, sender_up, twice_sz):
+        # the whole T > 0 mixture lives in the sender's 2Sz = +-1 sector
+        built = []
+        build = transfer.build_transfer_hamiltonian
+
+        def recorded(spec, sector):
+            built.append(sector.twice_sz)
+            return build(spec, sector)
+
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", recorded)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        full_chain_transfer(
+            spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec),
+            sender_up=sender_up,
+        )
+        assert built == [twice_sz]
 
     @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_krylov_tol_fails_before_any_solve(self, monkeypatch, krylov_tol):
