@@ -148,9 +148,8 @@ class SparseOperator:
     Values are float64, or complex128 with zero imaginary parts when the
     operator multiplies complex vectors (``build_transfer_hamiltonian``).
 
-    Immutable after construction; safe to share across threads.  ``apply``
-    is a plain CSR matvec and therefore deterministic for a fixed entry
-    order.
+    Immutable after construction; safe to share across threads.  ``matrix @ v``
+    is a plain CSR matvec, deterministic for a fixed entry order.
     """
 
     def __init__(self, matrix: csr_matrix):
@@ -162,12 +161,6 @@ class SparseOperator:
         matrix.indptr.setflags(write=False)
         self.matrix = matrix
         self.dim = matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape != (self.dim,):
-            raise DimensionError(f"vector of length {v.shape} incompatible with dim {self.dim}")
-        return self.matrix @ v
 
 
 def chain_bonds(spec: ChainSpec, offset: int = 0) -> list[tuple[int, int, float]]:

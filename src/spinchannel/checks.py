@@ -1,0 +1,113 @@
+"""Oracle cross-checks shared by ``spinchannel validate`` and the acceptance suite.
+
+Each ``check(tol, seed)`` returns ``(ok, detail)``.  Library functions are called
+through their modules, so a patched attribute (an injected fault) is what gets checked.
+"""
+
+import math
+
+import numpy as np
+
+from . import chain, eigensolve, entangle, teleport, thermal, transfer
+
+# two spins, J = 1 (e0, e_triplet, gap, gzz_ground, gzz_triplet, gxx_triplet): T* = 1/ln 3
+_TWO_SPIN = eigensolve.SpectralData(-0.75, 0.25, 1.0, -1.0, 1.0, 0.0)
+
+
+def lanczos_vs_dense(tol: float, seed: int):
+    """Lowest two Lanczos energies of every sector, L = 4..10, against the dense spectrum."""
+    worst = 0.0
+    for length in (4, 6, 8, 10):
+        for jp in (0.1, 0.5, 1.0):
+            spec = chain.ChainSpec(L=length, J=1.0, Jp=jp)
+            for twice_sz in range(-length, length + 1, 2):
+                sector = chain.enumerate_sector(length, twice_sz)
+                op = chain.build_chain_hamiltonian(spec, sector)
+                dense = eigensolve.dense_spectrum(op)
+                pairs = eigensolve.lowest_eigenpairs(op, min(2, sector.dim), tol, seed=seed)
+                for i, pair in enumerate(pairs):
+                    worst = max(worst, abs(pair.energy - dense[i]))
+    return worst <= 1e-9, f"max energy deviation {worst:.3e} (tol 1e-9)"
+
+
+def closed_form_vs_three_site(tol: float, seed: int):
+    """Closed-form transfer fidelity against 8-dimensional unitary evolution."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 4.0 * math.pi, 1000)
+    worst = 0.0
+    for g in (-1.0, -0.5, 0.0, 1.0 / 3.0):
+        model = transfer.EffectiveModel(j_eff=1.0, gamma=1.0, g=g)
+        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        for t, f_closed in zip(times, transfer.closed_form_fidelity(model, times)):
+            worst = max(worst, abs(f_closed - transfer.three_site_oracle(model, t, xi)))
+    return worst <= 1e-10, f"max |closed form - three-site| {worst:.3e} (tol 1e-10)"
+
+
+def threshold_bisection(tol: float, seed: int):
+    """Closed-form T* against 1/ln 3 for two spins and against bisection at L = 8."""
+    dev_two_spin = abs(teleport.threshold_temperature(_TWO_SPIN) - 1.0 / math.log(3.0))
+    sd = eigensolve.spectral_data(chain.ChainSpec(L=8, J=1.0, Jp=0.2), tol, seed=seed)
+    lo, hi = sd.gap * 1e-3, sd.gap * 1e3
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if thermal.thermal_g(sd, mid) < -1.0 / 3.0:
+            lo = mid
+        else:
+            hi = mid
+    dev_bisect = abs(teleport.threshold_temperature(sd) - 0.5 * (lo + hi))
+    return dev_two_spin <= 1e-12 and dev_bisect <= 1e-10, (
+        f"two-spin dev = {dev_two_spin:.3e} (tol 1e-12), "
+        f"bisection dev = {dev_bisect:.3e} (tol 1e-10)"
+    )
+
+
+def channel_state_independence(tol: float, seed: int):
+    """The teleportation channel gives f = (1 + theta)/2 for every pure input."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for theta in np.linspace(-1.0 / 3.0, 1.0, 20):
+        channel = teleport.DepolarizingChannel(theta=theta)
+        for _ in range(100):
+            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, psi.conj())
+            f = float(np.real(np.trace(rho @ teleport.apply_channel(channel, rho))))
+            worst = max(worst, abs(f - (1.0 + theta) / 2.0))
+    return worst <= 1e-12, f"max fidelity deviation {worst:.3e} (tol 1e-12)"
+
+
+def _sharing_margin(g: float) -> float:
+    return entangle.sharing_concurrence(transfer.max_fidelity(g)) - entangle.werner_concurrence(g)
+
+
+def enhancement_inequality(tol: float, seed: int):
+    """C_out >= C_in on [-1, 1/3], with equality only at the singlet g = -1."""
+    at_singlet = _sharing_margin(-1.0)
+    min_margin = min(_sharing_margin(g) for g in np.linspace(-1.0, 1.0 / 3.0, 1000)[1:])
+    return abs(at_singlet) <= 1e-12 and min_margin > 1e-12, (
+        f"margin at g=-1: {at_singlet:.1e} (|.| <= 1e-12), "
+        f"min margin elsewhere: {min_margin:.2e} (> 1e-12)"
+    )
+
+
+def werner_concurrence_oracle(tol: float, seed: int):
+    """Closed-form concurrences of the Werner input and the shared output against Wootters."""
+    deviations = [
+        abs(entangle.concurrence(thermal.werner_density_matrix(g)) - entangle.werner_concurrence(g))
+        for g in np.linspace(-1.0, 1.0 / 3.0, 41)
+    ] + [
+        abs(entangle.concurrence(entangle.shared_output_state(p)) - max(1.0 - 2.0 * p, 0.0))
+        for p in np.linspace(0.0, 1.0, 41)
+    ]
+    worst = max(deviations)
+    return worst <= 1e-10, f"max |Wootters - closed form| {worst:.3e} (tol 1e-10)"
+
+
+CHECKS = [
+    ("lanczos-vs-dense", lanczos_vs_dense),
+    ("closed-form-vs-three-site", closed_form_vs_three_site),
+    ("threshold-bisection", threshold_bisection),
+    ("channel-state-independence", channel_state_independence),
+    ("enhancement-inequality", enhancement_inequality),
+    ("werner-concurrence-oracle", werner_concurrence_oracle),
+]

@@ -7,7 +7,8 @@ teleport   teleportation fidelity vs temperature for one chain
 transfer   peak transfer fidelity over lengths (effective mode) or the
            full time-resolved curve for one chain (full mode)
 share      entanglement-sharing report for one chain
-validate   run the built-in oracle cross-checks
+validate   run the oracle cross-checks of ``spinchannel.checks``, the same
+           functions the acceptance suite calls
 
 Flags override values from an optional JSON config file (``--config``);
 environment variables are never consulted.  Identical configuration and
@@ -26,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import eigensolve, entangle, scaling, teleport, thermal, transfer
+from . import checks, eigensolve, entangle, scaling, teleport, transfer
 from .chain import ChainSpec
-from .errors import InsufficientDataError, NoThresholdError, SpinChainError
+from .errors import InsufficientDataError, SpinChainError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -172,6 +173,11 @@ def _length_range(cfg: RunConfig) -> list[int]:
     return lengths
 
 
+def _chain_grid(cfg: RunConfig, lengths: list[int]) -> list[ChainSpec]:
+    """Every (jp, L) chain of a sweep, built up front so a bad value fails before any solve."""
+    return [ChainSpec(L=length, J=cfg.j, Jp=jp) for jp in cfg.jp for length in lengths]
+
+
 def _single_length(cfg: RunConfig) -> int:
     if cfg.length is None:
         raise UsageError(f"command '{cfg.command}' needs --length")
@@ -257,6 +263,7 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], derived: dict, wa
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
     lengths = _length_range(cfg)
+    _chain_grid(cfg, lengths)  # a bad length or jp fails here, not after a solve
     rows: list[list] = []
     derived: dict = {"fits": {}}
     warnings: list[str] = []
@@ -334,20 +341,16 @@ def cmd_transfer(cfg: RunConfig) -> int:
     rows: list[list] = []
     warnings: list[str] = []
     derived: dict = {"points": []}
-    for jp in cfg.jp:
-        for length in lengths:
-            spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
-            sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
-            for temperature in temps:
-                model = transfer.effective_coupling(
-                    spec, sd, gamma=cfg.gamma, temperature=temperature
-                )
-                t_star, f_star = _predicted_peak(model)
-                rows.append([length, jp, temperature, model.g, model.j_eff, t_star, f_star])
-                derived["points"].append(
-                    {"L": length, "jp": jp, "T": temperature, "gamma": model.gamma,
-                     "valid_window": model.valid}
-                )
+    for spec in _chain_grid(cfg, lengths):
+        sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
+        for temperature in temps:
+            model = transfer.effective_coupling(spec, sd, gamma=cfg.gamma, temperature=temperature)
+            t_star, f_star = _predicted_peak(model)
+            rows.append([spec.L, spec.Jp, temperature, model.g, model.j_eff, t_star, f_star])
+            derived["points"].append(
+                {"L": spec.L, "jp": spec.Jp, "T": temperature, "gamma": model.gamma,
+                 "valid_window": model.valid}
+            )
     _emit(cfg, ["L", "jp", "T", "g", "jeff", "tstar", "fstar"], rows, derived, warnings)
     return EXIT_OK
 
@@ -426,120 +429,15 @@ def cmd_share(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# validate: built-in oracle cross-checks
-# ---------------------------------------------------------------------------
-
-
-def _check_lanczos_vs_dense(cfg: RunConfig):
-    from .chain import build_chain_hamiltonian, enumerate_sector
-
-    worst = 0.0
-    for length in (4, 6, 8, 10):
-        for jp in (0.1, 1.0):
-            spec = ChainSpec(L=length, J=1.0, Jp=jp)
-            for twice_sz in range(-length, length + 1, 2):
-                sector = enumerate_sector(length, twice_sz)
-                op = build_chain_hamiltonian(spec, sector)
-                dense = eigensolve.dense_spectrum(op)
-                k = min(2, sector.dim)
-                pairs = eigensolve.lowest_eigenpairs(op, k, cfg.tol, seed=cfg.seed)
-                for i, pair in enumerate(pairs):
-                    worst = max(worst, abs(pair.energy - dense[i]))
-    return worst <= 1e-9, f"max energy deviation {worst:.3e} (tol 1e-9)"
-
-
-def _check_closed_form_vs_three_site(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for g in (-1.0, -0.5, 0.0, 1.0 / 3.0):
-        model = transfer.EffectiveModel(j_eff=1.0, gamma=1.0, g=g)
-        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        for t in np.linspace(0.0, 4.0 * math.pi, 200):
-            diff = abs(
-                transfer.closed_form_fidelity(model, t)
-                - transfer.three_site_oracle(model, t, xi)
-            )
-            worst = max(worst, diff)
-    return worst <= 1e-10, f"max |closed form - three-site| {worst:.3e} (tol 1e-10)"
-
-
-def _check_threshold_bisection(cfg: RunConfig):
-    sd = eigensolve.spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2), cfg.tol, seed=cfg.seed)
-    t_closed = teleport.threshold_temperature(sd)
-    lo, hi = sd.gap * 1e-3, sd.gap * 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if thermal.thermal_g(sd, mid) < -1.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    t_bisect = 0.5 * (lo + hi)
-    diff = abs(t_closed - t_bisect)
-    return diff <= 1e-10, f"|closed - bisection| = {diff:.3e} (tol 1e-10)"
-
-
-def _check_channel_state_independence(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for theta in np.linspace(-1.0 / 3.0, 1.0, 11):
-        channel = teleport.DepolarizingChannel(theta=theta)
-        for _ in range(20):
-            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            psi /= np.linalg.norm(psi)
-            rho = np.outer(psi, psi.conj())
-            f = float(np.real(np.trace(rho @ teleport.apply_channel(channel, rho))))
-            worst = max(worst, abs(f - (1.0 + theta) / 2.0))
-    return worst <= 1e-12, f"max fidelity deviation {worst:.3e} (tol 1e-12)"
-
-
-def _check_enhancement(cfg: RunConfig):
-    for g in np.linspace(-1.0, 1.0 / 3.0, 500):
-        c_out = entangle.sharing_concurrence(transfer.max_fidelity(g))
-        c_in = entangle.werner_concurrence(g)
-        if c_out < c_in - 1e-12:
-            return False, f"violated at g = {g}"
-    return True, "C_out >= C_in on a 500-point grid"
-
-
-def _check_concurrence_oracle(cfg: RunConfig):
-    worst = 0.0
-    for g in np.linspace(-1.0, 1.0 / 3.0, 41):
-        diff = abs(
-            entangle.concurrence(thermal.werner_density_matrix(g))
-            - entangle.werner_concurrence(g)
-        )
-        worst = max(worst, diff)
-    for p in np.linspace(0.0, 1.0, 41):
-        diff = abs(
-            entangle.concurrence(entangle.shared_output_state(p)) - max(1.0 - 2.0 * p, 0.0)
-        )
-        worst = max(worst, diff)
-    return worst <= 1e-10, f"max |Wootters - closed form| {worst:.3e} (tol 1e-10)"
-
-
-_VALIDATE_CHECKS = [
-    ("lanczos-vs-dense", _check_lanczos_vs_dense),
-    ("closed-form-vs-three-site", _check_closed_form_vs_three_site),
-    ("threshold-bisection", _check_threshold_bisection),
-    ("channel-state-independence", _check_channel_state_independence),
-    ("enhancement-inequality", _check_enhancement),
-    ("werner-concurrence-oracle", _check_concurrence_oracle),
-]
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     failures = []
-    width = max(len(name) for name, _ in _VALIDATE_CHECKS)
-    for name, check in _VALIDATE_CHECKS:
+    width = max(len(name) for name, _ in checks.CHECKS)
+    for name, check in checks.CHECKS:
         try:
-            ok, detail = check(cfg)
+            ok, detail = check(cfg.tol, cfg.seed)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "pass" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
         if not ok:
             failures.append(name)
     if failures:

@@ -97,18 +97,14 @@ class EffectiveModel:
     j_eff     -- effective probe-probe coupling (the singlet-triplet gap)
     gamma     -- sender coupling
     g         -- Werner parameter of the initial probe pair
-    valid     -- True iff (Jp/J)^2 < L^(alpha-1), the window where the
-                 reduction is trusted
-    alpha     -- gap-decay exponent used for the window
-    phi       -- the (Jp/J)^2 value checked against the window
+    valid     -- True iff (Jp/J)^2 < L^(alpha-1) for the alpha given to
+                 effective_coupling: the window where the reduction is trusted
     """
 
     j_eff: float
     gamma: float
     g: float
     valid: bool = True
-    alpha: float = DEFAULT_GAP_EXPONENT
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.j_eff <= 0.0:
@@ -142,8 +138,7 @@ def effective_coupling(
         g = thermal_g(spectral, temperature)
     return EffectiveModel(
         j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g,
-        valid=validity_window(spec.Jp, spec.J, alpha, spec.L), alpha=alpha,
-        phi=(spec.Jp / spec.J) ** 2,
+        valid=validity_window(spec.Jp, spec.J, alpha, spec.L),
     )
 
 

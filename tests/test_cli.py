@@ -327,6 +327,24 @@ class TestConfigFile:
         assert run(argv) == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-scan", "--l-min", "8", "--l-max", "12", "--jp", "0.1,-0.1"],
+            ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "14", "--l-step", "3"],
+            ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "12",
+             "--jp", "0.1,-0.1"],
+        ],
+        ids=["gap-scan-jp", "transfer-length", "transfer-jp"],
+    )
+    def test_bad_sweep_value_fails_before_any_solve(self, monkeypatch, tmp_path, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although a length or jp is invalid")
+
+        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize(
         "command", [["transfer", "--mode", "full"], ["share"]], ids=["transfer-full", "share"]
     )
     @pytest.mark.parametrize(

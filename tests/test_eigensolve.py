@@ -69,7 +69,7 @@ class TestLowestEigenpairs:
         for _ in range(10):
             v = rng.standard_normal(op.dim)
             v /= np.linalg.norm(v)
-            assert ground.energy <= np.dot(v, op.apply(v)) + 1e-12
+            assert ground.energy <= np.dot(v, op.matrix @ v) + 1e-12
 
     def test_convergence_error_carries_residuals(self):
         spec = ChainSpec(L=12, J=1.0, Jp=0.1)

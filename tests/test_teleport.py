@@ -128,18 +128,6 @@ class TestThresholdTemperature:
         t_star = threshold_temperature(sd)
         assert thermal_g(sd, t_star) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
-    def test_bisection_agreement(self):
-        sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
-        t_closed = threshold_temperature(sd)
-        lo, hi = sd.gap * 1e-3, sd.gap * 1e3
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if thermal_g(sd, mid) < -1.0 / 3.0:
-                lo = mid
-            else:
-                hi = mid
-        assert t_closed == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-
     def test_separable_ground_state_has_no_threshold(self):
         sd = SpectralData(
             e0=-1.0, e_triplet=-0.5, gap=0.5,
