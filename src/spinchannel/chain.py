@@ -73,7 +73,7 @@ class ChainSpec:
             raise ValueError(f"J must be positive (antiferromagnetic), got {self.J}")
         if self.Jp <= 0.0:
             raise ValueError(f"Jp must be positive (antiferromagnetic), got {self.Jp}")
-        if self.gamma is not None and self.gamma < 0.0:
+        if self.gamma is not None and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0 when present, got {self.gamma}")
 
     @property
@@ -87,11 +87,16 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class Sector:
-    """Fixed-magnetization basis: all n_sites-bit patterns with 2*Sz = twice_sz."""
+    """Fixed-magnetization basis: all n_sites-bit patterns with 2*Sz = twice_sz.
+
+    flip = +-1 makes it a spin-inversion block of 2*Sz = 0: the patterns p with
+    site n_sites - 1 down, each standing for (|p> + flip |~p>)/sqrt(2).
+    """
 
     n_sites: int
     twice_sz: int
     basis: np.ndarray  # sorted uint64 patterns, bit i <-> site i
+    flip: int = 0
 
     @property
     def dim(self) -> int:
@@ -180,7 +185,8 @@ def build_bond_hamiltonian(
     Each bond (i, j, c) adds c * S_i . S_j: a diagonal SzSz part of +-c/4
     and a spin-flip part of c/2 connecting anti-aligned configurations.
     Both (row, col) orderings of each flip are generated, so the matrix is
-    symmetric entry for entry.
+    symmetric entry for entry.  In a spin-inversion block a partner with site
+    n_sites - 1 up is folded onto its complement, times flip.
     """
     if sector.n_sites != n_sites:
         raise DimensionError(
@@ -202,11 +208,15 @@ def build_bond_hamiltonian(
         if c == 0.0:
             continue
         anti = np.nonzero(~aligned)[0]
-        mask = np.uint64((1 << i) | (1 << j))
-        partners = np.searchsorted(basis, basis[anti] ^ mask)
+        partners = basis[anti] ^ np.uint64((1 << i) | (1 << j))
+        vals = np.full(anti.size, 0.5 * c)
+        if sector.flip:
+            up = (partners >> np.uint64(n_sites - 1)) != 0
+            partners[up] ^= np.uint64((1 << n_sites) - 1)
+            vals[up] *= sector.flip
         row_parts.append(anti)
-        col_parts.append(partners.astype(np.int64))
-        val_parts.append(np.full(anti.size, 0.5 * c))
+        col_parts.append(np.searchsorted(basis, partners).astype(np.int64))
+        val_parts.append(vals)
     rows = np.concatenate(row_parts)
     cols = np.concatenate(col_parts)
     vals = np.concatenate(val_parts)

@@ -97,7 +97,10 @@ def _parse_jp(text) -> list:
 def _parse_gamma(text):
     if text == "auto":
         return "auto"
-    return float(text)
+    gamma = float(text)
+    if not 0.0 <= gamma < math.inf:
+        raise UsageError(f'--gamma must be "auto" or >= 0 and finite, got {text}')
+    return gamma
 
 
 def build_parser() -> argparse.ArgumentParser:

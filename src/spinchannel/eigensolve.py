@@ -7,9 +7,9 @@ generator so runs are bit-reproducible.  Sectors small enough to
 diagonalize densely are handled densely.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
-triplet, from one m = 0 solve; SU(2) symmetry fixes the other triplet
-members.  It checks that the second m = 0 state really is a spin-1 triplet,
-<S^2> = 2, and fails loudly otherwise instead of returning nonsense.
+triplet, from the two spin-inversion blocks of the m = 0 sector; SU(2) fixes
+the other triplet members.  It checks that the lowest state of the triplet's
+block really is a spin-1 triplet, <S^2> = 2, and fails loudly otherwise.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
 _NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
 
 # |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
-# second order, ~L^2 (tol/level spacing)^2, while a singlet or quintet
-# admixture of weight p moves it by 2p or 4p.
+# second order, ~L^2 (tol/level spacing)^2, while an admixture of weight p
+# of T0's block's next spin, S = 3, moves it by 10p.
 _TRIPLET_S2_TOL = 1e-6
 
 
@@ -72,7 +72,7 @@ class SpectralData:
     """Low-energy manifold of a chain: singlet ground state and triplet.
 
     e0          -- singlet ground energy (m = 0 sector)
-    e_triplet   -- triplet energy, the second m = 0 level
+    e_triplet   -- triplet energy, the lowest level of T0's inversion block
     gap         -- e_triplet - e0 (> 0)
     gzz_ground  -- <G| sigma_z(A) sigma_z(B) |G>
     gzz_triplet -- <T+1| sigma_z(A) sigma_z(B) |T+1>
@@ -201,10 +201,13 @@ def spectral_data(
     *,
     seed: int = DEFAULT_SEED,
 ) -> SpectralData:
-    """Low-energy manifold of a chain from one solve of the m = 0 sector.
+    """Low-energy manifold of a chain from one k = 1 solve per inversion block.
 
-    The two lowest m = 0 states are the singlet |G> and the triplet member
-    |T0>; by Wigner-Eckart zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
+    Spin inversion maps m = 0 basis index i to dim - 1 - i, so a block's basis
+    is the first half of the sector's (Sandvik, arXiv:1101.3281, sec. 4).  The
+    singlet |G> is lowest in the block of sign (-1)^(L/2), the triplet member
+    |T0> in the other; both are returned in the plain m = 0 basis.  By
+    Wigner-Eckart zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
     """
     if spec.gamma is not None:
         raise ConfigError("spectral_data expects a chain spec without a sender coupling")
@@ -212,13 +215,19 @@ def spectral_data(
     a, b = spec.site_a, spec.site_b
 
     sector0 = enumerate_sector(spec.L, 0)
-    h0 = build_chain_hamiltonian(spec, sector0)
-    ground, triplet = lowest_eigenpairs(h0, 2, tol, seed=seed)
+    singlet_flip = (-1) ** (spec.L // 2)
+    pairs = []
+    for flip in (singlet_flip, -singlet_flip):
+        block = Sector(spec.L, 0, sector0.basis[: sector0.dim // 2], flip=flip)
+        (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed)
+        vector = np.concatenate([pair.vector, flip * pair.vector[::-1]]) / np.sqrt(2.0)
+        pairs.append(EigenPair(pair.energy, vector, pair.residual))
+    ground, triplet = pairs
 
     if triplet.energy - ground.energy <= 10.0 * tol:
         raise OrderingError(
-            f"m = 0 ground state degenerate within 10*tol "
-            f"(E1 - E0 = {triplet.energy - ground.energy:.3e}); "
+            f"singlet and triplet degenerate within 10*tol "
+            f"(E(T0) - E(G) = {triplet.energy - ground.energy:.3e}); "
             "the thermal truncation assumes a unique singlet"
         )
 
@@ -226,7 +235,7 @@ def spectral_data(
     s2 = float(np.dot(raised, raised))  # <S^2> = |S+ v|^2 at m = 0
     if abs(s2 - 2.0) > _TRIPLET_S2_TOL:
         raise OrderingError(
-            f"second m = 0 state has <S^2> = {s2:.6g}, not 2; the first "
+            f"lowest state of T0's block has <S^2> = {s2:.6g}, not 2; the first "
             "excitation is not the expected triplet (Jp too large?)"
         )
 

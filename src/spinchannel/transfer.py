@@ -109,7 +109,7 @@ class EffectiveModel:
     def __post_init__(self):
         if self.j_eff <= 0.0:
             raise ValueError(f"j_eff must be positive, got {self.j_eff}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         validate_werner_g(self.g)
 
@@ -292,12 +292,13 @@ def _werner_dense(g: float) -> np.ndarray:
     return rho
 
 
-def three_site_oracle(model: EffectiveModel, t: float, xi: np.ndarray) -> float:
-    """Exact transfer fidelity from 8-dimensional unitary evolution.
+def three_site_oracle(model: EffectiveModel, t, xi: np.ndarray):
+    """Exact transfer fidelity from 8-dimensional unitary evolution at time(s) t.
 
     Sites (sender, A, B) = bits (0, 1, 2).  The initial state is
     |xi><xi| on the sender times the Werner state of the probe pair; the
-    result is Tr[rho(t) |xi><xi|_B], which must not depend on xi.
+    result is Tr[rho(t) |xi><xi|_B], which must not depend on xi.  The
+    eigenmodes, rho(0) and the projector are built once for all times.
     """
     xi = np.asarray(xi, dtype=complex).reshape(2)
     xi = xi / np.linalg.norm(xi)
@@ -309,10 +310,13 @@ def three_site_oracle(model: EffectiveModel, t: float, xi: np.ndarray) -> float:
     # probe pair on bits (1, 2); the Werner state is swap-symmetric so the
     # internal kron order of the pair does not matter
     rho0 = np.kron(_werner_dense(model.g), xi_dm)
-    u = (modes * np.exp(-1.0j * energies * t)) @ modes.conj().T
-    rho_t = u @ rho0 @ u.conj().T
     projector_b = np.kron(xi_dm, np.eye(4, dtype=complex))
-    return float(np.real(np.trace(rho_t @ projector_b)))
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1.0j * np.multiply.outer(t.ravel(), energies))
+    u = (modes * phases[:, None, :]) @ modes.conj().T
+    rho_t = u @ rho0 @ u.conj().transpose(0, 2, 1)
+    f = np.real(np.einsum("nij,ji->n", rho_t, projector_b)).reshape(t.shape)
+    return float(f) if f.ndim == 0 else f
 
 
 # ---------------------------------------------------------------------------

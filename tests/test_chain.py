@@ -79,6 +79,8 @@ class TestChainSpec:
             ChainSpec(L=4, Jp=0.0)
         with pytest.raises(ValueError):
             ChainSpec(L=4, gamma=-0.1)
+        with pytest.raises(ValueError):
+            ChainSpec(L=4, gamma=float("nan"))
 
     def test_gamma_zero_allowed(self):
         assert ChainSpec(L=4, gamma=0.0).gamma == 0.0

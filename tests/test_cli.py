@@ -177,9 +177,10 @@ class TestTransferCommand:
     # full Lanczos reorthogonalization; later propagators must reproduce them.
     # The T = 0 t* is that of the exact (dense eigh) ground vector.  The peak
     # is so flat that a 1e-9 window on t* resolves a Ritz vector's ~1e-11
-    # residual: the earlier pin 869.3013199007 was the k = 1 Ritz vector's
-    # value, while k = 2 Ritz vectors from any seed give the dense value to
-    # 3e-10.
+    # residual: the earlier pin 869.3013199007 was the value of the k = 1
+    # Ritz vector of the whole m = 0 sector, while k = 2 Ritz vectors from any
+    # seed give the dense value to 3e-10, and so does the k = 1 vector of the
+    # singlet's spin-inversion block, which T0 cannot contaminate.
     @pytest.mark.parametrize(
         "temperature, t_star, f_star, thetas",
         [
@@ -254,7 +255,7 @@ class TestValidateCommand:
 
 
 class TestOneSolvePerChain:
-    """Every command diagonalizes each chain once: k = 2 on the m = 0 sector."""
+    """Every command diagonalizes each chain once: k = 1 on each m = 0 inversion block."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -284,7 +285,7 @@ class TestOneSolvePerChain:
                         monkeypatch.setattr(module, attr, counted)
         out = tmp_path / ("x.json" if argv[0] == "share" else "x.csv")
         assert run(argv + ["--jp", "0.1", "--out", str(out)]) == 0
-        assert calls == [(comb(10, 5), 2)]
+        assert calls == [(comb(10, 5) // 2, 1), (comb(10, 5) // 2, 1)]
 
 
 class TestConfigFile:
@@ -365,3 +366,13 @@ class TestConfigFile:
         monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         argv = command + ["--length", "4", "--jp", "0.5", "--out", str(tmp_path / "x.csv")]
         assert run(argv + flags) == 2
+
+    @pytest.mark.parametrize("mode", ["effective", "full"])
+    @pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+    def test_bad_gamma_fails_before_any_solve(self, monkeypatch, tmp_path, mode, gamma):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although --gamma is invalid")
+
+        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
+        argv = ["transfer", "--mode", mode, "--length", "8", "--jp", "0.2", "--gamma", gamma]
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 
 import spinchannel.eigensolve
-from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
+from spinchannel.chain import ChainSpec, Sector, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
 from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation
 from spinchannel.eigensolve import (
     EigenPair,
@@ -136,6 +136,48 @@ class TestDenseSpectrum:
         np.testing.assert_allclose(pooled, full, atol=1e-11)
 
 
+class TestSpinInversionBlocks:
+    """The two spin-inversion blocks of the m = 0 sector against the plain sector."""
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("jp", [0.1, 0.5, 1.0])
+    def test_block_spectra_make_up_the_sector(self, length, jp):
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        sector0 = enumerate_sector(length, 0)
+        half = sector0.basis[: sector0.dim // 2]
+        blocks = [
+            dense_spectrum(build_chain_hamiltonian(spec, Sector(length, 0, half, flip=flip)))
+            for flip in (1, -1)
+        ]
+        plain = dense_spectrum(build_chain_hamiltonian(spec, sector0))
+        np.testing.assert_allclose(np.sort(np.concatenate(blocks)), plain, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("jp", [0.1, 1.0])
+    def test_ground_state_parity(self, length, jp):
+        # the singlet sits in the block spectral_data solves with sign (-1)^(L/2)
+        op = build_chain_hamiltonian(ChainSpec(L=length, J=1.0, Jp=jp), enumerate_sector(length, 0))
+        ground = np.linalg.eigh(op.matrix.toarray())[1][:, 0]
+        np.testing.assert_allclose(ground[::-1], (-1) ** (length // 2) * ground, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("length", [12, 14, 16])
+    def test_matches_plain_k2_solve(self, length):
+        tol = 1e-10
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        sd = spectral_data(spec, tol)
+        op = build_chain_hamiltonian(spec, sd.sector)
+        ground, triplet = lowest_eigenpairs(op, 2, tol)
+        assert sd.e0 == pytest.approx(ground.energy, abs=1e-10)
+        assert sd.e_triplet == pytest.approx(triplet.energy, abs=1e-10)
+        for energy, vector in ((sd.e0, sd.ground), (sd.e_triplet, sd.triplet)):
+            assert np.linalg.norm(op.matrix @ vector - energy * vector) <= tol
+
+    def test_gap_independent_of_seed(self):
+        spec = ChainSpec(L=14, J=1.0, Jp=0.1)
+        gaps = [spectral_data(spec, seed=seed).gap for seed in (1, 2, 1234)]
+        assert max(gaps) - min(gaps) <= 1e-10
+
+
 class TestSpectralData:
     def test_uniform_L4_gap_matches_dense(self):
         spec = ChainSpec(L=4, J=1.0, Jp=1.0)
@@ -157,7 +199,7 @@ class TestSpectralData:
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec, 1e-10)
         assert sd.gap > 0
-        # e_triplet is the second m = 0 level; it must sit on the lowest
+        # e_triplet is the lowest level of T0's block; it must sit on the lowest
         # m = 1 level, taken here from an independent dense solve
         op = build_chain_hamiltonian(spec, enumerate_sector(8, 2))
         lowest_m1 = dense_spectrum(op)[0]
@@ -177,19 +219,27 @@ class TestSpectralData:
             spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2), tol=1.0)
 
     def test_non_triplet_second_state_trips_guard(self, monkeypatch):
-        # L = 4 quintet member at m = 0: the symmetric superposition of the
-        # six configurations, <S^2> = 6, energy (Jp + J + Jp)/4
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        # L = 6 septet member at m = 0: the uniform superposition of the 20
+        # configurations, <S^2> = 12, energy (Jp + 3J + Jp)/4.  It has
+        # inversion parity +1 = -(-1)^(L/2), so it lives in T0's block, whose
+        # lowest state the fake solver replaces by it.  (At L = 4 that block
+        # holds only triplets.)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        energy = (0.5 + 3.0 + 0.5) / 4.0
         true_solve = spinchannel.eigensolve.lowest_eigenpairs
+        replaced = []
 
-        def quintet_second(op, k, *args, **kwargs):
-            ground = true_solve(op, 1)[0]
-            quintet = np.full(op.dim, 1.0 / np.sqrt(op.dim))
-            return [ground, EigenPair(0.5, quintet, 0.0)]
+        def septet_in_its_block(op, k, *args, **kwargs):
+            septet = np.full(op.dim, 1.0 / np.sqrt(op.dim))
+            if np.linalg.norm(op.matrix @ septet - energy * septet) < 1e-12:
+                replaced.append(op.dim)
+                return [EigenPair(energy, septet, 0.0)]
+            return true_solve(op, k, *args, **kwargs)
 
-        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", quintet_second)
-        with pytest.raises(OrderingError, match="S\\^2"):
+        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", septet_in_its_block)
+        with pytest.raises(OrderingError, match=r"<S\^2> = 12,"):
             spectral_data(spec)
+        assert replaced == [10]
 
     @pytest.mark.parametrize("length", [8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.2])

@@ -113,6 +113,13 @@ class TestThreeSiteOracle:
         values = [three_site_oracle(model, 2.1, random_pure_qubit(rng)) for _ in range(20)]
         assert max(values) - min(values) <= 1e-12
 
+    def test_time_grid_matches_scalar_times(self, rng):
+        model = EffectiveModel(j_eff=1.0, gamma=0.7, g=-0.3)
+        xi = random_pure_qubit(rng)
+        times = np.linspace(0.0, 9.0, 50)
+        expected = [three_site_oracle(model, t, xi) for t in times]
+        np.testing.assert_allclose(three_site_oracle(model, times, xi), expected, rtol=0, atol=1e-14)
+
     def test_half_at_time_zero(self, rng):
         for g in G_VALUES:
             model = EffectiveModel(j_eff=1.0, gamma=0.8, g=g)
@@ -225,6 +232,11 @@ class TestNumericPeak:
 
 
 class TestEffectiveCoupling:
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan")])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            EffectiveModel(j_eff=1.0, gamma=gamma, g=-1.0)
+
     def test_jeff_is_the_gap(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec)
