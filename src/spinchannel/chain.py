@@ -22,12 +22,19 @@ Total magnetization is conserved, so operators are assembled inside
 fixed-magnetization sectors.  Sector bases are sorted ascending by pattern
 value and index lookup is a binary search, which keeps assembly and matvec
 deterministic.
+
+The 2Sz = 0 sector splits under spin inversion F (p -> ~p) and reflection R
+(i -> L-1-i) into blocks of characters chi(e, F, R, FR) = (1, F, R, F*R)
+(Sandvik, arXiv:1101.3281, sec. 4).  The orbit {p, ~p, Rp, ~Rp}, of size |O|
+= 4 or 2 (Rp = p or ~p), is held by its minimum r: sum_p chi(g_p) |p>/sqrt|O|
+with g_p r = p, absent if an element fixing p has chi = -1.  A flip partner q
+of r folds onto rep(q) times chi(g_q) sqrt(|O_r| / |O_q|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,6 +50,8 @@ __all__ = [
     "build_bond_hamiltonian",
     "build_chain_hamiltonian",
     "build_transfer_hamiltonian",
+    "symmetry_block",
+    "expand_to_sector",
     "pauli_z_expectation",
     "pauli_zz_expectation",
     "pauli_xx_expectation",
@@ -69,10 +78,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.L < 4 or self.L % 2 != 0:
             raise ValueError(f"L must be even and >= 4 for a singlet ground state, got {self.L}")
-        if self.J <= 0.0:
-            raise ValueError(f"J must be positive (antiferromagnetic), got {self.J}")
-        if self.Jp <= 0.0:
-            raise ValueError(f"Jp must be positive (antiferromagnetic), got {self.Jp}")
+        if not 0.0 < self.J < inf:
+            raise ValueError(f"J must be positive (antiferromagnetic) and finite, got {self.J}")
+        if not 0.0 < self.Jp < inf:
+            raise ValueError(f"Jp must be positive (antiferromagnetic) and finite, got {self.Jp}")
         if self.gamma is not None and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0 when present, got {self.gamma}")
 
@@ -89,14 +98,14 @@ class ChainSpec:
 class Sector:
     """Fixed-magnetization basis: all n_sites-bit patterns with 2*Sz = twice_sz.
 
-    flip = +-1 makes it a spin-inversion block of 2*Sz = 0: the patterns p with
-    site n_sites - 1 down, each standing for (|p> + flip |~p>)/sqrt(2).
+    signs = (F, R) makes it a symmetry block of 2*Sz = 0 (``symmetry_block``):
+    the basis then holds orbit representatives (module docstring).
     """
 
     n_sites: int
     twice_sz: int
     basis: np.ndarray  # sorted uint64 patterns, bit i <-> site i
-    flip: int = 0
+    signs: tuple[int, int] | None = None
 
     @property
     def dim(self) -> int:
@@ -147,6 +156,50 @@ def enumerate_sector(n_sites: int, twice_sz: int) -> Sector:
     return sector
 
 
+_REVERSED_16 = sum(((np.arange(1 << 16, dtype=np.uint16) >> b) & 1) << (15 - b) for b in range(16))
+
+
+def _reverse_bits(patterns: np.ndarray, n_sites: int) -> np.ndarray:
+    """The n_sites low bits of each pattern in reverse order, 16 bits per table lookup."""
+    out = np.zeros_like(patterns)
+    for shift in range(0, n_sites, 16):
+        chunk = (patterns >> np.uint64(shift)) & np.uint64(0xFFFF)
+        out = (out << np.uint64(16)) | _REVERSED_16[chunk]
+    return out >> np.uint64(-n_sites % 16)
+
+
+def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int]):
+    """Representative, chi(g_p), orbit size and survival of each pattern's orbit."""
+    full = np.uint64((1 << n_sites) - 1)
+    flipped = patterns ^ full
+    mirrored = _reverse_bits(patterns, n_sites)
+    rep = np.minimum(np.minimum(patterns, flipped), np.minimum(mirrored, mirrored ^ full))
+    f, r = signs
+    chi = np.select([rep == patterns, rep == flipped, rep == mirrored], [1.0, f, r], f * r)
+    fixed, swapped = mirrored == patterns, mirrored == flipped
+    size = np.where(fixed | swapped, 2.0, 4.0)
+    alive = ~((fixed & (r < 0)) | (swapped & (f * r < 0)))
+    return rep, chi, size, alive
+
+
+def symmetry_block(sector: Sector, flip: int, reflect: int) -> Sector:
+    """The (F, R) = (flip, reflect) block of a plain 2*Sz = 0 sector."""
+    if sector.twice_sz != 0 or sector.signs is not None or {flip, reflect} - {1, -1}:
+        raise SectorError("symmetry blocks need a plain 2Sz = 0 sector and signs +-1")
+    half = sector.basis[: sector.dim // 2]  # site n_sites - 1 down: p < ~p
+    rep, _, _, alive = _orbits(half, sector.n_sites, (flip, reflect))
+    basis = half[(rep == half) & alive]
+    basis.setflags(write=False)
+    return Sector(sector.n_sites, 0, basis, (flip, reflect))
+
+
+def expand_to_sector(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
+    """Plain-sector image chi(g_p) vec[rep(p)] / sqrt(|O_p|): an isometry commuting with H."""
+    rep, chi, size, alive = _orbits(sector.basis, sector.n_sites, block.signs)
+    index = np.minimum(np.searchsorted(block.basis, rep), block.dim - 1)
+    return np.where(alive, chi * vec[index] / np.sqrt(size), 0.0)
+
+
 class SparseOperator:
     """Hermitian operator with real-valued entries, in compressed-row form.
 
@@ -185,8 +238,8 @@ def build_bond_hamiltonian(
     Each bond (i, j, c) adds c * S_i . S_j: a diagonal SzSz part of +-c/4
     and a spin-flip part of c/2 connecting anti-aligned configurations.
     Both (row, col) orderings of each flip are generated, so the matrix is
-    symmetric entry for entry.  In a spin-inversion block a partner with site
-    n_sites - 1 up is folded onto its complement, times flip.
+    symmetric entry for entry.  In a symmetry block a partner folds onto its
+    orbit's representative or is dropped with it; bonds must be mirror symmetric.
     """
     if sector.n_sites != n_sites:
         raise DimensionError(
@@ -198,6 +251,7 @@ def build_bond_hamiltonian(
     row_parts = [np.arange(dim, dtype=np.int64)]
     col_parts = [np.arange(dim, dtype=np.int64)]
     val_parts = [diag]  # filled in place below, inserted once
+    row_size = None if sector.signs is None else _orbits(basis, n_sites, sector.signs)[2]
     for i, j, c in bonds:
         if i == j or not (0 <= i < n_sites) or not (0 <= j < n_sites):
             raise ValueError(f"invalid bond ({i}, {j}) for {n_sites} sites")
@@ -210,10 +264,10 @@ def build_bond_hamiltonian(
         anti = np.nonzero(~aligned)[0]
         partners = basis[anti] ^ np.uint64((1 << i) | (1 << j))
         vals = np.full(anti.size, 0.5 * c)
-        if sector.flip:
-            up = (partners >> np.uint64(n_sites - 1)) != 0
-            partners[up] ^= np.uint64((1 << n_sites) - 1)
-            vals[up] *= sector.flip
+        if sector.signs is not None:
+            reps, chi, size, alive = _orbits(partners, n_sites, sector.signs)
+            anti, partners = anti[alive], reps[alive]
+            vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
         row_parts.append(anti)
         col_parts.append(np.searchsorted(basis, partners).astype(np.int64))
         val_parts.append(vals)

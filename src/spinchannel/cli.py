@@ -156,8 +156,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
     merged["jp"] = _parse_jp(merged["jp"])
     merged["gamma"] = _parse_gamma(merged["gamma"])
+    if not 0.0 < float(merged["tol"]) < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {merged['tol']}")
     if merged["temp_max"] is None:
         merged["temp_max"] = merged["temp_min"]
+    for key in ("temp_min", "temp_max"):
+        if not math.isfinite(merged[key]):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {merged[key]}")
     return RunConfig(command=args.command, **merged)
 
 

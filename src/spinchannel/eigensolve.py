@@ -7,14 +7,14 @@ generator so runs are bit-reproducible.  Sectors small enough to
 diagonalize densely are handled densely.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
-triplet, from the two spin-inversion blocks of the m = 0 sector; SU(2) fixes
+triplet, from two symmetry blocks of the m = 0 sector; SU(2) fixes
 the other triplet members.  It checks that the lowest state of the triplet's
 block really is a spin-1 triplet, <S^2> = 2, and fails loudly otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -26,8 +26,10 @@ from .chain import (
     apply_total_spin_ladder,
     build_chain_hamiltonian,
     enumerate_sector,
+    expand_to_sector,
     pauli_xx_expectation,
     pauli_zz_expectation,
+    symmetry_block,
 )
 from .errors import ConfigError, ConvergenceError, OrderingError
 
@@ -72,7 +74,7 @@ class SpectralData:
     """Low-energy manifold of a chain: singlet ground state and triplet.
 
     e0          -- singlet ground energy (m = 0 sector)
-    e_triplet   -- triplet energy, the lowest level of T0's inversion block
+    e_triplet   -- triplet energy, the lowest level of T0's symmetry block
     gap         -- e_triplet - e0 (> 0)
     gzz_ground  -- <G| sigma_z(A) sigma_z(B) |G>
     gzz_triplet -- <T+1| sigma_z(A) sigma_z(B) |T+1>
@@ -149,8 +151,8 @@ def lowest_eigenpairs(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > op.dim:
         raise ValueError(f"k = {k} exceeds operator dimension {op.dim}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     dim = op.dim
     mat = op.matrix
@@ -201,13 +203,13 @@ def spectral_data(
     *,
     seed: int = DEFAULT_SEED,
 ) -> SpectralData:
-    """Low-energy manifold of a chain from one k = 1 solve per inversion block.
+    """Low-energy manifold of a chain from one k = 1 solve in each of two blocks.
 
-    Spin inversion maps m = 0 basis index i to dim - 1 - i, so a block's basis
-    is the first half of the sector's (Sandvik, arXiv:1101.3281, sec. 4).  The
-    singlet |G> is lowest in the block of sign (-1)^(L/2), the triplet member
-    |T0> in the other; both are returned in the plain m = 0 basis.  By
-    Wigner-Eckart zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
+    With s = (-1)^(L/2) the singlet |G> is lowest in the (inversion,
+    reflection) block (s, s) of the m = 0 sector and the triplet member |T0>
+    in (-s, -s) (see the chain module).  ``expand_to_sector`` returns both in
+    the plain m = 0 basis, with the block solve's residual.  By Wigner-Eckart
+    zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
     """
     if spec.gamma is not None:
         raise ConfigError("spectral_data expects a chain spec without a sender coupling")
@@ -215,13 +217,12 @@ def spectral_data(
     a, b = spec.site_a, spec.site_b
 
     sector0 = enumerate_sector(spec.L, 0)
-    singlet_flip = (-1) ** (spec.L // 2)
+    singlet_sign = (-1) ** (spec.L // 2)
     pairs = []
-    for flip in (singlet_flip, -singlet_flip):
-        block = Sector(spec.L, 0, sector0.basis[: sector0.dim // 2], flip=flip)
+    for sign in (singlet_sign, -singlet_sign):
+        block = symmetry_block(sector0, sign, sign)
         (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed)
-        vector = np.concatenate([pair.vector, flip * pair.vector[::-1]]) / np.sqrt(2.0)
-        pairs.append(EigenPair(pair.energy, vector, pair.residual))
+        pairs.append(replace(pair, vector=expand_to_sector(block, sector0, pair.vector)))
     ground, triplet = pairs
 
     if triplet.energy - ground.energy <= 10.0 * tol:

@@ -81,6 +81,10 @@ class TestChainSpec:
             ChainSpec(L=4, gamma=-0.1)
         with pytest.raises(ValueError):
             ChainSpec(L=4, gamma=float("nan"))
+        for value in (float("nan"), float("inf")):
+            for field in ("J", "Jp"):
+                with pytest.raises(ValueError, match=f"{field} must be positive"):
+                    ChainSpec(L=4, **{field: value})
 
     def test_gamma_zero_allowed(self):
         assert ChainSpec(L=4, gamma=0.0).gamma == 0.0

@@ -2,7 +2,6 @@
 
 import json
 import sys
-from math import comb
 
 import numpy as np
 import pytest
@@ -255,7 +254,7 @@ class TestValidateCommand:
 
 
 class TestOneSolvePerChain:
-    """Every command diagonalizes each chain once: k = 1 on each m = 0 inversion block."""
+    """Every command diagonalizes each chain once: k = 1 on two m = 0 symmetry blocks."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -285,7 +284,8 @@ class TestOneSolvePerChain:
                         monkeypatch.setattr(module, attr, counted)
         out = tmp_path / ("x.json" if argv[0] == "share" else "x.csv")
         assert run(argv + ["--jp", "0.1", "--out", str(out)]) == 0
-        assert calls == [(comb(10, 5) // 2, 1), (comb(10, 5) // 2, 1)]
+        # the (s, s) and (-s, -s) inversion-reflection blocks, s = (-1)^(L/2)
+        assert calls == [(71, 1), (71, 1)]
 
 
 class TestConfigFile:
@@ -376,3 +376,64 @@ class TestConfigFile:
         monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         argv = ["transfer", "--mode", mode, "--length", "8", "--jp", "0.2", "--gamma", gamma]
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+
+    @staticmethod
+    def _forbid_solves(monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although an input is invalid")
+
+        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gap-scan", "--l-min", "8", "--l-max", "16", "--jp", "0.1", "--tol", "nan"],
+             "--tol must be positive and finite, got nan"),
+            (["gap-scan", "--l-min", "8", "--l-max", "8", "--jp", "0.1", "--tol", "inf"],
+             "--tol must be positive and finite, got inf"),
+            (["gap-scan", "--l-min", "16", "--l-max", "16", "--jp", "nan"],
+             "Jp must be positive (antiferromagnetic) and finite, got nan"),
+            (["gap-scan", "--l-min", "8", "--l-max", "8", "--jp", "inf"],
+             "Jp must be positive (antiferromagnetic) and finite, got inf"),
+            (["gap-scan", "--l-min", "8", "--l-max", "8", "--jp", "0.1", "--j", "nan"],
+             "J must be positive (antiferromagnetic) and finite, got nan"),
+            (["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "1e-3", "--tol", "nan"],
+             "--tol must be positive and finite, got nan"),
+            (["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--j", "inf"],
+             "J must be positive (antiferromagnetic) and finite, got inf"),
+            (["share", "--length", "8", "--jp", "0.2", "--tol", "nan"],
+             "--tol must be positive and finite, got nan"),
+        ],
+        ids=["gap-tol-nan", "gap-tol-inf", "gap-jp-nan", "gap-jp-inf", "gap-j-nan",
+             "teleport-tol", "full-j-inf", "share-tol"],
+    )
+    def test_non_finite_tol_or_coupling_fails_before_any_solve(
+        self, monkeypatch, tmp_path, capsys, argv, message
+    ):
+        self._forbid_solves(monkeypatch)
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["teleport"], ["transfer", "--mode", "effective"], ["transfer", "--mode", "full"],
+         ["share"]],
+        ids=["teleport", "effective", "full", "share"],
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--temp-min", "nan"], "--temp-min must be finite, got nan"),
+            (["--temp-min", "inf"], "--temp-min must be finite, got inf"),
+            (["--temp-min", "1e-3", "--temp-max", "nan"], "--temp-max must be finite, got nan"),
+        ],
+        ids=["min-nan", "min-inf", "max-nan"],
+    )
+    def test_non_finite_temperature_fails_before_any_solve(
+        self, monkeypatch, tmp_path, capsys, command, flags, message
+    ):
+        self._forbid_solves(monkeypatch)
+        argv = command + ["--length", "8", "--jp", "0.2", "--out", str(tmp_path / "x.csv")]
+        assert run(argv + flags) == 2
+        assert message in capsys.readouterr().err

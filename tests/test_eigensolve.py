@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
 
+import spinchannel.chain
 import spinchannel.eigensolve
-from spinchannel.chain import ChainSpec, Sector, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
-from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation
+from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
+from spinchannel.chain import expand_to_sector, pauli_xx_expectation, pauli_zz_expectation, symmetry_block
 from spinchannel.eigensolve import (
     EigenPair,
     dense_spectrum,
@@ -102,8 +103,9 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(op, 0)
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, 5)
-        with pytest.raises(ValueError):
-            lowest_eigenpairs(op, 1, tol=-1.0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                lowest_eigenpairs(op, 1, tol=tol)
 
 
 class TestDenseSpectrum:
@@ -136,29 +138,60 @@ class TestDenseSpectrum:
         np.testing.assert_allclose(pooled, full, atol=1e-11)
 
 
+SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _block_expansion(block, sector):
+    """Plain-sector images of the block's unit vectors, one per column."""
+    images = [expand_to_sector(block, sector, e) for e in np.eye(block.dim)]
+    return np.reshape(images, (block.dim, sector.dim)).T  # the L = 4 (1, -1) block is empty
+
+
 class TestSpinInversionBlocks:
-    """The two spin-inversion blocks of the m = 0 sector against the plain sector."""
+    """The (spin inversion, reflection) blocks of the m = 0 sector against the plain sector."""
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.5, 1.0])
     def test_block_spectra_make_up_the_sector(self, length, jp):
         spec = ChainSpec(L=length, J=1.0, Jp=jp)
         sector0 = enumerate_sector(length, 0)
-        half = sector0.basis[: sector0.dim // 2]
         blocks = [
-            dense_spectrum(build_chain_hamiltonian(spec, Sector(length, 0, half, flip=flip)))
-            for flip in (1, -1)
+            dense_spectrum(build_chain_hamiltonian(spec, symmetry_block(sector0, *signs)))
+            for signs in SIGNS
         ]
         plain = dense_spectrum(build_chain_hamiltonian(spec, sector0))
         np.testing.assert_allclose(np.sort(np.concatenate(blocks)), plain, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("length", [4, 6, 8, 10])
+    def test_expansions_are_one_orthogonal_basis(self, length):
+        # each block's expansion is an isometry; the four together span the sector
+        sector0 = enumerate_sector(length, 0)
+        columns = np.hstack(
+            [_block_expansion(symmetry_block(sector0, *signs), sector0) for signs in SIGNS]
+        )
+        assert columns.shape == (sector0.dim, sector0.dim)
+        np.testing.assert_allclose(columns.T @ columns, np.eye(sector0.dim), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 1.0])
     def test_ground_state_parity(self, length, jp):
-        # the singlet sits in the block spectral_data solves with sign (-1)^(L/2)
-        op = build_chain_hamiltonian(ChainSpec(L=length, J=1.0, Jp=jp), enumerate_sector(length, 0))
-        ground = np.linalg.eigh(op.matrix.toarray())[1][:, 0]
-        np.testing.assert_allclose(ground[::-1], (-1) ** (length // 2) * ground, rtol=0, atol=1e-10)
+        # spectral_data solves block (s, s) for the singlet and (-s, -s) for T0
+        sector0 = enumerate_sector(length, 0)
+        op = build_chain_hamiltonian(ChainSpec(L=length, J=1.0, Jp=jp), sector0)
+        ground, triplet = np.linalg.eigh(op.matrix.toarray())[1][:, :2].T
+        mirrored = [int(format(int(p), f"0{length}b")[::-1], 2) for p in sector0.basis]
+        mirror = sector0.index_of(np.array(mirrored, dtype=np.uint64))
+        s = (-1) ** (length // 2)
+        for vector, sign in ((ground, s), (triplet, -s)):
+            np.testing.assert_allclose(vector[::-1], sign * vector, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(vector[mirror], sign * vector, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_sites", [4, 10, 16, 22, 31, 40])
+    def test_bit_reversal_matches_string_reversal(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        patterns = rng.integers(0, 1 << n_sites, 500, dtype=np.uint64)
+        expected = [int(format(int(p), f"0{n_sites}b")[::-1], 2) for p in patterns]
+        assert spinchannel.chain._reverse_bits(patterns, n_sites).tolist() == expected
 
     @pytest.mark.parametrize("length", [12, 14, 16])
     def test_matches_plain_k2_solve(self, length):
@@ -220,18 +253,22 @@ class TestSpectralData:
 
     def test_non_triplet_second_state_trips_guard(self, monkeypatch):
         # L = 6 septet member at m = 0: the uniform superposition of the 20
-        # configurations, <S^2> = 12, energy (Jp + 3J + Jp)/4.  It has
-        # inversion parity +1 = -(-1)^(L/2), so it lives in T0's block, whose
-        # lowest state the fake solver replaces by it.  (At L = 4 that block
-        # holds only triplets.)
+        # configurations, <S^2> = 12, energy (Jp + 3J + Jp)/4.  It is even
+        # under inversion and reflection, so it lives in block (1, 1), which
+        # is T0's block (-s, -s) at L = 6; the fake solver replaces that
+        # block's lowest state by it.  Its block vector is the uniform state
+        # projected through the transposed expansion, sqrt(|O_r| / 20) on
+        # representative r.  (At L = 4 that block holds only triplets.)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
         energy = (0.5 + 3.0 + 0.5) / 4.0
+        sector0 = enumerate_sector(6, 0)
+        expansion = _block_expansion(symmetry_block(sector0, 1, 1), sector0)
+        septet = expansion.T @ np.full(sector0.dim, 1.0 / np.sqrt(sector0.dim))
         true_solve = spinchannel.eigensolve.lowest_eigenpairs
         replaced = []
 
         def septet_in_its_block(op, k, *args, **kwargs):
-            septet = np.full(op.dim, 1.0 / np.sqrt(op.dim))
-            if np.linalg.norm(op.matrix @ septet - energy * septet) < 1e-12:
+            if op.dim == septet.size and np.linalg.norm(op.matrix @ septet - energy * septet) < 1e-12:
                 replaced.append(op.dim)
                 return [EigenPair(energy, septet, 0.0)]
             return true_solve(op, k, *args, **kwargs)
@@ -239,7 +276,7 @@ class TestSpectralData:
         monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", septet_in_its_block)
         with pytest.raises(OrderingError, match=r"<S\^2> = 12,"):
             spectral_data(spec)
-        assert replaced == [10]
+        assert replaced == [7]
 
     @pytest.mark.parametrize("length", [8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.2])

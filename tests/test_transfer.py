@@ -433,6 +433,45 @@ class TestFullChainTransfer:
         assert curve.t_star * spec.J >= 0.5 * spec.L
 
 
+class TestCouplingScale:
+    """Metamorphic: (J, Jp, gamma, T) -> lam (J, Jp, gamma, T) scales H by lam.
+
+    Energies and the gap scale by lam, the Werner parameter g is unchanged,
+    and the dynamics on the time grid t / lam are those on t.
+    """
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_energies_scale_and_g_does_not(self, lam, length):
+        base = ChainSpec(L=length, J=1.0, Jp=0.2)
+        scaled = ChainSpec(L=length, J=lam, Jp=lam * 0.2)
+        sd, sd_scaled = spectral_data(base), spectral_data(scaled)
+        assert sd_scaled.e0 == pytest.approx(lam * sd.e0, rel=1e-10, abs=0)
+        assert sd_scaled.gap == pytest.approx(lam * sd.gap, rel=1e-10, abs=0)
+        for temperature in (0.0, 0.02, 0.3):
+            g = effective_coupling(base, sd, temperature=temperature).g
+            g_scaled = effective_coupling(scaled, sd_scaled, temperature=lam * temperature).g
+            assert g_scaled == pytest.approx(g, abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    @pytest.mark.parametrize("temperature", [0.0, 0.05])
+    def test_full_chain_peak_time_scales_inversely(self, lam, temperature):
+        base = ChainSpec(L=8, J=1.0, Jp=0.2)
+        scaled = ChainSpec(L=8, J=lam, Jp=lam * 0.2)
+        sd, sd_scaled = spectral_data(base), spectral_data(scaled)
+        gamma = sd.gap
+        times = np.linspace(0.0, 1.35 * np.pi / gamma, 120)
+        curve = full_chain_transfer(replace(base, gamma=gamma), temperature, times, spectral=sd)
+        curve_scaled = full_chain_transfer(
+            replace(scaled, gamma=lam * gamma), lam * temperature, times / lam,
+            spectral=sd_scaled,
+        )
+        assert 0.0 < curve.t_star < times[-1]
+        assert lam * curve_scaled.t_star == pytest.approx(curve.t_star, rel=1e-10, abs=0)
+        assert curve_scaled.f_star == pytest.approx(curve.f_star, abs=1e-10)
+        np.testing.assert_allclose(curve_scaled.thetas, curve.thetas, rtol=0, atol=1e-10)
+
+
 class TestKrylovStep:
     @staticmethod
     def random_symmetric(rng, dim=40):
