@@ -33,11 +33,12 @@ of r folds onto rep(q) times chi(g_q) sqrt(|O_r| / |O_q|).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, inf
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, get_index_dtype
 
 from .errors import ConfigError, DimensionError, SectorError
 
@@ -195,6 +196,12 @@ def symmetry_block(sector: Sector, flip: int, reflect: int) -> Sector:
 
 def expand_to_sector(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
     """Plain-sector image chi(g_p) vec[rep(p)] / sqrt(|O_p|): an isometry commuting with H."""
+    if block.signs is None or sector.signs is not None or sector.twice_sz != 0:
+        raise SectorError("expand_to_sector maps a symmetry block into a plain 2Sz = 0 sector")
+    if sector.n_sites != block.n_sites:
+        raise SectorError(f"block has {block.n_sites} sites, sector has {sector.n_sites}")
+    if len(vec) != block.dim:
+        raise DimensionError(f"vector has length {len(vec)}, block has dim {block.dim}")
     rep, chi, size, alive = _orbits(sector.basis, sector.n_sites, block.signs)
     index = np.minimum(np.searchsorted(block.basis, rep), block.dim - 1)
     return np.where(alive, chi * vec[index] / np.sqrt(size), 0.0)
@@ -230,6 +237,10 @@ def chain_bonds(spec: ChainSpec, offset: int = 0) -> list[tuple[int, int, float]
     return bonds
 
 
+def _bond_multiset(bonds) -> Counter:
+    return Counter((min(i, j), max(i, j), c) for i, j, c in bonds)
+
+
 def build_bond_hamiltonian(
     n_sites: int, bonds: list[tuple[int, int, float]], sector: Sector
 ) -> SparseOperator:
@@ -239,22 +250,35 @@ def build_bond_hamiltonian(
     and a spin-flip part of c/2 connecting anti-aligned configurations.
     Both (row, col) orderings of each flip are generated, so the matrix is
     symmetric entry for entry.  In a symmetry block a partner folds onto its
-    orbit's representative or is dropped with it; bonds must be mirror symmetric.
+    orbit's representative or is dropped with it; the bond multiset must be
+    mirror symmetric (i -> n_sites-1-i, same coupling), else ValueError.
+
+    The CSR arrays are filled directly, without COO triplets: each bond's
+    entries (int32 rows and columns) are counted per row, ``indptr`` is the
+    cumulative count, and the diagonal and then each bond are scattered into
+    their rows, each bond freed once written.  ``sum_duplicates`` then sorts
+    each row and sums partners folded onto one representative.  The index
+    dtype is scipy's ``get_index_dtype`` for nnz: int32 below 2**31, else int64.
     """
     if sector.n_sites != n_sites:
         raise DimensionError(
             f"sector has {sector.n_sites} sites, expected {n_sites}"
         )
+    for i, j, _ in bonds:
+        if i == j or not (0 <= i < n_sites) or not (0 <= j < n_sites):
+            raise ValueError(f"invalid bond ({i}, {j}) for {n_sites} sites")
+    if sector.signs is not None and _bond_multiset(bonds) != _bond_multiset(
+        [(n_sites - 1 - i, n_sites - 1 - j, c) for i, j, c in bonds]
+    ):
+        raise ValueError("a symmetry block needs mirror-symmetric bonds (i -> n_sites-1-i)")
     basis = sector.basis
     dim = basis.size
     diag = np.zeros(dim)
-    row_parts = [np.arange(dim, dtype=np.int64)]
-    col_parts = [np.arange(dim, dtype=np.int64)]
-    val_parts = [diag]  # filled in place below, inserted once
+    diag_index = np.arange(dim, dtype=np.int32)
+    parts = [(diag_index, diag_index, diag)]  # diag is filled in place below
+    counts = np.ones(dim, dtype=np.int32)
     row_size = None if sector.signs is None else _orbits(basis, n_sites, sector.signs)[2]
     for i, j, c in bonds:
-        if i == j or not (0 <= i < n_sites) or not (0 <= j < n_sites):
-            raise ValueError(f"invalid bond ({i}, {j}) for {n_sites} sites")
         bi = (basis >> np.uint64(i)) & np.uint64(1)
         bj = (basis >> np.uint64(j)) & np.uint64(1)
         aligned = bi == bj
@@ -268,13 +292,21 @@ def build_bond_hamiltonian(
             reps, chi, size, alive = _orbits(partners, n_sites, sector.signs)
             anti, partners = anti[alive], reps[alive]
             vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
-        row_parts.append(anti)
-        col_parts.append(np.searchsorted(basis, partners).astype(np.int64))
-        val_parts.append(vals)
-    rows = np.concatenate(row_parts)
-    cols = np.concatenate(col_parts)
-    vals = np.concatenate(val_parts)
-    matrix = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        counts[anti] += 1  # a row is anti-aligned at most once per bond
+        parts.append((anti.astype(np.int32), np.searchsorted(basis, partners).astype(np.int32), vals))
+    index_dtype = get_index_dtype(maxval=int(counts.sum()))
+    indptr = np.zeros(dim + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    data = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()  # next free slot of each row
+    while parts:
+        rows, cols, vals = parts.pop(0)
+        slots = fill[rows]
+        indices[slots], data[slots] = cols, vals
+        fill[rows] += 1
+    matrix = csr_matrix((data, indices, indptr), shape=(dim, dim))
+    matrix.sum_duplicates()
     return SparseOperator(matrix)
 
 

@@ -1,8 +1,12 @@
 """Sector enumeration and Hamiltonian assembly against the kron oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import identity
+
+import spinchannel.chain
 
 from spinchannel.chain import (
     ChainSpec,
@@ -12,9 +16,11 @@ from spinchannel.chain import (
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
     enumerate_sector,
+    expand_to_sector,
     pauli_xx_expectation,
     pauli_z_expectation,
     pauli_zz_expectation,
+    symmetry_block,
 )
 from spinchannel.eigensolve import dense_spectrum
 from spinchannel.errors import ConfigError, DimensionError, SectorError
@@ -179,6 +185,34 @@ class TestAssemblyAgainstKronOracle:
         asymmetry = op.matrix - op.matrix.T
         assert asymmetry.nnz == 0 or np.all(asymmetry.data == 0.0)
 
+    @pytest.mark.parametrize("kind", ["plain", "block", "transfer"])
+    @pytest.mark.parametrize("length", [4, 8, 12])
+    def test_csr_structure(self, kind, length):
+        # rows sorted and duplicate-free, int32 column indices, symmetric bit for bit
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        sector0 = enumerate_sector(length, 0)
+        if kind == "plain":
+            op = build_chain_hamiltonian(spec, sector0)
+        elif kind == "block":
+            op = build_chain_hamiltonian(spec, symmetry_block(sector0, -1, 1))
+        else:
+            spec = ChainSpec(L=length, J=1.0, Jp=0.3, gamma=0.05)
+            op = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1))
+        matrix = op.matrix
+        assert matrix.has_canonical_format
+        assert matrix.indices.dtype == np.int32 and matrix.indptr.dtype == np.int32
+        assert (matrix != matrix.T).nnz == 0
+
+    def test_int64_index_path_gives_the_same_matrix(self, monkeypatch):
+        # nnz >= 2**31 takes int64 indptr and indices; force that path at L = 10
+        spec = ChainSpec(L=10, J=1.0, Jp=0.3)
+        block = symmetry_block(enumerate_sector(10, 0), 1, -1)
+        small = build_chain_hamiltonian(spec, block).matrix
+        monkeypatch.setattr(spinchannel.chain, "get_index_dtype", lambda maxval: np.int64)
+        wide = build_chain_hamiltonian(spec, block).matrix
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(wide, name), getattr(small, name))
+
     def test_offdiagonal_row_sums_bounded(self):
         spec = ChainSpec(L=6, J=1.0, Jp=1.0)
         op = build_chain_hamiltonian(spec, enumerate_sector(6, 0))
@@ -186,6 +220,21 @@ class TestAssemblyAgainstKronOracle:
         off = np.abs(mat - np.diag(np.diag(mat))).sum(axis=1)
         n_bonds = 5
         assert np.all(off <= n_bonds * 0.5 * 1.0 + 1e-12)
+
+
+class TestAssemblyMemory:
+    def test_block_assembly_peak_per_stored_entry(self):
+        # the finished int32 CSR holds 12 bytes per entry; assembly may hold
+        # the per-bond entries (16 bytes) and the CSR arrays at once, no more
+        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
+        block = symmetry_block(enumerate_sector(18, 0), -1, -1)  # (s, s), s = (-1)^9
+        tracemalloc.start()
+        try:
+            op = build_chain_hamiltonian(spec, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * op.matrix.nnz
 
 
 class TestTotalSpinLadder:
@@ -241,6 +290,36 @@ class TestGuards:
         spec = ChainSpec(L=4, gamma=0.2)
         with pytest.raises(DimensionError):
             build_transfer_hamiltonian(spec, enumerate_sector(4, 0))
+
+    def test_block_needs_mirror_symmetric_bonds(self):
+        block = symmetry_block(enumerate_sector(6, 0), 1, 1)
+        with pytest.raises(ValueError, match="mirror"):
+            build_bond_hamiltonian(6, [(0, 1, 0.3), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.7)], block)
+        with pytest.raises(ValueError, match="mirror"):
+            build_bond_hamiltonian(6, [(0, 1, 1.0), (1, 2, 1.0)], block)
+        # the same multiset in another order and orientation is accepted;
+        # the diagonal sums in another order, hence the 1e-14
+        bonds = [(5, 4, 0.3), (2, 3, 1.0), (1, 0, 0.3), (4, 3, 1.0), (1, 2, 1.0)]
+        matrix = build_bond_hamiltonian(6, bonds, block).matrix
+        reference = build_chain_hamiltonian(ChainSpec(L=6, J=1.0, Jp=0.3), block).matrix
+        np.testing.assert_allclose(matrix.toarray(), reference.toarray(), rtol=0, atol=1e-14)
+        # plain sectors take any bond list
+        build_bond_hamiltonian(6, bonds[:2], enumerate_sector(6, 0))
+
+    def test_expand_to_sector_rejects_bad_inputs(self):
+        sector6, sector8 = enumerate_sector(6, 0), enumerate_sector(8, 0)
+        block = symmetry_block(sector6, 1, 1)
+        vec = np.ones(block.dim)
+        with pytest.raises(SectorError):
+            expand_to_sector(sector6, sector6, np.ones(sector6.dim))
+        with pytest.raises(SectorError):
+            expand_to_sector(block, sector8, vec)
+        with pytest.raises(SectorError):
+            expand_to_sector(block, enumerate_sector(6, 2), vec)
+        with pytest.raises(DimensionError):
+            expand_to_sector(block, sector6, np.ones(block.dim + 1))
+        with pytest.raises(DimensionError):
+            expand_to_sector(block, sector6, vec[:-1])
 
 
 class TestApply:

@@ -173,6 +173,18 @@ class TestSpinInversionBlocks:
         np.testing.assert_allclose(columns.T @ columns, np.eye(sector0.dim), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("signs", SIGNS)
+    def test_block_matrix_is_projected_plain_matrix(self, length, signs):
+        # E^T H E with E's columns the expansions of the block's unit vectors
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        sector0 = enumerate_sector(length, 0)
+        block = symmetry_block(sector0, *signs)
+        expansion = _block_expansion(block, sector0)
+        projected = expansion.T @ (build_chain_hamiltonian(spec, sector0).matrix @ expansion)
+        matrix = build_chain_hamiltonian(spec, block).matrix.toarray()
+        np.testing.assert_allclose(matrix, projected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 1.0])
     def test_ground_state_parity(self, length, jp):
         # spectral_data solves block (s, s) for the singlet and (-s, -s) for T0
