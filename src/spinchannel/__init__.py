@@ -70,7 +70,6 @@ from .teleport import (
 from .thermal import (
     WERNER_MAX,
     WERNER_MIN,
-    high_temperature_g,
     thermal_g,
     validate_werner_g,
     werner_density_matrix,
@@ -82,11 +81,11 @@ from .transfer import (
     TransferCurve,
     closed_form_fidelity,
     effective_coupling,
-    effective_transfer_curve,
     full_chain_transfer,
     max_fidelity,
     numeric_peak,
     optimal_time,
+    predicted_peak,
     three_site_oracle,
 )
 

@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,61 +37,43 @@ EXIT_USAGE = 2
 
 FULL_CHAIN_LENGTH_CAP = 18
 
-_DEFAULTS = {
-    "length": None,
-    "l_min": None,
-    "l_max": None,
-    "l_step": 2,
-    "j": 1.0,
-    "jp": [0.2],
-    "gamma": "auto",
-    "temp_min": 0.0,
-    "temp_max": None,
-    "temp_points": 1,
-    "temp_scale": "lin",
-    "t_max": None,
-    "t_points": 600,
-    "mode": "effective",
-    "tol": eigensolve.DEFAULT_TOL,
-    "krylov_tol": 1e-10,
-    "seed": eigensolve.DEFAULT_SEED,
-    "out": None,
-    "format": "csv",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """Resolved settings of one run; each field's default is the built-in one."""
+
     command: str
-    length: int | None
-    l_min: int | None
-    l_max: int | None
-    l_step: int
-    j: float
-    jp: list
-    gamma: object
-    temp_min: float
-    temp_max: float | None
-    temp_points: int
-    temp_scale: str
-    t_max: float | None
-    t_points: int
-    mode: str
-    tol: float
-    krylov_tol: float
-    seed: int
-    out: str | None
-    format: str
+    length: int | None = None
+    l_min: int | None = None
+    l_max: int | None = None
+    l_step: int = 2
+    j: float = 1.0
+    jp: tuple[float, ...] = (0.2,)
+    gamma: object = "auto"
+    temp_min: float = 0.0
+    temp_max: float | None = None
+    temp_points: int = 1
+    temp_scale: str = "lin"
+    t_max: float | None = None
+    t_points: int = 600
+    mode: str = "effective"
+    tol: float = eigensolve.DEFAULT_TOL
+    krylov_tol: float = 1e-10
+    seed: int = eigensolve.DEFAULT_SEED
+    out: str | None = None
+    format: str = "csv"
+
+
+_SETTINGS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_jp(text) -> list:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    return [float(part) for part in str(text).split(",") if part != ""]
+def _parse_jp(text) -> tuple[float, ...]:
+    if isinstance(text, (list, tuple)):
+        return tuple(float(v) for v in text)
+    return tuple(float(part) for part in str(text).split(",") if part != "")
 
 
 def _parse_gamma(text):
@@ -138,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge precedence: command-line flag > config file > built-in default."""
-    merged = dict(_DEFAULTS)
+    merged = dict(_SETTINGS)
     if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -146,11 +128,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = set(file_cfg) - set(_SETTINGS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -186,16 +168,13 @@ def _chain_grid(cfg: RunConfig, lengths: list[int]) -> list[ChainSpec]:
     return [ChainSpec(L=length, J=cfg.j, Jp=jp) for jp in cfg.jp for length in lengths]
 
 
-def _single_length(cfg: RunConfig) -> int:
+def _single_chain(cfg: RunConfig) -> ChainSpec:
+    """The one chain of teleport, full-mode transfer and share."""
     if cfg.length is None:
         raise UsageError(f"command '{cfg.command}' needs --length")
-    return cfg.length
-
-
-def _single_jp(cfg: RunConfig) -> float:
     if len(cfg.jp) != 1:
         raise UsageError(f"command '{cfg.command}' needs a single --jp value")
-    return cfg.jp[0]
+    return ChainSpec(L=cfg.length, J=cfg.j, Jp=cfg.jp[0])
 
 
 def _single_temperature(cfg: RunConfig) -> float:
@@ -219,27 +198,19 @@ def _temperature_grid(cfg: RunConfig) -> np.ndarray:
 def _require_out(cfg: RunConfig) -> Path:
     if cfg.out is None:
         raise UsageError(f"command '{cfg.command}' needs --out")
-    return Path(cfg.out)
+    out = Path(cfg.out)
+    if cfg.format == "csv" and out.suffix == ".json":
+        raise UsageError(
+            f"--out {cfg.out} is its own JSON sidecar in csv format; "
+            "use --format json or a .csv name"
+        )
+    return out
 
 
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 def _emit(cfg: RunConfig, header: list[str], rows: list[list], derived: dict, warnings: list[str]):
@@ -251,22 +222,20 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], derived: dict, wa
     out = _require_out(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     sidecar = {
-        "config": _jsonable(asdict(cfg)),
-        "results": {"header": header, "rows": _jsonable(rows)},
-        "derived": _jsonable(derived),
+        "config": asdict(cfg),
+        "results": {"header": header, "rows": rows},
+        "derived": derived,
         "warnings": list(warnings),
     }
-    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    # numpy scalars and arrays: np.float64 is a float already, the rest tolist()
+    text = json.dumps(sidecar, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
     if cfg.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(out.with_suffix(".json"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        out.with_suffix(".json").write_text(text, encoding="utf-8", newline="")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        out.write_text(text, encoding="utf-8", newline="")
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
@@ -301,14 +270,12 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 
 def cmd_teleport(cfg: RunConfig) -> int:
-    length = _single_length(cfg)
-    jp = _single_jp(cfg)
+    spec = _single_chain(cfg)
     temps = _temperature_grid(cfg)
     if np.any(temps <= 0.0):
         raise UsageError("teleport needs positive temperatures")
-    spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
-    curve = teleport.fidelity_curve(spec, temps, cfg.tol, seed=cfg.seed)
-    sd = curve.spectral
+    sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
+    curve = teleport.fidelity_curve(sd, temps)
     warnings = []
     if float(temps.max()) > sd.gap / 2.0:
         warnings.append(
@@ -331,14 +298,6 @@ def cmd_teleport(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _predicted_peak(model: transfer.EffectiveModel) -> tuple[float, float]:
-    """(t*, f*) of the three-spin model: closed forms when gamma = j_eff."""
-    if math.isclose(model.gamma, model.j_eff, rel_tol=1e-9):
-        return transfer.optimal_time(model), transfer.max_fidelity(model.g)
-    scale = min(model.j_eff, model.gamma) if model.gamma > 0 else model.j_eff
-    return transfer.numeric_peak(model, 8.0 * math.pi / scale)
-
-
 def cmd_transfer(cfg: RunConfig) -> int:
     if cfg.mode == "full":
         return _cmd_transfer_full(cfg)
@@ -353,7 +312,7 @@ def cmd_transfer(cfg: RunConfig) -> int:
         sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
         for temperature in temps:
             model = transfer.effective_coupling(spec, sd, gamma=cfg.gamma, temperature=temperature)
-            t_star, f_star = _predicted_peak(model)
+            t_star, f_star = transfer.predicted_peak(model)
             rows.append([spec.L, spec.Jp, temperature, model.g, model.j_eff, t_star, f_star])
             derived["points"].append(
                 {"L": spec.L, "jp": spec.Jp, "T": temperature, "gamma": model.gamma,
@@ -364,12 +323,11 @@ def cmd_transfer(cfg: RunConfig) -> int:
 
 
 def _cmd_transfer_full(cfg: RunConfig) -> int:
-    length = _single_length(cfg)
-    jp = _single_jp(cfg)
-    if length > FULL_CHAIN_LENGTH_CAP:
+    base = _single_chain(cfg)
+    if base.L > FULL_CHAIN_LENGTH_CAP:
         raise UsageError(
             f"full mode is capped at L = {FULL_CHAIN_LENGTH_CAP} "
-            f"(got {length}); use --mode effective for longer chains"
+            f"(got {base.L}); use --mode effective for longer chains"
         )
     temperature = _single_temperature(cfg)
     if cfg.t_points < 2:
@@ -378,10 +336,9 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
         raise UsageError("--t-max must be positive and finite")
     if not 0.0 < cfg.krylov_tol < math.inf:
         raise UsageError("--krylov-tol must be positive and finite")
-    base = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(base, cfg.tol, seed=cfg.seed)
     model = transfer.effective_coupling(base, sd, gamma=cfg.gamma, temperature=temperature)
-    t_pred, f_pred = _predicted_peak(model)
+    t_pred, f_pred = transfer.predicted_peak(model)
     t_max = cfg.t_max if cfg.t_max is not None else 1.35 * t_pred
     times = np.linspace(0.0, t_max, cfg.t_points)
     curve = transfer.full_chain_transfer(
@@ -410,30 +367,16 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
 
 
 def cmd_share(cfg: RunConfig) -> int:
-    length = _single_length(cfg)
-    jp = _single_jp(cfg)
+    spec = _single_chain(cfg)
     temperature = _single_temperature(cfg)
-    spec = ChainSpec(L=length, J=cfg.j, Jp=jp)
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
     model = transfer.effective_coupling(spec, sd, temperature=temperature)
-    report = entangle.sharing_report(model.g)
-    out = _require_out(cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "config": _jsonable(asdict(cfg)),
-        "results": {
-            "g": report.g,
-            "f_star": report.f_star,
-            "error_probability": report.error_prob,
-            "concurrence_out": report.concurrence_out,
-            "concurrence_in": report.concurrence_in,
-            "enhancement": report.enhancement,
-        },
-        "derived": {"gap": model.j_eff, "temperature": temperature},
-        "warnings": [],
-    }
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    r = entangle.sharing_report(model.g)
+    header = ["g", "f_star", "error_probability", "concurrence_out", "concurrence_in",
+              "enhancement"]
+    row = [r.g, r.f_star, r.error_prob, r.concurrence_out, r.concurrence_in, r.enhancement]
+    derived = {"gap": model.j_eff, "temperature": temperature}
+    _emit(cfg, header, [row], derived, [])
     return EXIT_OK
 
 

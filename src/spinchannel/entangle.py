@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .teleport import DepolarizingChannel
 from .thermal import validate_werner_g
 from .transfer import max_fidelity
 
@@ -63,8 +64,7 @@ def sharing_report(g: float) -> SharingResult:
     """Compare the shared concurrence against the bare probe-pair concurrence."""
     g = validate_werner_g(g)
     f_star = max_fidelity(g)
-    theta = 2.0 * f_star - 1.0
-    error_prob = 3.0 * (1.0 - theta) / 4.0
+    error_prob = DepolarizingChannel(theta=2.0 * f_star - 1.0).error_probability
     c_out = sharing_concurrence(f_star)
     c_in = werner_concurrence(g)
     if c_out < c_in - 1e-12:

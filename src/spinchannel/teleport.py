@@ -14,12 +14,11 @@ thermal_g(T*) = -1/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
-from .eigensolve import DEFAULT_SEED, DEFAULT_TOL, SpectralData, spectral_data
+from .eigensolve import SpectralData
 from .errors import NoThresholdError
 from .thermal import thermal_g, validate_werner_g
 
@@ -110,32 +109,23 @@ class FidelityCurve:
     g_values: np.ndarray
     fidelities: np.ndarray
     t_star: float | None
-    spec: ChainSpec
-    spectral: SpectralData = field(repr=False)
 
 
-def fidelity_curve(
-    spec: ChainSpec,
-    temperatures,
-    tol: float = DEFAULT_TOL,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> FidelityCurve:
-    """Teleportation fidelity vs temperature for one chain.
+def fidelity_curve(spectral: SpectralData, temperatures) -> FidelityCurve:
+    """Teleportation fidelity vs temperature for the chain of ``spectral``.
 
-    One spectral_data call feeds the whole grid; the temperature enters
-    only through the Boltzmann factor.
+    No solve is made here: the temperature enters only through the
+    Boltzmann factor, so one spectral_data call feeds the whole grid.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.size == 0:
         raise ValueError("temperature grid is empty")
     if np.any(temps <= 0.0):
         raise ValueError("temperatures must be positive")
-    sd = spectral_data(spec, tol, seed=seed)
-    g_values = np.array([thermal_g(sd, t) for t in temps])
+    g_values = np.array([thermal_g(spectral, t) for t in temps])
     fidelities = np.array([teleport_fidelity(g) for g in g_values])
     try:
-        t_star = threshold_temperature(sd)
+        t_star = threshold_temperature(spectral)
     except NoThresholdError:
         t_star = None
     return FidelityCurve(
@@ -143,6 +133,4 @@ def fidelity_curve(
         g_values=g_values,
         fidelities=fidelities,
         t_star=t_star,
-        spec=spec,
-        spectral=sd,
     )

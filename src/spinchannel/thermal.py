@@ -24,7 +24,6 @@ __all__ = [
     "WERNER_MAX",
     "validate_werner_g",
     "thermal_g",
-    "high_temperature_g",
     "werner_density_matrix",
 ]
 
@@ -53,13 +52,6 @@ def thermal_g(spectral: SpectralData, temperature: float) -> float:
         1.0 + 3.0 * x
     )
     return validate_werner_g(g)
-
-
-def high_temperature_g(spectral: SpectralData) -> float:
-    """T -> infinity limit of thermal_g: the equal-weight four-state mixture."""
-    return (
-        spectral.gzz_ground + spectral.gzz_triplet + 2.0 * spectral.gxx_triplet
-    ) / 4.0
 
 
 def werner_density_matrix(g: float) -> np.ndarray:

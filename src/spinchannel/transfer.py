@@ -36,6 +36,7 @@ from scipy.linalg.blas import zaxpy
 
 from .chain import (
     ChainSpec,
+    _pauli_z_signs,
     apply_total_spin_ladder,
     build_transfer_hamiltonian,
     enumerate_sector,
@@ -60,8 +61,8 @@ __all__ = [
     "optimal_time",
     "max_fidelity",
     "numeric_peak",
+    "predicted_peak",
     "three_site_oracle",
-    "effective_transfer_curve",
     "full_chain_transfer",
 ]
 
@@ -257,6 +258,18 @@ def numeric_peak(model: EffectiveModel, t_max: float, n_grid: int = 10_000):
     return t_star, float(closed_form_fidelity(model, t_star))
 
 
+def predicted_peak(model: EffectiveModel) -> tuple[float, float]:
+    """(t*, f*) of the three-spin model: closed forms when gamma = j_eff.
+
+    Elsewhere the first maximum is found by numeric_peak on
+    [0, 8 pi / min(j_eff, gamma)], with j_eff alone when gamma = 0.
+    """
+    if math.isclose(model.gamma, model.j_eff, rel_tol=1e-9):
+        return optimal_time(model), max_fidelity(model.g)
+    scale = min(model.j_eff, model.gamma) if model.gamma > 0 else model.j_eff
+    return numeric_peak(model, 8.0 * math.pi / scale)
+
+
 # ---------------------------------------------------------------------------
 # three-spin unitary oracle
 # ---------------------------------------------------------------------------
@@ -333,26 +346,6 @@ class TransferCurve:
     fidelities: np.ndarray
     t_star: float
     f_star: float
-    mode: str  # "closed-form" | "full-chain"
-
-
-def effective_transfer_curve(model: EffectiveModel, times) -> TransferCurve:
-    """Closed-form fidelity evaluated on a grid, peak refined numerically."""
-    times = np.asarray(times, dtype=float)
-    fidelities = np.asarray(closed_form_fidelity(model, times), dtype=float)
-    try:
-        t_star, f_star = numeric_peak(model, float(times[-1]))
-    except FlatCurveError:
-        i = int(np.argmax(fidelities))
-        t_star, f_star = float(times[i]), float(fidelities[i])
-    return TransferCurve(
-        times=times,
-        thetas=2.0 * fidelities - 1.0,
-        fidelities=fidelities,
-        t_star=t_star,
-        f_star=f_star,
-        mode="closed-form",
-    )
 
 
 def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, m_max: int = 30):
@@ -511,7 +504,7 @@ def full_chain_transfer(
     states = np.zeros((len(branches), sector.dim), dtype=complex)
     for psi0, (chain_sector, vector, bit) in zip(states, branches):
         psi0[sector.index_of((chain_sector.basis << np.uint64(1)) | np.uint64(bit))] = vector
-    signs = 2.0 * ((sector.basis >> np.uint64(spec.L)) & np.uint64(1)).astype(np.float64) - 1.0
+    signs = _pauli_z_signs(sector, spec.L)
     theta = _propagate_expectation(hamiltonian.matrix, signs, states, weights, times, krylov_tol)
 
     fidelities = (1.0 + theta) / 2.0
@@ -540,5 +533,4 @@ def full_chain_transfer(
         fidelities=fidelities,
         t_star=t_star,
         f_star=f_star,
-        mode="full-chain",
     )

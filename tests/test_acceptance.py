@@ -170,11 +170,12 @@ def test_criterion_10_figure_shapes_at_desk_scale(sweep):
     start = time.perf_counter()
     problems = []
 
-    # teleportation curves at L = 12
+    # teleportation curves at L = 12; the sweep already holds Jp = 0.1 and 0.2
     temps = np.geomspace(1e-4, 1.0, 150)
     curves = {}
     for jp in (0.1, 0.2, 0.3):
-        curves[jp] = fidelity_curve(ChainSpec(L=12, J=1.0, Jp=jp), temps)
+        sd = data[(12, jp)] if jp in SWEEP_JPS else spectral_data(ChainSpec(L=12, J=1.0, Jp=jp))
+        curves[jp] = fidelity_curve(sd, temps)
     for jp, curve in curves.items():
         if not np.all(np.diff(curve.fidelities) <= 1e-15):
             problems.append(f"teleport jp={jp} not monotone")

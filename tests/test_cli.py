@@ -8,7 +8,6 @@ import pytest
 
 import spinchannel.eigensolve
 import spinchannel.scaling
-import spinchannel.teleport
 import spinchannel.transfer
 from spinchannel.cli import main
 
@@ -32,8 +31,20 @@ class TestGapScan:
         fit = sidecar["derived"]["fits"]["0.20000000000000001"]
         assert 0.0 < fit["alpha"] < 1.0
 
-    def test_byte_identical_rerun(self, tmp_path):
-        args = ["gap-scan", "--l-min", "8", "--l-max", "14", "--jp", "0.2"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gap-scan", "--l-min", "8", "--l-max", "14", "--jp", "0.2"],
+            ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "1e-3",
+             "--temp-max", "1e-1", "--temp-points", "5"],
+            ["transfer", "--l-min", "8", "--l-max", "10", "--jp", "0.2"],
+            ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2",
+             "--temp-min", "1e-3", "--t-points", "60"],
+            ["share", "--length", "8", "--jp", "0.2"],
+        ],
+        ids=["gap-scan", "teleport", "transfer", "full-T1e-3", "share"],
+    )
+    def test_byte_identical_rerun(self, tmp_path, args):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
@@ -220,17 +231,28 @@ class TestTransferCommand:
 
 class TestShareCommand:
     def test_report_fields(self, tmp_path):
-        out = tmp_path / "share.json"
+        out = tmp_path / "share.csv"
         code = run(["share", "--length", "8", "--jp", "0.2", "--out", str(out)])
         assert code == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        results = doc["results"]
+        doc = json.loads((tmp_path / "share.json").read_text(encoding="utf-8"))
+        (row,) = doc["results"]["rows"]
+        results = dict(zip(doc["results"]["header"], row))
         assert set(results) == {
             "g", "f_star", "error_probability",
             "concurrence_out", "concurrence_in", "enhancement",
         }
         assert results["enhancement"] >= 0.0
         assert results["concurrence_out"] >= results["concurrence_in"]
+        assert set(doc["derived"]) == {"gap", "temperature"}
+
+    def test_csv_and_sidecar(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["share", "--length", "8", "--jp", "0.2", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "g,f_star,error_probability,concurrence_out,concurrence_in,enhancement"
+        assert len(lines) == 2
+        assert [float(x) for x in lines[1].split(",")] == json.loads(
+            (tmp_path / "s.json").read_text(encoding="utf-8"))["results"]["rows"][0]
 
 
 class TestValidateCommand:
@@ -282,8 +304,7 @@ class TestOneSolvePerChain:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
-        out = tmp_path / ("x.json" if argv[0] == "share" else "x.csv")
-        assert run(argv + ["--jp", "0.1", "--out", str(out)]) == 0
+        assert run(argv + ["--jp", "0.1", "--out", str(tmp_path / "x.csv")]) == 0
         # the (s, s) and (-s, -s) inversion-reflection blocks, s = (-1)^(L/2)
         assert calls == [(71, 1), (71, 1)]
 
@@ -311,6 +332,21 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "argv",
+        [["gap-scan", "--l-min", "8", "--l-max", "12", "--jp", "0.2"],
+         ["share", "--length", "8", "--jp", "0.2"]],
+        ids=["gap-scan", "share"],
+    )
+    def test_json_out_in_csv_format_fails_before_any_solve(self, monkeypatch, tmp_path, capsys,
+                                                           argv):
+        # in csv format the sidecar of x.json is x.json itself
+        self._forbid_solves(monkeypatch)
+        out = tmp_path / "x.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "--format json or a .csv name" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["gap-scan", "--l-min", "8", "--l-max", "22", "--jp", "0.1"],
             ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "0.01"],
@@ -323,7 +359,7 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although --out is missing")
 
-        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
+        for module in (spinchannel.eigensolve, spinchannel.scaling):
             monkeypatch.setattr(module, "spectral_data", no_solve)
         assert run(argv) == 2
 
@@ -341,7 +377,7 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although a length or jp is invalid")
 
-        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
+        for module in (spinchannel.eigensolve, spinchannel.scaling):
             monkeypatch.setattr(module, "spectral_data", no_solve)
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
 
@@ -382,7 +418,7 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although an input is invalid")
 
-        for module in (spinchannel.eigensolve, spinchannel.scaling, spinchannel.teleport):
+        for module in (spinchannel.eigensolve, spinchannel.scaling):
             monkeypatch.setattr(module, "spectral_data", no_solve)
 
     @pytest.mark.parametrize(

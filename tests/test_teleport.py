@@ -139,25 +139,21 @@ class TestThresholdTemperature:
 
 class TestFidelityCurve:
     def test_curve_shape_and_limits(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
         temps = np.geomspace(1e-6, 1e-1, 40)
-        curve = fidelity_curve(spec, temps)
-        assert curve.fidelities[0] == pytest.approx(
-            (1.0 - curve.spectral.gzz_ground) / 2.0, abs=1e-12
-        )
+        curve = fidelity_curve(sd, temps)
+        assert curve.fidelities[0] == pytest.approx((1.0 - sd.gzz_ground) / 2.0, abs=1e-12)
         assert np.all(np.diff(curve.fidelities) <= 1e-15)  # weakly decreasing
         assert curve.t_star is not None
-        assert curve.t_star == pytest.approx(threshold_temperature(curve.spectral))
+        assert curve.t_star == pytest.approx(threshold_temperature(sd))
 
     def test_smaller_jp_higher_fidelity_at_low_t(self):
         temps = np.array([1e-6])
-        f_weak = fidelity_curve(ChainSpec(L=12, J=1.0, Jp=0.1), temps).fidelities[0]
-        f_strong = fidelity_curve(ChainSpec(L=12, J=1.0, Jp=0.2), temps).fidelities[0]
-        assert f_weak > f_strong
+        weak, strong = (spectral_data(ChainSpec(L=12, J=1.0, Jp=jp)) for jp in (0.1, 0.2))
+        assert fidelity_curve(weak, temps).fidelities[0] > fidelity_curve(strong, temps).fidelities[0]
 
     def test_rejects_bad_grid(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         with pytest.raises(ValueError):
-            fidelity_curve(spec, [])
+            fidelity_curve(TWO_SPIN, [])
         with pytest.raises(ValueError):
-            fidelity_curve(spec, [0.0, 0.1])
+            fidelity_curve(TWO_SPIN, [0.0, 0.1])

@@ -7,7 +7,6 @@ from spinchannel.eigensolve import SpectralData
 from spinchannel.thermal import (
     WERNER_MAX,
     WERNER_MIN,
-    high_temperature_g,
     thermal_g,
     validate_werner_g,
     werner_density_matrix,
@@ -28,8 +27,10 @@ class TestThermalG:
         assert thermal_g(TWO_SPIN, t_edge) == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
     def test_high_temperature_mixture(self):
-        assert thermal_g(TWO_SPIN, 1e9) == pytest.approx(high_temperature_g(TWO_SPIN), abs=1e-9)
-        assert high_temperature_g(TWO_SPIN) == 0.0
+        # T -> infinity: the equal-weight average of the four states
+        average = (TWO_SPIN.gzz_ground + TWO_SPIN.gzz_triplet + 2.0 * TWO_SPIN.gxx_triplet) / 4.0
+        assert thermal_g(TWO_SPIN, 1e9) == pytest.approx(average, abs=1e-9)
+        assert average == 0.0
 
     def test_monotone_increasing_for_singlet_ground(self):
         # strictly increasing where the Boltzmann factor is representable,
@@ -45,7 +46,7 @@ class TestThermalG:
             gzz_ground=-0.9, gzz_triplet=0.8, gxx_triplet=-0.1,
         )
         lo = sd.gzz_ground
-        hi = high_temperature_g(sd)
+        hi = (sd.gzz_ground + sd.gzz_triplet + 2.0 * sd.gxx_triplet) / 4.0  # T -> infinity
         for t in np.geomspace(1e-4, 1e4, 60):
             g = thermal_g(sd, t)
             assert min(lo, hi) - 1e-12 <= g <= max(lo, hi) + 1e-12

@@ -27,11 +27,11 @@ from spinchannel.transfer import (
     Frequencies,
     closed_form_fidelity,
     effective_coupling,
-    effective_transfer_curve,
     full_chain_transfer,
     max_fidelity,
     numeric_peak,
     optimal_time,
+    predicted_peak,
     three_site_oracle,
 )
 
@@ -265,14 +265,24 @@ class TestEffectiveCoupling:
         assert model.g > sd.gzz_ground
 
 
-class TestEffectiveTransferCurve:
+class TestPredictedPeak:
     def test_starts_at_half_and_finds_peak(self):
         model = EffectiveModel(j_eff=1.0, gamma=1.0, g=-0.8)
-        times = np.linspace(0.0, 4.0 * np.pi, 400)
-        curve = effective_transfer_curve(model, times)
-        assert curve.fidelities[0] == pytest.approx(0.5, abs=1e-12)
-        assert curve.mode == "closed-form"
-        assert curve.f_star == pytest.approx(max_fidelity(-0.8), abs=1e-8)
+        assert closed_form_fidelity(model, 0.0) == pytest.approx(0.5, abs=1e-12)
+        t_star, f_star = predicted_peak(model)
+        t_scan, f_scan = numeric_peak(model, 4.0 * np.pi)
+        assert f_star == pytest.approx(max_fidelity(-0.8), abs=1e-8)
+        assert f_scan == pytest.approx(f_star, abs=1e-8)
+        assert t_scan == pytest.approx(t_star, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 2.0])
+    def test_first_maximum_away_from_commensurate_point(self, gamma):
+        model = EffectiveModel(j_eff=1.0, gamma=gamma, g=-0.8)
+        t_star, f_star = predicted_peak(model)
+        assert 0.0 < t_star < 8.0 * np.pi / min(1.0, gamma)
+        assert f_star == closed_form_fidelity(model, t_star)
+        assert closed_form_fidelity(model, t_star - 1e-3) < f_star
+        assert closed_form_fidelity(model, t_star + 1e-3) < f_star
 
 
 def dense_mixture_theta(spec, temperature, times):
