@@ -77,7 +77,6 @@ from .thermal import (
 from .transfer import (
     DEFAULT_GAP_EXPONENT,
     EffectiveModel,
-    Frequencies,
     TransferCurve,
     closed_form_fidelity,
     effective_coupling,

@@ -10,10 +10,10 @@ share      entanglement-sharing report for one chain
 validate   run the oracle cross-checks of ``spinchannel.checks``, the same
            functions the acceptance suite calls
 
-Flags override values from an optional JSON config file (``--config``);
-environment variables are never consulted.  Identical configuration and
-seed produce byte-identical output files.  Exit codes: 0 success,
-1 computational failure, 2 usage error.
+An optional JSON config file (``--config``) is read as flags that the typed
+flags override; environment variables are never consulted.  Identical
+configuration and seed produce byte-identical output files.  Exit codes:
+0 success, 1 computational failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -65,23 +66,27 @@ class RunConfig:
 
 _SETTINGS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
+# argparse type of each int and float setting (None allowed), read off RunConfig
+_HINTS = typing.get_type_hints(RunConfig)
+_NUMERIC = {key: t for key in _SETTINGS for t in (int, float) if _HINTS[key] in (t, t | None)}
+_CHOICES = {"temp_scale": ("lin", "log"), "mode": ("effective", "full"), "format": ("csv", "json")}
+_HELP = {"jp": "value or comma list", "gamma": 'value or "auto"'}
+
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_jp(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(",") if part != "")
+def _parse_jp(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part != "")
 
 
 def _parse_gamma(text):
     if text == "auto":
         return "auto"
     gamma = float(text)
-    if not 0.0 <= gamma < math.inf:
-        raise UsageError(f'--gamma must be "auto" or >= 0 and finite, got {text}')
+    if not 0.0 < gamma < math.inf:
+        raise UsageError(f'--gamma must be "auto" or > 0 and finite, got {text}')
     return gamma
 
 
@@ -94,51 +99,45 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("gap-scan", "teleport", "transfer", "share", "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--length", type=int, default=None)
-        p.add_argument("--l-min", dest="l_min", type=int, default=None)
-        p.add_argument("--l-max", dest="l_max", type=int, default=None)
-        p.add_argument("--l-step", dest="l_step", type=int, default=None)
-        p.add_argument("--j", type=float, default=None)
-        p.add_argument("--jp", type=str, default=None, help="value or comma list")
-        p.add_argument("--gamma", type=str, default=None, help='value or "auto"')
-        p.add_argument("--temp-min", dest="temp_min", type=float, default=None)
-        p.add_argument("--temp-max", dest="temp_max", type=float, default=None)
-        p.add_argument("--temp-points", dest="temp_points", type=int, default=None)
-        p.add_argument(
-            "--temp-scale", dest="temp_scale", choices=("lin", "log"), default=None
-        )
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--t-points", dest="t_points", type=int, default=None)
-        p.add_argument("--mode", choices=("effective", "full"), default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--krylov-tol", dest="krylov_tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        for key, default in _SETTINGS.items():
+            kind = _parse_jp if key == "jp" else _NUMERIC.get(key)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, type=kind,
+                           choices=_CHOICES.get(key), help=_HELP.get(key))
     return parser
 
 
+def _config_flags(path: str) -> list[str]:
+    """A JSON config file as the flags that set the same values.
+
+    A list is joined by commas and a string passes as typed unless its
+    setting is numeric; other values pass as JSON, so "8" fails --length.
+    """
+    try:
+        file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise UsageError("config file must hold a JSON object of settings")
+    unknown = set(file_cfg) - set(_SETTINGS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, value in file_cfg.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        elif not isinstance(value, str) or key in _NUMERIC:
+            value = json.dumps(value)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command-line flag > config file > built-in default."""
-    merged = dict(_SETTINGS)
-    if args.config is not None:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(_SETTINGS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in _SETTINGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    merged["jp"] = _parse_jp(merged["jp"])
+    """Check the parsed settings; argparse gave flag > config file > default."""
+    merged = {key: getattr(args, key) for key in _SETTINGS}
     merged["gamma"] = _parse_gamma(merged["gamma"])
-    if not 0.0 < float(merged["tol"]) < math.inf:
+    if not 0.0 < merged["tol"] < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {merged['tol']}")
     if merged["temp_max"] is None:
         merged["temp_max"] = merged["temp_min"]
@@ -248,7 +247,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
     for jp in cfg.jp:
         table = scaling.gap_sweep(lengths, jp, cfg.tol, J=cfg.j, seed=cfg.seed)
         warnings.extend(table.warnings)
-        failures.extend(w for w in table.warnings if "skipped" in w)
+        failures.extend(f"jp = {jp}: L = {L} skipped (see warnings)" for L in table.skipped)
         rows.extend([r.length, r.jp, r.gap, r.e0] for r in table.rows)
         try:
             fit = scaling.fit_power_law(table)
@@ -409,8 +408,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # the file's values go in as flags before the typed ones, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         cfg = _resolve_config(args)
         if cfg.command != "validate":
             _require_out(cfg)  # before any compute, not after a long sweep

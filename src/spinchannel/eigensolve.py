@@ -53,6 +53,8 @@ DEFAULT_SEED = 1234
 _DENSE_CUTOFF = 64          # sectors this small go straight to numpy.linalg.eigh
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
 _NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
+_ARPACK_NCV = None          # ARPACK's ncv, Lanczos vectors kept (None: its default)
+_ARPACK_MAXITER = 50_000    # ARPACK's maxiter, implicit restarts allowed
 
 # |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
 # second order, ~L^2 (tol/level spacing)^2, while an admixture of weight p
@@ -134,18 +136,15 @@ def lowest_eigenpairs(
     tol: float = DEFAULT_TOL,
     *,
     seed: int = DEFAULT_SEED,
-    max_subspace: int | None = None,
-    max_steps: int = 50_000,
 ) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
     ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
     started from a seeded random vector, so a fixed seed gives the same
-    pairs on one machine.  ``max_subspace`` is ARPACK's ``ncv``, the number
-    of Lanczos vectors kept (ARPACK's default when None); ``max_steps`` is
-    ARPACK's ``maxiter``, the number of implicit restarts allowed.  Every
-    returned pair has a true residual |Hv - Ev| <= tol; otherwise, or when
-    ARPACK runs out of restarts, ConvergenceError carries the residuals.
+    pairs on one machine.  ARPACK's ``ncv`` and ``maxiter`` are the module
+    constants ``_ARPACK_NCV`` and ``_ARPACK_MAXITER``.  Every returned pair
+    has a true residual |Hv - Ev| <= tol; otherwise, or when ARPACK runs
+    out of restarts, ConvergenceError carries the residuals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -159,19 +158,19 @@ def lowest_eigenpairs(
     if dim <= max(_DENSE_CUTOFF, 4 * k):
         return _dense_pairs(op, k)
 
-    ncv = None if max_subspace is None else int(min(dim, max_subspace))
+    ncv = None if _ARPACK_NCV is None else min(dim, _ARPACK_NCV)
     v0 = np.random.default_rng(seed).standard_normal(dim)
     # ARPACK accepts a Ritz value theta once its error estimate is at most
     # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.
     arpack_tol = tol / max(_norm_bound(mat), 1.0)
     try:
         energies, vectors = eigsh(
-            mat, k, which="SA", v0=v0, ncv=ncv, maxiter=max_steps, tol=arpack_tol
+            mat, k, which="SA", v0=v0, ncv=ncv, maxiter=_ARPACK_MAXITER, tol=arpack_tol
         )
     except ArpackNoConvergence as exc:
         done = _pairs_with_residuals(mat, exc.eigenvalues, exc.eigenvectors)
         raise ConvergenceError(
-            f"ARPACK did not reach residual {tol} within {max_steps} restarts "
+            f"ARPACK did not reach residual {tol} within {_ARPACK_MAXITER} restarts "
             f"({len(done)} of {k} pairs converged; dim = {dim})",
             residuals=[p.residual for p in done],
         ) from exc

@@ -41,10 +41,11 @@ class GapRow(NamedTuple):
 
 @dataclass(frozen=True)
 class GapTable:
-    """Gap table rows ordered by ascending length, plus sweep warnings."""
+    """Rows by ascending length, sweep warnings, and lengths whose solve failed."""
 
     rows: tuple[GapRow, ...]
     warnings: tuple[str, ...] = field(default=())
+    skipped: tuple[int, ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def gap_sweep(
     if bad:
         raise ValueError(f"lengths must be even and >= 4, got {bad}")
     unique = sorted(set(requested))
-    warnings = []
+    warnings, skipped = [], []
     if len(unique) != len(requested):
         dupes = sorted({L for L in requested if requested.count(L) > 1})
         warnings.append(f"duplicate lengths removed: {dupes}")
@@ -86,20 +87,21 @@ def gap_sweep(
         except (ConvergenceError, OrderingError) as exc:
             # a failed length is recorded as missing, never fabricated
             warnings.append(f"L = {L} skipped: {exc}")
+            skipped.append(L)
             continue
         rows.append(GapRow(length=L, jp=jp, gap=sd.gap, e0=sd.e0))
-    return GapTable(rows=tuple(rows), warnings=tuple(warnings))
+    return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 
 
-def fit_power_law(table: GapTable, min_length: int = DEFAULT_FIT_MIN_LENGTH) -> PowerLawFit:
-    """Least squares of log(gap) against log(L) over a single-jp table."""
+def fit_power_law(table: GapTable) -> PowerLawFit:
+    """Least squares of log(gap) against log(L), L >= DEFAULT_FIT_MIN_LENGTH, one jp."""
     jps = {row.jp for row in table.rows}
     if len(jps) > 1:
         raise ValueError(f"fit needs a single-jp series, table mixes jp = {sorted(jps)}")
-    rows = [row for row in table.rows if row.length >= min_length]
+    rows = [row for row in table.rows if row.length >= DEFAULT_FIT_MIN_LENGTH]
     if len(rows) < 4:
         raise InsufficientDataError(
-            f"power-law fit needs >= 4 points with L >= {min_length}, got {len(rows)}"
+            f"power-law fit needs >= 4 points with L >= {DEFAULT_FIT_MIN_LENGTH}, got {len(rows)}"
         )
     x = np.log([row.length for row in rows])
     y = np.log([row.gap for row in rows])

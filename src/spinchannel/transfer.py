@@ -49,11 +49,10 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .scaling import validity_window
-from .thermal import thermal_g, validate_werner_g
+from .thermal import thermal_g, validate_werner_g, werner_density_matrix
 
 __all__ = [
     "DEFAULT_GAP_EXPONENT",
-    "Frequencies",
     "EffectiveModel",
     "TransferCurve",
     "effective_coupling",
@@ -71,24 +70,8 @@ __all__ = [
 DEFAULT_GAP_EXPONENT = 0.46
 
 _SERIES_WINDOW = 1e-6  # |g + 1| below which the closed forms switch to series
-
-
-@dataclass(frozen=True)
-class Frequencies:
-    """Oscillation frequencies of the three-spin transfer problem."""
-
-    omega: float
-    omega_plus: float
-    omega_minus: float
-
-    @classmethod
-    def from_couplings(cls, j_eff: float, gamma: float) -> "Frequencies":
-        omega = math.sqrt(j_eff * j_eff - j_eff * gamma + gamma * gamma)
-        return cls(
-            omega=omega,
-            omega_plus=omega + (j_eff + gamma),
-            omega_minus=omega - (j_eff + gamma),
-        )
+_PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
+_KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
 
 
 @dataclass(frozen=True)
@@ -113,10 +96,6 @@ class EffectiveModel:
         if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         validate_werner_g(self.g)
-
-    @property
-    def frequencies(self) -> Frequencies:
-        return Frequencies.from_couplings(self.j_eff, self.gamma)
 
 
 def effective_coupling(
@@ -154,15 +133,16 @@ def closed_form_fidelity(model: EffectiveModel, t):
     gamma = j_eff it collapses to a four-term cosine series in j_eff*t.
     """
     j, gam, g = model.j_eff, model.gamma, model.g
-    w = model.frequencies
+    omega = math.sqrt(j * j - j * gam + gam * gam)
+    omega_plus, omega_minus = omega + (j + gam), omega - (j + gam)
     t = np.asarray(t, dtype=float)
     constant = (22.0 + 4.0 * g) * (j * j + gam * gam) - gam * j * (19.0 + 10.0 * g)
-    slow = -2.0 * (1.0 + g) * w.omega * (
-        w.omega_minus * np.cos(t * w.omega_plus / 2.0)
-        + w.omega_plus * np.cos(t * w.omega_minus / 2.0)
+    slow = -2.0 * (1.0 + g) * omega * (
+        omega_minus * np.cos(t * omega_plus / 2.0)
+        + omega_plus * np.cos(t * omega_minus / 2.0)
     )
-    fast = 3.0 * gam * j * (2.0 * g - 1.0) * np.cos(w.omega * t)
-    f = (constant + slow + fast) / (36.0 * w.omega * w.omega)
+    fast = 3.0 * gam * j * (2.0 * g - 1.0) * np.cos(omega * t)
+    f = (constant + slow + fast) / (36.0 * omega * omega)
     return float(f) if f.ndim == 0 else f
 
 
@@ -219,18 +199,17 @@ def max_fidelity(g: float) -> float:
     return (root + 24.0 * g * g + 66.0 * g + 33.0) / (48.0 * u * u)
 
 
-def numeric_peak(model: EffectiveModel, t_max: float, n_grid: int = 10_000):
+def numeric_peak(model: EffectiveModel, t_max: float):
     """(t*, f*) of the first interior fidelity maximum, by scan + refinement.
 
-    Scans n_grid >= 1e4 points on [0, t_max] for the first strict local
+    Scans _PEAK_SCAN_POINTS points on [0, t_max] for the first strict local
     maximum, then golden-section refines the bracket to 1e-10 in t.  Works
     for any gamma, serving as the oracle for the commensurate closed forms
     and as the fallback away from them.
     """
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    n_grid = max(int(n_grid), 10_000)
-    ts = np.linspace(0.0, t_max, n_grid)
+    ts = np.linspace(0.0, t_max, _PEAK_SCAN_POINTS)
     fs = closed_form_fidelity(model, ts)
     interior = np.nonzero((fs[1:-1] > fs[:-2]) & (fs[1:-1] >= fs[2:]))[0]
     if interior.size == 0:
@@ -277,11 +256,6 @@ def predicted_peak(model: EffectiveModel) -> tuple[float, float]:
 _S_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # basis order {down, up}
 _S_MINUS = _S_PLUS.T
 _S_Z = np.diag([-0.5, 0.5])
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
-)
 
 
 def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -296,13 +270,6 @@ def _heisenberg_bond_dense(i: int, j: int, n_sites: int) -> np.ndarray:
     zz = _embed(_S_Z, i, n_sites) @ _embed(_S_Z, j, n_sites)
     pm = _embed(_S_PLUS, i, n_sites) @ _embed(_S_MINUS, j, n_sites)
     return (zz + 0.5 * (pm + pm.conj().T)).real
-
-
-def _werner_dense(g: float) -> np.ndarray:
-    rho = np.eye(4, dtype=complex) / 4.0
-    for sigma in _PAULIS:
-        rho += (g / 4.0) * np.kron(sigma, sigma)
-    return rho
 
 
 def three_site_oracle(model: EffectiveModel, t, xi: np.ndarray):
@@ -320,9 +287,10 @@ def three_site_oracle(model: EffectiveModel, t, xi: np.ndarray):
         1, 2, 3
     )
     energies, modes = np.linalg.eigh(h)
-    # probe pair on bits (1, 2); the Werner state is swap-symmetric so the
-    # internal kron order of the pair does not matter
-    rho0 = np.kron(_werner_dense(model.g), xi_dm)
+    # probe pair on bits (1, 2); the Werner state is invariant under swap
+    # and global flip, so neither the pair's kron order nor the thermal
+    # module's {up, down} basis order (here {down, up}) matters
+    rho0 = np.kron(werner_density_matrix(model.g), xi_dm)
     projector_b = np.kron(xi_dm, np.eye(4, dtype=complex))
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1.0j * np.multiply.outer(t.ravel(), energies))
@@ -348,27 +316,27 @@ class TransferCurve:
     f_star: float
 
 
-def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, m_max: int = 30):
+def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float):
     """Advance psi by exp(-i H dt) for the largest dt <= dt_req meeting tol.
 
-    One plain three-term Lanczos basis (dimension <= m_max) from psi, as in
-    Expokit's Hermitian expv (Sidje, ACM TOMS 24, 1998).  Lost orthogonality
-    does not spoil Lanczos f(A)b (Druskin, Greenbaum and Knizhnerman, SIAM
-    J. Sci. Comput. 19, 1998), so nothing is reorthogonalized.  dt halves
-    until beta_next * dt * |last coefficient| <= tol, else PropagationError.
-    Returns (psi_new, dt_done).
+    One plain three-term Lanczos basis (dimension <= _KRYLOV_DIM) from psi,
+    as in Expokit's Hermitian expv (Sidje, ACM TOMS 24, 1998).  Lost
+    orthogonality does not spoil Lanczos f(A)b (Druskin, Greenbaum and
+    Knizhnerman, SIAM J. Sci. Comput. 19, 1998), so nothing is
+    reorthogonalized.  dt halves until beta_next * dt * |last coefficient|
+    <= tol, else PropagationError.  Returns (psi_new, dt_done).
 
     Updates run in place (BLAS zaxpy; ``w -= beta * v`` allocates a
     temporary) and normalizing multiplies by 1/beta, since dividing a
     complex vector by a real costs several times the multiply.
     """
     nrm = math.sqrt(np.vdot(psi, psi).real)
-    v_rows = np.empty((m_max, psi.size), dtype=complex)
+    v_rows = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
     np.multiply(psi, 1.0 / nrm, out=v_rows[0])
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
+    alphas = np.empty(_KRYLOV_DIM)
+    betas = np.empty(_KRYLOV_DIM)
     beta_next = 0.0
-    for m in range(1, m_max + 1):
+    for m in range(1, _KRYLOV_DIM + 1):
         w = matrix @ v_rows[m - 1]
         if m > 1:
             w = zaxpy(v_rows[m - 2], w, a=-betas[m - 2])
@@ -377,7 +345,7 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, m_max: int 
         beta = math.sqrt(np.vdot(w, w).real)
         if beta <= 1e-13 * max(1.0, abs(a)):
             break
-        if m == m_max:
+        if m == _KRYLOV_DIM:
             beta_next = beta
             break
         betas[m - 1] = beta

@@ -10,6 +10,7 @@ import spinchannel.eigensolve
 import spinchannel.scaling
 import spinchannel.transfer
 from spinchannel.cli import main
+from spinchannel.errors import ConvergenceError
 
 
 def run(argv):
@@ -53,6 +54,27 @@ class TestGapScan:
         s1 = (tmp_path / "a.json").read_text().replace(str(out1), "X")
         s2 = (tmp_path / "b.json").read_text().replace(str(out2), "X")
         assert s1 == s2
+
+    def test_failed_length_exits_one_and_keeps_the_other_rows(self, monkeypatch, tmp_path,
+                                                              capsys):
+        true_solve = spinchannel.scaling.spectral_data
+
+        def fails_at_ten(spec, *args, **kwargs):
+            if spec.L == 10:
+                raise ConvergenceError("injected failure")
+            return true_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(spinchannel.scaling, "spectral_data", fails_at_ten)
+        out = tmp_path / "gaps.csv"
+        code = run(["gap-scan", "--l-min", "8", "--l-max", "12", "--jp", "0.2", "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "SweepFailure"
+        assert record["message"] == "jp = 0.2: L = 10 skipped (see warnings)"
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["8", "12"]
+        sidecar = json.loads((tmp_path / "gaps.json").read_text(encoding="utf-8"))
+        assert "L = 10 skipped: injected failure" in sidecar["warnings"]
 
     def test_empty_range_is_usage_error(self, tmp_path):
         code = run(
@@ -327,6 +349,42 @@ class TestConfigFile:
         code = run(["gap-scan", "--config", str(config), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"length": "8"}, {"format": "xml"}, {"mode": "fool"}, {"temp_scale": "cubic"}],
+        ids=["quoted-length", "format", "mode", "temp-scale"],
+    )
+    def test_config_values_are_checked_like_flags(self, monkeypatch, tmp_path, setting):
+        self._forbid_solves(monkeypatch)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"length": 8, **setting}))
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["share", "--config", str(config), "--jp", "0.2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_config_gives_the_bytes_of_the_same_flags(self, monkeypatch, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"length": 8, "jp": [0.2], "temp_min": 1e-3, "tol": 1e-11, "out": "s.csv"}
+        ))
+        flags = ["--length", "8", "--jp", "0.2", "--temp-min", "1e-3", "--tol", "1e-11",
+                 "--out", "s.csv"]
+        for name, argv in (("file", ["--config", str(config)]), ("flags", flags)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run(["share"] + argv) == 0
+        for out in ("s.csv", "s.json"):
+            assert (tmp_path / "file" / out).read_bytes() == (tmp_path / "flags" / out).read_bytes()
+
+    @pytest.mark.parametrize("content", ["8", "[8]", '"x"'])
+    def test_config_must_be_an_object(self, tmp_path, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        code = run(["gap-scan", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
     def test_missing_out_is_usage_error(self):
         assert run(["gap-scan", "--l-min", "8", "--l-max", "10", "--jp", "0.2"]) == 2
 
@@ -404,7 +462,7 @@ class TestConfigFile:
         assert run(argv + flags) == 2
 
     @pytest.mark.parametrize("mode", ["effective", "full"])
-    @pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
     def test_bad_gamma_fails_before_any_solve(self, monkeypatch, tmp_path, mode, gamma):
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although --gamma is invalid")

@@ -46,11 +46,12 @@ class TestLowestEigenpairs:
         assert pairs[0].residual <= 1e-10
         assert pairs[1].residual <= 1e-10
 
-    def test_restart_path(self):
+    def test_restart_path(self, monkeypatch):
         # force a small ARPACK subspace (ncv) so implicit restarts must happen
+        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 12)
         spec = ChainSpec(L=10, J=1.0, Jp=0.3)
         op = build_chain_hamiltonian(spec, enumerate_sector(10, 0))
-        pairs = lowest_eigenpairs(op, 2, 1e-10, max_subspace=12)
+        pairs = lowest_eigenpairs(op, 2, 1e-10)
         dense = dense_spectrum(op)
         assert pairs[0].energy == pytest.approx(dense[0], abs=1e-9)
         assert pairs[1].energy == pytest.approx(dense[1], abs=1e-9)
@@ -72,11 +73,13 @@ class TestLowestEigenpairs:
             v /= np.linalg.norm(v)
             assert ground.energy <= np.dot(v, op.matrix @ v) + 1e-12
 
-    def test_convergence_error_carries_residuals(self):
+    def test_convergence_error_carries_residuals(self, monkeypatch):
+        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 12)
+        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_MAXITER", 3)
         spec = ChainSpec(L=12, J=1.0, Jp=0.1)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 2, 1e-14, max_steps=3)
+            lowest_eigenpairs(op, 2, 1e-14)
         assert "residual" in str(err.value) or err.value.residuals is None or err.value.residuals
 
     def test_residual_guard_rejects_inaccurate_pairs(self, monkeypatch):

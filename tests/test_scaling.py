@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import spinchannel.scaling
 from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector
 from spinchannel.eigensolve import dense_spectrum, spectral_data
-from spinchannel.errors import InsufficientDataError
+from spinchannel.errors import ConvergenceError, InsufficientDataError
 from spinchannel.scaling import (
     GapRow,
     GapTable,
@@ -49,12 +50,6 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(mixed)
 
-    def test_min_length_override(self):
-        table = synthetic_table(2.0, 0.5, [4, 6, 8, 10])
-        fit = fit_power_law(table, min_length=4)
-        assert fit.n_points == 4
-        assert fit.alpha == pytest.approx(0.5, abs=1e-12)
-
 
 class TestGapSweep:
     def test_gaps_decrease_with_length(self):
@@ -67,6 +62,20 @@ class TestGapSweep:
         table = gap_sweep([8, 8, 10], 0.2)
         assert [row.length for row in table.rows] == [8, 10]
         assert any("duplicate" in w for w in table.warnings)
+
+    def test_failed_length_is_recorded_as_skipped(self, monkeypatch):
+        true_solve = spinchannel.scaling.spectral_data
+
+        def fails_at_ten(spec, *args, **kwargs):
+            if spec.L == 10:
+                raise ConvergenceError("injected failure")
+            return true_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(spinchannel.scaling, "spectral_data", fails_at_ten)
+        table = gap_sweep([8, 10, 12], 0.2)
+        assert [row.length for row in table.rows] == [8, 12]
+        assert table.skipped == (10,)
+        assert table.warnings == ("L = 10 skipped: injected failure",)
 
     def test_uniform_chain_matches_dense(self):
         table = gap_sweep([8], 1.0)

@@ -24,7 +24,6 @@ from spinchannel.errors import (
 )
 from spinchannel.transfer import (
     EffectiveModel,
-    Frequencies,
     closed_form_fidelity,
     effective_coupling,
     full_chain_transfer,
@@ -54,18 +53,6 @@ def commensurate_fidelity(g, u):
         + (6.0 * g - 3.0) * np.cos(u)
         + 2.0 * (1.0 + g) * np.cos(1.5 * u)
     ) / 36.0
-
-
-class TestFrequencies:
-    def test_commensurate_point(self):
-        w = Frequencies.from_couplings(1.0, 1.0)
-        assert w.omega == pytest.approx(1.0)
-        assert w.omega_plus == pytest.approx(3.0)
-        assert w.omega_minus == pytest.approx(-1.0)
-
-    def test_general_point(self):
-        w = Frequencies.from_couplings(2.0, 0.5)
-        assert w.omega == pytest.approx(np.sqrt(4.0 - 1.0 + 0.25))
 
 
 class TestClosedFormFidelity:
@@ -336,7 +323,7 @@ class TestFullChainTransfer:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.2])
     def test_truncated_krylov_matches_dense(self, monkeypatch, temperature):
-        # L = 8: the sector dim 126 exceeds m_max = 30, so the Lanczos basis is
+        # L = 8: the sector dim 126 exceeds _KRYLOV_DIM = 30, so the Lanczos basis is
         # truncated; the coarse grid (dt = 10) makes the error estimate halve dt
         steps = []
         krylov_step = transfer._krylov_step
@@ -492,7 +479,7 @@ class TestKrylovStep:
         matrix = self.random_symmetric(rng)
         psi = rng.standard_normal(matrix.shape[0]).astype(complex)
         with pytest.raises(PropagationError):
-            transfer._krylov_step(matrix, psi, 1.0, tol=0.0, m_max=2)
+            transfer._krylov_step(matrix, psi, 1.0, tol=0.0)
 
     def test_eigenvector_breaks_down_and_takes_full_step(self, rng):
         matrix = self.random_symmetric(rng)
@@ -515,7 +502,7 @@ class TestKrylovStep:
         np.testing.assert_array_equal(matrix.data.real, real.data)
 
     def test_chained_steps_match_dense_expm_at_L8(self):
-        # L = 8 transfer sector (dim 126 > m_max) against exp(-iHt) of the
+        # L = 8 transfer sector (dim 126 > _KRYLOV_DIM) against exp(-iHt) of the
         # Kronecker-product Hamiltonian restricted to the same sector
         spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
         sector = enumerate_sector(9, 1)
