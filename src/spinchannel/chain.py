@@ -169,18 +169,21 @@ def _reverse_bits(patterns: np.ndarray, n_sites: int) -> np.ndarray:
     return out >> np.uint64(-n_sites % 16)
 
 
-def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int]):
-    """Representative, chi(g_p), orbit size and survival of each pattern's orbit."""
+def _survives(diff: np.ndarray, full: np.uint64, signs: tuple[int, int]) -> np.ndarray:
+    """Whether the orbit of a pattern p with p ^ Rp = diff survives in the block."""
+    return ~(((diff == 0) & (signs[1] < 0)) | ((diff == full) & (signs[0] * signs[1] < 0)))
+
+
+def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int], mirrored=None):
+    """Representative, chi(g_p), orbit size and survival of each orbit; mirrored holds the Rp."""
     full = np.uint64((1 << n_sites) - 1)
     flipped = patterns ^ full
-    mirrored = _reverse_bits(patterns, n_sites)
+    mirrored = _reverse_bits(patterns, n_sites) if mirrored is None else mirrored
     rep = np.minimum(np.minimum(patterns, flipped), np.minimum(mirrored, mirrored ^ full))
     f, r = signs
     chi = np.select([rep == patterns, rep == flipped, rep == mirrored], [1.0, f, r], f * r)
-    fixed, swapped = mirrored == patterns, mirrored == flipped
-    size = np.where(fixed | swapped, 2.0, 4.0)
-    alive = ~((fixed & (r < 0)) | (swapped & (f * r < 0)))
-    return rep, chi, size, alive
+    size = np.where((mirrored == patterns) | (mirrored == flipped), 2.0, 4.0)
+    return rep, chi, size, _survives(patterns ^ mirrored, full, signs)
 
 
 def symmetry_block(sector: Sector, flip: int, reflect: int) -> Sector:
@@ -253,12 +256,12 @@ def build_bond_hamiltonian(
     orbit's representative or is dropped with it; the bond multiset must be
     mirror symmetric (i -> n_sites-1-i, same coupling), else ValueError.
 
-    The CSR arrays are filled directly, without COO triplets: each bond's
-    entries (int32 rows and columns) are counted per row, ``indptr`` is the
-    cumulative count, and the diagonal and then each bond are scattered into
-    their rows, each bond freed once written.  ``sum_duplicates`` then sorts
-    each row and sums partners folded onto one representative.  The index
-    dtype is scipy's ``get_index_dtype`` for nnz: int32 below 2**31, else int64.
+    Two passes over the bonds fill the CSR arrays, keeping no bond's entries
+    in between.  Pass 1 sums the diagonal and counts each row's entries,
+    dropping by bit operations on Rq = Rp ^ R(mask) each partner q = p ^ mask
+    whose orbit dies.  Pass 2 writes each row's diagonal, then the bonds'
+    entries in bond order; ``sum_duplicates`` sorts each row and sums partners
+    folded onto one representative.  Index dtype: scipy's ``get_index_dtype``.
     """
     if sector.n_sites != n_sites:
         raise DimensionError(
@@ -271,40 +274,53 @@ def build_bond_hamiltonian(
         [(n_sites - 1 - i, n_sites - 1 - j, c) for i, j, c in bonds]
     ):
         raise ValueError("a symmetry block needs mirror-symmetric bonds (i -> n_sites-1-i)")
-    basis = sector.basis
-    dim = basis.size
+    basis, signs = sector.basis, sector.signs
+    dim, last = basis.size, n_sites - 1
+    # each bond's coupling, flip mask and the mask's mirror image R(mask)
+    flips = [
+        (c, np.uint64((1 << i) | (1 << j)), np.uint64((1 << (last - i)) | (1 << (last - j))))
+        for i, j, c in bonds
+    ]
+    if signs is not None:
+        full = np.uint64((1 << n_sites) - 1)
+        mirrored = _reverse_bits(basis, n_sites)
+        row_size = _orbits(basis, n_sites, signs, mirrored)[2]
+
+    def flipped_rows(mask):  # rows whose two spins under the mask are anti-aligned
+        both = basis & mask
+        return (both != 0) & (both != mask)
+
     diag = np.zeros(dim)
-    diag_index = np.arange(dim, dtype=np.int32)
-    parts = [(diag_index, diag_index, diag)]  # diag is filled in place below
     counts = np.ones(dim, dtype=np.int32)
-    row_size = None if sector.signs is None else _orbits(basis, n_sites, sector.signs)[2]
-    for i, j, c in bonds:
-        bi = (basis >> np.uint64(i)) & np.uint64(1)
-        bj = (basis >> np.uint64(j)) & np.uint64(1)
-        aligned = bi == bj
-        diag += np.where(aligned, 0.25 * c, -0.25 * c)
+    for c, mask, rmask in flips:
+        anti = flipped_rows(mask)
+        diag += np.where(anti, -0.25 * c, 0.25 * c)
         if c == 0.0:
             continue
-        anti = np.nonzero(~aligned)[0]
-        partners = basis[anti] ^ np.uint64((1 << i) | (1 << j))
-        vals = np.full(anti.size, 0.5 * c)
-        if sector.signs is not None:
-            reps, chi, size, alive = _orbits(partners, n_sites, sector.signs)
-            anti, partners = anti[alive], reps[alive]
-            vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
-        counts[anti] += 1  # a row is anti-aligned at most once per bond
-        parts.append((anti.astype(np.int32), np.searchsorted(basis, partners).astype(np.int32), vals))
+        if signs is not None:  # q ^ Rq = (p ^ Rp) ^ (mask ^ R(mask))
+            anti &= _survives(basis ^ mirrored ^ (mask ^ rmask), full, signs)
+        counts += anti  # a row is anti-aligned at most once per bond
     index_dtype = get_index_dtype(maxval=int(counts.sum()))
     indptr = np.zeros(dim + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=index_dtype)
     data = np.empty(indptr[-1])
     fill = indptr[:-1].copy()  # next free slot of each row
-    while parts:
-        rows, cols, vals = parts.pop(0)
-        slots = fill[rows]
-        indices[slots], data[slots] = cols, vals
-        fill[rows] += 1
+    indices[fill], data[fill] = np.arange(dim), diag
+    fill += 1
+    for c, mask, rmask in flips:
+        if c == 0.0:
+            continue
+        anti = np.nonzero(flipped_rows(mask))[0]
+        partners = basis[anti] ^ mask
+        vals = np.full(anti.size, 0.5 * c)
+        if signs is not None:
+            reps, chi, size, alive = _orbits(partners, n_sites, signs, mirrored[anti] ^ rmask)
+            anti, partners = anti[alive], reps[alive]
+            vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
+        slots = fill[anti]
+        indices[slots], data[slots] = np.searchsorted(basis, partners), vals
+        fill[anti] += 1
     matrix = csr_matrix((data, indices, indptr), shape=(dim, dim))
     matrix.sum_duplicates()
     return SparseOperator(matrix)

@@ -217,12 +217,13 @@ def spectral_data(
 
     sector0 = enumerate_sector(spec.L, 0)
     singlet_sign = (-1) ** (spec.L // 2)
-    pairs = []
-    for sign in (singlet_sign, -singlet_sign):
-        block = symmetry_block(sector0, sign, sign)
-        (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed)
-        pairs.append(replace(pair, vector=expand_to_sector(block, sector0, pair.vector)))
-    ground, triplet = pairs
+    blocks = [symmetry_block(sector0, sign, sign) for sign in (singlet_sign, -singlet_sign)]
+    solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed)
+              for block in blocks]
+    ground, triplet = [  # expanded after both solves: no plain m = 0 vector lives through one
+        replace(pair, vector=expand_to_sector(block, sector0, pair.vector))
+        for block, (pair,) in zip(blocks, solves)
+    ]
 
     if triplet.energy - ground.energy <= 10.0 * tol:
         raise OrderingError(

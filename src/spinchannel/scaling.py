@@ -90,6 +90,7 @@ def gap_sweep(
             skipped.append(L)
             continue
         rows.append(GapRow(length=L, jp=jp, gap=sd.gap, e0=sd.e0))
+        del sd  # its sector and vectors would stay alive through the next, larger solve
     return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 
 

@@ -239,6 +239,32 @@ class TestTransferCommand:
         assert measured["tstar"] == pytest.approx(t_star, rel=0, abs=1e-9)
         assert measured["fstar"] == pytest.approx(f_star, rel=0, abs=1e-9)
 
+    # derived.deviation of the full chain from the three-spin closed forms at
+    # Jp = 0.1 (gamma = gap, default 600-point grid), pinned to 1e-6; the
+    # ceilings bound how far the three-spin reduction may drift there
+    @pytest.mark.parametrize(
+        "length, temperature, fstar_abs, tstar_rel",
+        [
+            (8, "0", 0.0021804460975851647, 0.004079486910090298),
+            (10, "0", 0.0024782404710278483, 0.001543446153722313),
+            (12, "0", 0.0027683712431325613, 0.0005925338404282699),
+            (8, "1e-3", 0.0018131728940327108, 0.0028369486109553993),
+        ],
+    )
+    def test_full_mode_deviation_pinned(self, tmp_path, length, temperature, fstar_abs, tstar_rel):
+        out = tmp_path / "full.csv"
+        code = run(
+            ["transfer", "--mode", "full", "--length", str(length), "--jp", "0.1",
+             "--gamma", "auto", "--temp-min", temperature, "--out", str(out)]
+        )
+        assert code == 0
+        deviation = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))[
+            "derived"]["deviation"]
+        assert deviation["fstar_abs"] == pytest.approx(fstar_abs, rel=0, abs=1e-6)
+        assert deviation["tstar_rel"] == pytest.approx(tstar_rel, rel=0, abs=1e-6)
+        assert deviation["fstar_abs"] <= 5e-3
+        assert deviation["tstar_rel"] <= 1e-2
+
     def test_full_mode_length_cap(self, monkeypatch, tmp_path):
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although the length is above the cap")

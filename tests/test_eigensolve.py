@@ -293,6 +293,27 @@ class TestSpectralData:
             spectral_data(spec)
         assert replaced == [7]
 
+    def test_both_block_solves_precede_the_expansions(self, monkeypatch):
+        # a plain m = 0 vector holds four block vectors' worth of entries; none
+        # may be alive while the second block is assembled and solved
+        solve = spinchannel.eigensolve.lowest_eigenpairs
+        expand = spinchannel.eigensolve.expand_to_sector
+        calls = []
+
+        def recorded_solve(op, *args, **kwargs):
+            calls.append(("solve", op.dim))
+            return solve(op, *args, **kwargs)
+
+        def recorded_expand(block, sector, vec):
+            calls.append(("expand", block.dim))
+            return expand(block, sector, vec)
+
+        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", recorded_solve)
+        monkeypatch.setattr(spinchannel.eigensolve, "expand_to_sector", recorded_expand)
+        spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
+        assert [name for name, _ in calls] == ["solve", "solve", "expand", "expand"]
+        assert [dim for _, dim in calls[2:]] == [dim for _, dim in calls[:2]]
+
     @pytest.mark.parametrize("length", [8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.2])
     def test_triplet_matches_m1_solve(self, length, jp):
