@@ -392,13 +392,13 @@ def apply_total_spin_ladder(
 ) -> tuple[Sector, np.ndarray]:
     """Total S+ (raising) or S- of a sector vector: (adjacent sector, image).
 
-    One pass per site; the targets of one site's flips are distinct, so
-    each pass is a plain scatter-add of matrix elements 1.
+    One pass per site, matrix elements 1.  Flipping bit i adds one constant to
+    every source pattern that can flip, so the sources map in order onto the
+    target patterns with bit i flipped: two masks pair them, no index search.
     """
     target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
     image = np.zeros(target.dim, dtype=np.result_type(vec, np.float64))
     for site in range(sector.n_sites):
         bit = np.uint64(1 << site)
-        src = np.nonzero(((sector.basis & bit) == 0) == raising)[0]
-        image[target.index_of(sector.basis[src] ^ bit)] += vec[src]
+        image[((target.basis & bit) != 0) == raising] += vec[((sector.basis & bit) == 0) == raising]
     return target, image

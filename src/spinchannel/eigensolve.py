@@ -3,8 +3,9 @@
 The workhorse is ARPACK's implicitly restarted Lanczos method, called
 through ``scipy.sparse.linalg.eigsh``; every pair it returns is checked
 against the absolute residual tolerance.  Start vectors come from a seeded
-generator so runs are bit-reproducible.  Sectors small enough to
-diagonalize densely are handled densely.
+generator so runs are bit-reproducible.  ARPACK keeps 12 Lanczos vectors, not
+scipy's 20: k = 1 needs ncv >= 2k (ARPACK Users' Guide), and 10-12 were fastest at L = 22.
+Blocks up to dim 256 (all m = 0 blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
 triplet, from two symmetry blocks of the m = 0 sector; SU(2) fixes
@@ -50,10 +51,10 @@ DEFAULT_TOL = 1e-10
 # Fixed seed for Lanczos start vectors; change only via the seed argument.
 DEFAULT_SEED = 1234
 
-_DENSE_CUTOFF = 64          # sectors this small go straight to numpy.linalg.eigh
+_DENSE_CUTOFF = 256         # eigh: ~10 ms at dim 252; the L = 10 transfer pins hold its vector
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
 _NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
-_ARPACK_NCV = None          # ARPACK's ncv, Lanczos vectors kept (None: its default)
+_ARPACK_NCV = 12            # Lanczos vectors kept for k <= 5 (2k + 1 above); they set the peak
 _ARPACK_MAXITER = 50_000    # ARPACK's maxiter, implicit restarts allowed
 
 # |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
@@ -141,8 +142,8 @@ def lowest_eigenpairs(
 
     ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
     started from a seeded random vector, so a fixed seed gives the same
-    pairs on one machine.  ARPACK's ``ncv`` and ``maxiter`` are the module
-    constants ``_ARPACK_NCV`` and ``_ARPACK_MAXITER``.  Every returned pair
+    pairs on one machine.  ARPACK keeps max(``_ARPACK_NCV``, 2k + 1) Lanczos
+    vectors and restarts at most ``_ARPACK_MAXITER`` times.  Every returned pair
     has a true residual |Hv - Ev| <= tol; otherwise, or when ARPACK runs
     out of restarts, ConvergenceError carries the residuals.
     """
@@ -158,7 +159,7 @@ def lowest_eigenpairs(
     if dim <= max(_DENSE_CUTOFF, 4 * k):
         return _dense_pairs(op, k)
 
-    ncv = None if _ARPACK_NCV is None else min(dim, _ARPACK_NCV)
+    ncv = min(dim, max(_ARPACK_NCV, 2 * k + 1))
     v0 = np.random.default_rng(seed).standard_normal(dim)
     # ARPACK accepts a Ritz value theta once its error estimate is at most
     # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.

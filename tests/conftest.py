@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, chain_bonds
 
 # single-site operators in basis order {down, up} so that bit i of the
@@ -55,3 +56,21 @@ def random_pure_qubit(rng) -> np.ndarray:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def arpack_dims(monkeypatch):
+    """Dims of the operators handed to ARPACK's eigsh while the test runs.
+
+    Sectors up to the dense cut-off bypass ARPACK; a Lanczos oracle checks
+    this list so that it cannot silently become a dense-vs-dense comparison.
+    """
+    true_eigsh = spinchannel.eigensolve.eigsh
+    dims = []
+
+    def counted(mat, *args, **kwargs):
+        dims.append(mat.shape[0])
+        return true_eigsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spinchannel.eigensolve, "eigsh", counted)
+    return dims

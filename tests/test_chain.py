@@ -239,7 +239,7 @@ class TestAssemblyMemory:
 
 
 class TestTotalSpinLadder:
-    """S+- of m = 0 eigenvectors against the kron-product total spin."""
+    """Total S+- against the kron-product total spin and the binary-search form."""
 
     @staticmethod
     def total_spin(n_sites):
@@ -269,6 +269,51 @@ class TestTotalSpinLadder:
                 assert image @ image == pytest.approx(s2, abs=1e-12)
                 np.testing.assert_allclose(image, dense_image[target.basis], rtol=0, atol=1e-12)
                 assert dense_image @ dense_image == pytest.approx(image @ image, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [6, 8])
+    @pytest.mark.parametrize("raising", [True, False])
+    def test_every_sector_matches_kron_oracle(self, length, raising):
+        s_plus, s_minus, _ = self.total_spin(length)
+        dense_op = s_plus if raising else s_minus
+        rng = np.random.default_rng(length)
+        step = 2 if raising else -2
+        for twice_sz in range(-length, length + 1, 2):
+            if abs(twice_sz + step) > length:
+                continue
+            sector = enumerate_sector(length, twice_sz)
+            vec = rng.standard_normal(sector.dim)
+            full = np.zeros(2**length)
+            full[sector.basis] = vec
+            target, image = apply_total_spin_ladder(sector, vec, raising)
+            dense_image = dense_op @ full
+            assert target.twice_sz == twice_sz + step
+            # the image lies inside the target sector and matches it there
+            assert dense_image @ dense_image == pytest.approx(image @ image, rel=1e-13)
+            np.testing.assert_allclose(image, dense_image[target.basis], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def searchsorted_ladder(sector, vec, raising):
+        """The ladder by binary search of each flipped pattern in the target basis."""
+        target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
+        image = np.zeros(target.dim)
+        for site in range(sector.n_sites):
+            bit = np.uint64(1 << site)
+            src = np.nonzero(((sector.basis & bit) == 0) == raising)[0]
+            image[np.searchsorted(target.basis, sector.basis[src] ^ bit)] += vec[src]
+        return image
+
+    @pytest.mark.parametrize("length", [12, 14])
+    def test_bit_identical_to_searchsorted_form(self, length):
+        rng = np.random.default_rng(length)
+        for twice_sz in range(-length, length + 1, 2):
+            sector = enumerate_sector(length, twice_sz)
+            vec = rng.standard_normal(sector.dim)
+            for raising in (True, False):
+                if abs(twice_sz + (2 if raising else -2)) > length:
+                    continue
+                _, image = apply_total_spin_ladder(sector, vec, raising)
+                expected = self.searchsorted_ladder(sector, vec, raising)
+                assert image.tobytes() == expected.tobytes()
 
 
 class TestGuards:

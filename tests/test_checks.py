@@ -28,3 +28,10 @@ def test_injected_fault_fails_the_check(monkeypatch, check, module, name, shift)
     monkeypatch.setattr(module, name, lambda *args, **kwargs: true_fn(*args, **kwargs) + shift)
     ok, detail = check(DEFAULT_TOL, DEFAULT_SEED)
     assert not ok, detail
+
+
+def test_lanczos_vs_dense_runs_arpack(arpack_dims):
+    # three couplings x the L = 12 sectors 2S_z = -2, 0, 2, all above the dense cut-off
+    ok, detail = checks.lanczos_vs_dense(DEFAULT_TOL, DEFAULT_SEED)
+    assert ok, detail
+    assert arpack_dims == [792, 924, 792] * 3

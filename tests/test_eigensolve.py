@@ -1,5 +1,7 @@
 """Lanczos eigensolver against the dense oracle, plus spectral_data checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
@@ -35,34 +37,75 @@ class TestLowestEigenpairs:
         assert pair.energy == pytest.approx(0.25, abs=1e-15)
         assert pair.residual == 0.0
 
+    # the L = 12 m = 0 sector (dim 924) is above the dense cut-off, so the
+    # oracles below compare ARPACK, not eigh, with the dense spectrum
     @pytest.mark.parametrize("jp", [0.1, 0.5, 1.0])
-    def test_L10_matches_dense(self, jp):
-        spec = ChainSpec(L=10, J=1.0, Jp=jp)
-        op = build_chain_hamiltonian(spec, enumerate_sector(10, 0))
+    def test_L12_matches_dense(self, jp, arpack_dims):
+        spec = ChainSpec(L=12, J=1.0, Jp=jp)
+        op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         pairs = lowest_eigenpairs(op, 2, 1e-10)
         dense = dense_spectrum(op)
+        assert arpack_dims == [924]
         assert pairs[0].energy == pytest.approx(dense[0], abs=1e-9)
         assert pairs[1].energy == pytest.approx(dense[1], abs=1e-9)
         assert pairs[0].residual <= 1e-10
         assert pairs[1].residual <= 1e-10
 
-    def test_restart_path(self, monkeypatch):
-        # force a small ARPACK subspace (ncv) so implicit restarts must happen
-        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 12)
-        spec = ChainSpec(L=10, J=1.0, Jp=0.3)
-        op = build_chain_hamiltonian(spec, enumerate_sector(10, 0))
+    def test_restart_path(self, monkeypatch, arpack_dims):
+        # force the smallest ARPACK subspace for k = 2 (ncv = 2k + 1 = 5) so
+        # that many implicit restarts must happen
+        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 5)
+        spec = ChainSpec(L=12, J=1.0, Jp=0.3)
+        op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         pairs = lowest_eigenpairs(op, 2, 1e-10)
         dense = dense_spectrum(op)
+        assert arpack_dims == [924]
         assert pairs[0].energy == pytest.approx(dense[0], abs=1e-9)
         assert pairs[1].energy == pytest.approx(dense[1], abs=1e-9)
 
-    def test_deterministic_given_seed(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
-        op = build_chain_hamiltonian(spec, enumerate_sector(8, 0))
+    def test_deterministic_given_seed(self, arpack_dims):
+        spec = ChainSpec(L=12, J=1.0, Jp=0.2)
+        op = build_chain_hamiltonian(spec, enumerate_sector(12, 2))
         a = lowest_eigenpairs(op, 2, seed=42)
         b = lowest_eigenpairs(op, 2, seed=42)
+        assert arpack_dims == [792, 792]
         assert a[0].energy == b[0].energy
         np.testing.assert_array_equal(a[0].vector, b[0].vector)
+
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_many_pairs_widen_the_subspace(self, k, arpack_dims):
+        # ARPACK needs ncv > k; ncv = max(_ARPACK_NCV, 2k + 1) keeps k >= 12 working
+        spec = ChainSpec(L=12, J=1.0, Jp=0.5)
+        op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
+        pairs = lowest_eigenpairs(op, k, 1e-10)
+        dense = dense_spectrum(op)
+        assert arpack_dims == [924]
+        np.testing.assert_allclose([p.energy for p in pairs], dense[:k], rtol=0, atol=1e-9)
+        assert max(p.residual for p in pairs) <= 1e-10
+
+    def test_subspace_memory_peak(self, monkeypatch):
+        # ARPACK's buffers grow by ~2 vectors of dim per Lanczos vector kept:
+        # tracemalloc reads ~29 such vectors with ncv = 12 and ~45 with 20.
+        # Only the eigsh call is measured, not the norm bound's row slices.
+        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
+        block = symmetry_block(enumerate_sector(18, 0), -1, -1)  # (s, s), s = (-1)^9
+        op = build_chain_hamiltonian(spec, block)
+        true_eigsh = spinchannel.eigensolve.eigsh
+        peaks = []
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                result = true_eigsh(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return result
+
+        monkeypatch.setattr(spinchannel.eigensolve, "eigsh", measured)
+        lowest_eigenpairs(op, 1)
+        assert len(peaks) == 1
+        assert peaks[0] <= 36 * op.dim * 8
 
     def test_variational_bound(self, rng):
         spec = ChainSpec(L=8, J=1.0, Jp=0.5)
@@ -74,7 +117,6 @@ class TestLowestEigenpairs:
             assert ground.energy <= np.dot(v, op.matrix @ v) + 1e-12
 
     def test_convergence_error_carries_residuals(self, monkeypatch):
-        monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 12)
         monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_MAXITER", 3)
         spec = ChainSpec(L=12, J=1.0, Jp=0.1)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
