@@ -137,6 +137,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Check the parsed settings; argparse gave flag > config file > default."""
     merged = {key: getattr(args, key) for key in _SETTINGS}
     merged["gamma"] = _parse_gamma(merged["gamma"])
+    if not merged["jp"]:
+        raise UsageError("--jp needs at least one value")
     if not 0.0 < merged["tol"] < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {merged['tol']}")
     if merged["temp_max"] is None:

@@ -72,24 +72,21 @@ def gap_sweep(
     diagonalization fails is recorded as missing rather than fabricated.
     """
     requested = [int(L) for L in lengths]
-    bad = [L for L in requested if L < 4 or L % 2]
-    if bad:
-        raise ValueError(f"lengths must be even and >= 4, got {bad}")
-    unique = sorted(set(requested))
+    specs = [ChainSpec(L=L, J=J, Jp=jp) for L in sorted(set(requested))]
     warnings, skipped = [], []
-    if len(unique) != len(requested):
+    if len(specs) != len(requested):
         dupes = sorted({L for L in requested if requested.count(L) > 1})
         warnings.append(f"duplicate lengths removed: {dupes}")
     rows = []
-    for L in unique:
+    for spec in specs:
         try:
-            sd = spectral_data(ChainSpec(L=L, J=J, Jp=jp), tol, seed=seed)
+            sd = spectral_data(spec, tol, seed=seed)
         except (ConvergenceError, OrderingError) as exc:
             # a failed length is recorded as missing, never fabricated
-            warnings.append(f"L = {L} skipped: {exc}")
-            skipped.append(L)
+            warnings.append(f"L = {spec.L} skipped: {exc}")
+            skipped.append(spec.L)
             continue
-        rows.append(GapRow(length=L, jp=jp, gap=sd.gap, e0=sd.e0))
+        rows.append(GapRow(length=spec.L, jp=jp, gap=sd.gap, e0=sd.e0))
         del sd  # its sector and vectors would stay alive through the next, larger solve
     return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 

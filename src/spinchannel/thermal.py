@@ -20,6 +20,7 @@ import numpy as np
 from .eigensolve import SpectralData
 
 __all__ = [
+    "SIGMA_DOT_SIGMA",
     "WERNER_MIN",
     "WERNER_MAX",
     "validate_werner_g",
@@ -29,6 +30,16 @@ __all__ = [
 
 WERNER_MIN = -1.0
 WERNER_MAX = 1.0 / 3.0
+
+# sigma_A . sigma_B of two qubits, basis order {up-up, up-down, down-up, down-down}
+SIGMA_DOT_SIGMA = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 2.0, 0.0],
+        [0.0, 2.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+)
 
 
 def validate_werner_g(g: float, tol: float = 1e-9) -> float:
@@ -61,12 +72,4 @@ def werner_density_matrix(g: float) -> np.ndarray:
     construction; positive semidefinite for g in [-1, 1/3].
     """
     g = validate_werner_g(g)
-    sigma_dot_sigma = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 2.0, 0.0],
-            [0.0, 2.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    return np.eye(4) / 4.0 + (g / 4.0) * sigma_dot_sigma
+    return np.eye(4) / 4.0 + (g / 4.0) * SIGMA_DOT_SIGMA

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .scaling import validity_window
-from .thermal import thermal_g, validate_werner_g, werner_density_matrix
+from .thermal import SIGMA_DOT_SIGMA, thermal_g, validate_werner_g, werner_density_matrix
 
 __all__ = [
     "DEFAULT_GAP_EXPONENT",
@@ -69,7 +69,6 @@ __all__ = [
 # L = 8..20, r^2 > 0.999); used only for the default validity window.
 DEFAULT_GAP_EXPONENT = 0.46
 
-_SERIES_WINDOW = 1e-6  # |g + 1| below which the closed forms switch to series
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
 
@@ -81,8 +80,8 @@ class EffectiveModel:
     j_eff     -- effective probe-probe coupling (the singlet-triplet gap)
     gamma     -- sender coupling
     g         -- Werner parameter of the initial probe pair
-    valid     -- True iff (Jp/J)^2 < L^(alpha-1) for the alpha given to
-                 effective_coupling: the window where the reduction is trusted
+    valid     -- True iff (Jp/J)^2 < L^(alpha-1) with alpha =
+                 DEFAULT_GAP_EXPONENT: the window where the reduction is trusted
     """
 
     j_eff: float
@@ -104,12 +103,11 @@ def effective_coupling(
     *,
     gamma="auto",
     temperature: float = 0.0,
-    alpha: float = DEFAULT_GAP_EXPONENT,
 ) -> EffectiveModel:
     """Three-spin model of a chain from its spectral_data: j_eff = gap, g thermal.
 
     gamma = "auto" resolves to the commensurate optimum gamma = j_eff; the
-    validity flag is scaling.validity_window of the chain.  No solve.
+    validity flag is scaling.validity_window at DEFAULT_GAP_EXPONENT.  No solve.
     """
     j_eff = spectral.gap
     if temperature == 0.0:
@@ -118,7 +116,7 @@ def effective_coupling(
         g = thermal_g(spectral, temperature)
     return EffectiveModel(
         j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g,
-        valid=validity_window(spec.Jp, spec.J, alpha, spec.L),
+        valid=validity_window(spec.Jp, spec.J, DEFAULT_GAP_EXPONENT, spec.L),
     )
 
 
@@ -159,17 +157,14 @@ def optimal_time(model: EffectiveModel) -> float:
 
     t* = (2/j_eff) arccos[ (1 - 2g - sqrt(12g^2 + 12g + 9)) / (4(1+g)) ]
 
-    The quotient is 0/0 at g = -1; within |g+1| <= 1e-6 the series
-    t* = pi/j_eff + (2/3)(g+1)/j_eff takes over (error O((g+1)^2)).
-    Elsewhere the argument is evaluated through its conjugate form
-    -2u / (3 - 2u + sqrt(12u^2 - 12u + 9)), u = g + 1, which is free of
-    the cancellation that plagues the raw quotient near g = -1.
+    The quotient is 0/0 at g = -1, so the argument is evaluated through
+    its conjugate form -2u / (3 - 2u + sqrt(12u^2 - 12u + 9)), u = g + 1,
+    which is free of that cancellation and exact at the singlet,
+    t* = pi/j_eff.
     """
     _require_commensurate(model)
     g = validate_werner_g(model.g)
     j = model.j_eff
-    if abs(g + 1.0) <= _SERIES_WINDOW:
-        return math.pi / j + (2.0 / 3.0) * (g + 1.0) / j
     u = g + 1.0
     arg = -2.0 * u / (3.0 - 2.0 * u + math.sqrt(12.0 * u * u - 12.0 * u + 9.0))
     arg = min(max(arg, -1.0), 1.0)
@@ -181,16 +176,14 @@ def max_fidelity(g: float) -> float:
 
     f* = [ sqrt(3 (4g^2+4g+3)^3) + 24g^2 + 66g + 33 ] / [ 48 (1+g)^2 ]
 
-    with the series 1 - (2/9)(g+1) + (1/18)(g+1)^2 within |g+1| <= 1e-6
-    (the quotient is 0/0 at g = -1).  For g + 1 <= 1/2 the quotient is
-    evaluated through its conjugate form, which removes the square-root
-    cancellation that would otherwise cost ~eps/(1+g)^2 in accuracy.
-    Never below 7/8, the g = 0 value.
+    The quotient is 0/0 at g = -1.  For g + 1 <= 1/2 it is evaluated
+    through its conjugate form, which removes the square-root cancellation
+    that would otherwise cost ~eps/(1+g)^2 in accuracy and gives f* = 1 at
+    the singlet; the conjugate form is 0/0 at g = 0, so the raw quotient
+    serves above.  Never below 7/8, the g = 0 value.
     """
     g = validate_werner_g(g)
     u = g + 1.0
-    if abs(u) <= _SERIES_WINDOW:
-        return 1.0 - (2.0 / 9.0) * u + u * u / 18.0
     x = 4.0 * u * u - 4.0 * u + 3.0  # = 4g^2 + 4g + 3
     root = math.sqrt(3.0 * x * x * x)
     if u <= 0.5:
@@ -253,24 +246,6 @@ def predicted_peak(model: EffectiveModel) -> tuple[float, float]:
 # three-spin unitary oracle
 # ---------------------------------------------------------------------------
 
-_S_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # basis order {down, up}
-_S_MINUS = _S_PLUS.T
-_S_Z = np.diag([-0.5, 0.5])
-
-
-def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Single-site operator on `site`, bit i of the composite index <-> site i."""
-    out = np.eye(1, dtype=complex)
-    for s in range(n_sites - 1, -1, -1):
-        out = np.kron(out, op if s == site else np.eye(2, dtype=complex))
-    return out
-
-
-def _heisenberg_bond_dense(i: int, j: int, n_sites: int) -> np.ndarray:
-    zz = _embed(_S_Z, i, n_sites) @ _embed(_S_Z, j, n_sites)
-    pm = _embed(_S_PLUS, i, n_sites) @ _embed(_S_MINUS, j, n_sites)
-    return (zz + 0.5 * (pm + pm.conj().T)).real
-
 
 def three_site_oracle(model: EffectiveModel, t, xi: np.ndarray):
     """Exact transfer fidelity from 8-dimensional unitary evolution at time(s) t.
@@ -283,13 +258,11 @@ def three_site_oracle(model: EffectiveModel, t, xi: np.ndarray):
     xi = np.asarray(xi, dtype=complex).reshape(2)
     xi = xi / np.linalg.norm(xi)
     xi_dm = np.outer(xi, xi.conj())
-    h = model.gamma * _heisenberg_bond_dense(0, 1, 3) + model.j_eff * _heisenberg_bond_dense(
-        1, 2, 3
-    )
+    bond = SIGMA_DOT_SIGMA / 4.0  # S.S of two spins 1/2
+    h = model.gamma * np.kron(np.eye(2), bond) + model.j_eff * np.kron(bond, np.eye(2))
     energies, modes = np.linalg.eigh(h)
-    # probe pair on bits (1, 2); the Werner state is invariant under swap
-    # and global flip, so neither the pair's kron order nor the thermal
-    # module's {up, down} basis order (here {down, up}) matters
+    # probe pair on bits (1, 2); S.S and the Werner state are invariant
+    # under swap and global flip, so neither kron order nor basis order matters
     rho0 = np.kron(werner_density_matrix(model.g), xi_dm)
     projector_b = np.kron(xi_dm, np.eye(4, dtype=complex))
     t = np.asarray(t, dtype=float)

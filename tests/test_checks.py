@@ -30,6 +30,17 @@ def test_injected_fault_fails_the_check(monkeypatch, check, module, name, shift)
     assert not ok, detail
 
 
+def test_channel_check_reads_shrink_factor(monkeypatch):
+    # theta off -g by 1e-10 must show against the simulated teleportation
+    true_fn = spinchannel.teleport.shrink_factor
+    monkeypatch.setattr(
+        spinchannel.teleport, "shrink_factor",
+        lambda g: spinchannel.teleport.DepolarizingChannel(theta=true_fn(g).theta + 1e-10),
+    )
+    ok, detail = checks.channel_state_independence(DEFAULT_TOL, DEFAULT_SEED)
+    assert not ok, detail
+
+
 def test_lanczos_vs_dense_runs_arpack(arpack_dims):
     # three couplings x the L = 12 sectors 2S_z = -2, 0, 2, all above the dense cut-off
     ok, detail = checks.lanczos_vs_dense(DEFAULT_TOL, DEFAULT_SEED)

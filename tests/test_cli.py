@@ -536,6 +536,27 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["gap-scan", "--l-min", "8", "--l-max", "10", "--jp", ""], None),
+            (["transfer", "--l-min", "8", "--l-max", "10", "--jp", ","], None),
+            (["gap-scan", "--l-min", "8", "--l-max", "10"], {"jp": []}),
+        ],
+        ids=["gap-scan-empty", "transfer-comma", "config-empty-list"],
+    )
+    def test_empty_jp_list_fails_before_any_solve(
+        self, monkeypatch, tmp_path, capsys, argv, config
+    ):
+        self._forbid_solves(monkeypatch)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "--jp needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command",
         [["teleport"], ["transfer", "--mode", "effective"], ["transfer", "--mode", "full"],
          ["share"]],

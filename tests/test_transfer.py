@@ -125,7 +125,13 @@ class TestOptimalTime:
         inside = EffectiveModel(j_eff=j, gamma=j, g=-1.0 + 9e-7)
         outside = EffectiveModel(j_eff=j, gamma=j, g=-1.0 + 2e-6)
         diff = abs(optimal_time(inside) - optimal_time(outside))
-        assert diff <= (2.0 / 3.0) * 1.2e-6  # slope (2/3)/j across the window
+        assert diff <= (2.0 / 3.0) * 1.2e-6  # slope (2/3)/j near g = -1
+
+    @pytest.mark.parametrize("u", [1e-7, 5e-7, 9e-7])
+    def test_matches_second_order_series_near_singlet(self, u):
+        # t* = pi + (2/3)u + (4/9)u^2 + O(u^3) at j = 1; u^3 is below the last bit of pi
+        model = EffectiveModel(j_eff=1.0, gamma=1.0, g=-1.0 + u)
+        assert abs(optimal_time(model) - (np.pi + 2.0 * u / 3.0 + 4.0 * u * u / 9.0)) <= 1e-15
 
     def test_raw_quotient_agreement(self):
         # conjugate form must equal the raw arccos argument away from g = -1
@@ -177,8 +183,8 @@ class TestMaxFidelity:
         assert max_fidelity(g) == pytest.approx(f_num, abs=1e-8)
 
     def test_series_continuity_at_switch(self):
-        # just outside the series window the closed form must agree with the
-        # series evaluated at the same point (series error there is O(u^3))
+        # near g = -1 the closed form must agree with its second-order
+        # series (series error there is O(u^3))
         for u in (2e-6, 1e-5, 1e-4):
             g = -1.0 + u
             series = 1.0 - (2.0 / 9.0) * u + u * u / 18.0
