@@ -56,7 +56,6 @@ from .scaling import (
     PowerLawFit,
     fit_power_law,
     gap_sweep,
-    validity_window,
 )
 from .teleport import (
     DepolarizingChannel,
@@ -75,7 +74,6 @@ from .thermal import (
     werner_density_matrix,
 )
 from .transfer import (
-    DEFAULT_GAP_EXPONENT,
     EffectiveModel,
     TransferCurve,
     closed_form_fidelity,

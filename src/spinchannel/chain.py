@@ -83,8 +83,8 @@ class ChainSpec:
             raise ValueError(f"J must be positive (antiferromagnetic) and finite, got {self.J}")
         if not 0.0 < self.Jp < inf:
             raise ValueError(f"Jp must be positive (antiferromagnetic) and finite, got {self.Jp}")
-        if self.gamma is not None and not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0 when present, got {self.gamma}")
+        if self.gamma is not None and not 0.0 <= self.gamma < inf:
+            raise ValueError(f"gamma must be >= 0 and finite when present, got {self.gamma}")
 
     @property
     def site_a(self) -> int:

@@ -189,6 +189,8 @@ def _single_temperature(cfg: RunConfig) -> float:
 def _temperature_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.temp_points < 1:
         raise UsageError("--temp-points must be >= 1")
+    if cfg.temp_points == 1 and cfg.temp_max != cfg.temp_min:
+        raise UsageError("--temp-points 1 needs --temp-max equal to --temp-min")
     if cfg.temp_scale == "log":
         if cfg.temp_min <= 0.0 or cfg.temp_max <= 0.0:
             raise UsageError("log temperature grid needs positive bounds")
@@ -312,13 +314,11 @@ def cmd_transfer(cfg: RunConfig) -> int:
     for spec in _chain_grid(cfg, lengths):
         sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
         for temperature in temps:
-            model = transfer.effective_coupling(spec, sd, gamma=cfg.gamma, temperature=temperature)
+            model = transfer.effective_coupling(sd, gamma=cfg.gamma, temperature=temperature)
             t_star, f_star = transfer.predicted_peak(model)
             rows.append([spec.L, spec.Jp, temperature, model.g, model.j_eff, t_star, f_star])
-            derived["points"].append(
-                {"L": spec.L, "jp": spec.Jp, "T": temperature, "gamma": model.gamma,
-                 "valid_window": model.valid}
-            )
+            derived["points"].append({"L": spec.L, "jp": spec.Jp, "T": temperature,
+                                      "gamma": model.gamma})
     _emit(cfg, ["L", "jp", "T", "g", "jeff", "tstar", "fstar"], rows, derived, warnings)
     return EXIT_OK
 
@@ -338,7 +338,7 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
     if not 0.0 < cfg.krylov_tol < math.inf:
         raise UsageError("--krylov-tol must be positive and finite")
     sd = eigensolve.spectral_data(base, cfg.tol, seed=cfg.seed)
-    model = transfer.effective_coupling(base, sd, gamma=cfg.gamma, temperature=temperature)
+    model = transfer.effective_coupling(sd, gamma=cfg.gamma, temperature=temperature)
     t_pred, f_pred = transfer.predicted_peak(model)
     t_max = cfg.t_max if cfg.t_max is not None else 1.35 * t_pred
     times = np.linspace(0.0, t_max, cfg.t_points)
@@ -371,7 +371,7 @@ def cmd_share(cfg: RunConfig) -> int:
     spec = _single_chain(cfg)
     temperature = _single_temperature(cfg)
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
-    model = transfer.effective_coupling(spec, sd, temperature=temperature)
+    model = transfer.effective_coupling(sd, temperature=temperature)
     r = entangle.sharing_report(model.g)
     header = ["g", "f_star", "error_probability", "concurrence_out", "concurrence_in",
               "enhancement"]

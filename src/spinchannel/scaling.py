@@ -26,7 +26,6 @@ __all__ = [
     "PowerLawFit",
     "gap_sweep",
     "fit_power_law",
-    "validity_window",
 ]
 
 DEFAULT_FIT_MIN_LENGTH = 8
@@ -115,16 +114,3 @@ def fit_power_law(table: GapTable) -> PowerLawFit:
         r_squared=r_squared,
         n_points=len(rows),
     )
-
-
-def validity_window(jp: float, J: float, alpha: float, L: int) -> bool:
-    """True iff (jp/J)^2 < L^(alpha - 1), the window where the three-spin
-    reduction of the chain is trusted (small-coupling form of the gap
-    prefactor)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if jp <= 0.0 or J <= 0.0:
-        raise ValueError("couplings must be positive")
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
-    return (jp / J) ** 2 < L ** (alpha - 1.0)

@@ -49,7 +49,7 @@ def validate_werner_g(g: float, tol: float = 1e-9) -> float:
     out raises ValueError.
     """
     g = float(g)
-    if g < WERNER_MIN - tol or g > WERNER_MAX + tol:
+    if not WERNER_MIN - tol <= g <= WERNER_MAX + tol:
         raise ValueError(f"Werner parameter g = {g} outside [{WERNER_MIN}, {WERNER_MAX:.6g}]")
     return min(max(g, WERNER_MIN), WERNER_MAX)
 

@@ -48,11 +48,9 @@ from .errors import (
     PropagationError,
     UnsupportedRegimeError,
 )
-from .scaling import validity_window
 from .thermal import SIGMA_DOT_SIGMA, thermal_g, validate_werner_g, werner_density_matrix
 
 __all__ = [
-    "DEFAULT_GAP_EXPONENT",
     "EffectiveModel",
     "TransferCurve",
     "effective_coupling",
@@ -65,10 +63,6 @@ __all__ = [
     "full_chain_transfer",
 ]
 
-# Gap-decay exponent fitted by this package's own sweeps (Jp = 0.1,
-# L = 8..20, r^2 > 0.999); used only for the default validity window.
-DEFAULT_GAP_EXPONENT = 0.46
-
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
 
@@ -80,44 +74,33 @@ class EffectiveModel:
     j_eff     -- effective probe-probe coupling (the singlet-triplet gap)
     gamma     -- sender coupling
     g         -- Werner parameter of the initial probe pair
-    valid     -- True iff (Jp/J)^2 < L^(alpha-1) with alpha =
-                 DEFAULT_GAP_EXPONENT: the window where the reduction is trusted
     """
 
     j_eff: float
     gamma: float
     g: float
-    valid: bool = True
 
     def __post_init__(self):
-        if self.j_eff <= 0.0:
-            raise ValueError(f"j_eff must be positive, got {self.j_eff}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 < self.j_eff < math.inf:
+            raise ValueError(f"j_eff must be positive and finite, got {self.j_eff}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
         validate_werner_g(self.g)
 
 
 def effective_coupling(
-    spec: ChainSpec,
-    spectral: SpectralData,
-    *,
-    gamma="auto",
-    temperature: float = 0.0,
+    spectral: SpectralData, *, gamma="auto", temperature: float = 0.0
 ) -> EffectiveModel:
     """Three-spin model of a chain from its spectral_data: j_eff = gap, g thermal.
 
-    gamma = "auto" resolves to the commensurate optimum gamma = j_eff; the
-    validity flag is scaling.validity_window at DEFAULT_GAP_EXPONENT.  No solve.
+    gamma = "auto" resolves to the commensurate optimum gamma = j_eff.  No solve.
     """
     j_eff = spectral.gap
     if temperature == 0.0:
         g = validate_werner_g(spectral.gzz_ground)
     else:
         g = thermal_g(spectral, temperature)
-    return EffectiveModel(
-        j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g,
-        valid=validity_window(spec.Jp, spec.J, DEFAULT_GAP_EXPONENT, spec.L),
-    )
+    return EffectiveModel(j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g)
 
 
 def closed_form_fidelity(model: EffectiveModel, t):
@@ -200,8 +183,8 @@ def numeric_peak(model: EffectiveModel, t_max: float):
     for any gamma, serving as the oracle for the commensurate closed forms
     and as the fallback away from them.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     ts = np.linspace(0.0, t_max, _PEAK_SCAN_POINTS)
     fs = closed_form_fidelity(model, ts)
     interior = np.nonzero((fs[1:-1] > fs[:-2]) & (fs[1:-1] >= fs[2:]))[0]

@@ -85,9 +85,9 @@ class TestChainSpec:
             ChainSpec(L=4, Jp=0.0)
         with pytest.raises(ValueError):
             ChainSpec(L=4, gamma=-0.1)
-        with pytest.raises(ValueError):
-            ChainSpec(L=4, gamma=float("nan"))
         for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+                ChainSpec(L=4, gamma=value)
             for field in ("J", "Jp"):
                 with pytest.raises(ValueError, match=f"{field} must be positive"):
                     ChainSpec(L=4, **{field: value})

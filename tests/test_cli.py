@@ -166,6 +166,9 @@ class TestTransferCommand:
             cold = sel[sel[:, 2] == 0.0][0, 6]
             warm = sel[sel[:, 2] > 0.0][0, 6]
             assert warm < cold
+        sidecar = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        for point in sidecar["derived"]["points"]:
+            assert set(point) == {"L", "jp", "T", "gamma"}
 
     def test_full_mode_curve_and_sidecar(self, tmp_path):
         out = tmp_path / "full.csv"
@@ -486,6 +489,22 @@ class TestConfigFile:
         monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
         argv = command + ["--length", "4", "--jp", "0.5", "--out", str(tmp_path / "x.csv")]
         assert run(argv + flags) == 2
+
+    @pytest.mark.parametrize(
+        "command", [["teleport"], ["transfer", "--mode", "effective"]],
+        ids=["teleport", "transfer-effective"],
+    )
+    def test_one_point_grid_with_a_range_fails_before_any_solve(
+        self, monkeypatch, capsys, tmp_path, command
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectral_data ran although --temp-max would be dropped")
+
+        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
+        argv = command + ["--length", "8", "--jp", "0.2", "--temp-min", "0.01",
+                          "--temp-max", "0.1", "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 2
+        assert "--temp-points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["effective", "full"])
     @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])

@@ -7,13 +7,7 @@ import spinchannel.scaling
 from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector
 from spinchannel.eigensolve import dense_spectrum, spectral_data
 from spinchannel.errors import ConvergenceError, InsufficientDataError
-from spinchannel.scaling import (
-    GapRow,
-    GapTable,
-    fit_power_law,
-    gap_sweep,
-    validity_window,
-)
+from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep
 
 
 def synthetic_table(c, alpha, lengths, jp=0.2):
@@ -103,22 +97,3 @@ class TestGapSweep:
         trimmed_fit = fit_power_law(trimmed)
         assert abs(full_fit.alpha - trimmed_fit.alpha) < 0.1
 
-
-class TestValidityWindow:
-    def test_weak_coupling_inside(self):
-        assert validity_window(0.1, 1.0, 0.5, 16)
-
-    def test_uniform_chain_outside(self):
-        assert not validity_window(1.0, 1.0, 0.5, 16)
-        assert not validity_window(1.0, 1.0, 0.9, 1000)
-
-    def test_boundary_is_excluded(self):
-        alpha, L = 0.5, 16
-        jp = L ** ((alpha - 1.0) / 2.0)
-        assert not validity_window(jp, 1.0, alpha, L)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            validity_window(0.1, 1.0, 1.5, 8)
-        with pytest.raises(ValueError):
-            validity_window(0.1, 1.0, -0.2, 8)

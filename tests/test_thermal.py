@@ -68,6 +68,8 @@ class TestValidateWernerG:
             validate_werner_g(-1.1)
         with pytest.raises(ValueError):
             validate_werner_g(0.5)
+        with pytest.raises(ValueError):
+            validate_werner_g(float("nan"))
 
 
 class TestWernerDensityMatrix:

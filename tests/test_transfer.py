@@ -225,15 +225,20 @@ class TestNumericPeak:
 
 
 class TestEffectiveCoupling:
-    @pytest.mark.parametrize("gamma", [-0.1, float("nan")])
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
     def test_bad_gamma_rejected(self, gamma):
+        # each bad gamma is a bad j_eff and a bad numeric_peak t_max as well
         with pytest.raises(ValueError, match="gamma"):
             EffectiveModel(j_eff=1.0, gamma=gamma, g=-1.0)
+        with pytest.raises(ValueError, match="j_eff"):
+            EffectiveModel(j_eff=gamma, gamma=1.0, g=-1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            numeric_peak(EffectiveModel(j_eff=1.0, gamma=1.0, g=-1.0), gamma)
 
     def test_jeff_is_the_gap(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec)
-        model = effective_coupling(spec, sd)
+        model = effective_coupling(sd)
         assert model.j_eff == pytest.approx(sd.gap, abs=1e-12)
         assert model.g == pytest.approx(sd.gzz_ground, abs=1e-12)
         assert model.gamma == pytest.approx(sd.gap)  # "auto"
@@ -241,20 +246,14 @@ class TestEffectiveCoupling:
     def test_perturbative_scaling_of_jeff(self):
         strong_spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         weak_spec = ChainSpec(L=8, J=1.0, Jp=0.1)
-        strong = effective_coupling(strong_spec, spectral_data(strong_spec)).j_eff
-        weak = effective_coupling(weak_spec, spectral_data(weak_spec)).j_eff
+        strong = effective_coupling(spectral_data(strong_spec)).j_eff
+        weak = effective_coupling(spectral_data(weak_spec)).j_eff
         assert 3.0 < strong / weak < 5.5  # ~4x from the quadratic prefactor
-
-    def test_validity_flag(self):
-        weak = ChainSpec(L=8, J=1.0, Jp=0.1)
-        strong = ChainSpec(L=8, J=1.0, Jp=1.0)
-        assert effective_coupling(weak, spectral_data(weak)).valid
-        assert not effective_coupling(strong, spectral_data(strong)).valid
 
     def test_finite_temperature_g(self):
         spec = ChainSpec(L=8, J=1.0, Jp=0.2)
         sd = spectral_data(spec)
-        model = effective_coupling(spec, sd, temperature=sd.gap)
+        model = effective_coupling(sd, temperature=sd.gap)
         assert model.g > sd.gzz_ground
 
 
@@ -452,8 +451,8 @@ class TestCouplingScale:
         assert sd_scaled.e0 == pytest.approx(lam * sd.e0, rel=1e-10, abs=0)
         assert sd_scaled.gap == pytest.approx(lam * sd.gap, rel=1e-10, abs=0)
         for temperature in (0.0, 0.02, 0.3):
-            g = effective_coupling(base, sd, temperature=temperature).g
-            g_scaled = effective_coupling(scaled, sd_scaled, temperature=lam * temperature).g
+            g = effective_coupling(sd, temperature=temperature).g
+            g_scaled = effective_coupling(sd_scaled, temperature=lam * temperature).g
             assert g_scaled == pytest.approx(g, abs=1e-10)
 
     @pytest.mark.parametrize("lam", [0.5, 3.0])
