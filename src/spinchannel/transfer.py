@@ -22,7 +22,7 @@ Everything closed-form is cross-checked here against two independent
 routes: exact 8-dimensional unitary evolution (``three_site_oracle``) and
 Krylov-propagated dynamics of the full (L+1)-site chain
 (``full_chain_transfer``).  SU(2) and global spin flip put the whole
-T > 0 mixture of the latter into one magnetization sector as three states.
+T > 0 mixture of the latter into two trajectories in one magnetization sector.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from scipy.linalg.blas import zaxpy
 from .chain import (
     ChainSpec,
     _pauli_z_signs,
-    apply_total_spin_ladder,
     build_transfer_hamiltonian,
     enumerate_sector,
 )
@@ -45,6 +44,7 @@ from .eigensolve import SpectralData
 from .errors import (
     ConfigError,
     FlatCurveError,
+    OrderingError,
     PropagationError,
     UnsupportedRegimeError,
 )
@@ -346,39 +346,20 @@ def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
         yield psi
 
 
-def _propagate_expectation(matrix, signs: np.ndarray, states, weights: np.ndarray, times, tol):
-    """sum_ij W_ij Re <psi_i(t)|sigma_z|psi_j(t)> on the grid, sigma_z given by its signs.
+def _flip_ladder(sector, raising: bool) -> np.ndarray:
+    """Total S+ after spin flip F (S- if not raising) as columns: S+- F v = v[columns].sum(0).
 
-    The states move in lockstep, each on its own trajectory (own dt hint),
-    since a cross term needs two of them at the same t.  sigma_z is diagonal,
-    so each nonzero W_ij, i <= j, costs one dot product per grid point.
+    Site i's term maps a pattern with bit i set (clear) to it with every other
+    bit complemented, which reverses the sorted order of those patterns; each
+    pattern has n such bits, so columns has shape (n, dim); int32 halves its memory.
     """
-    upper = zip(*np.nonzero(np.triu(weights)))  # W is symmetric: i < j stands for both
-    terms = [(i, j, weights[i, j] * (1 if i == j else 2)) for i, j in upper]
-    lockstep = zip(*(_trajectory(matrix, psi, times, tol) for psi in states))
-    forms = (sum(w * np.vdot(ps[i], signs * ps[j]).real for i, j, w in terms) for ps in lockstep)
-    return np.fromiter(forms, float, len(times))
-
-
-def _thermal_branches(spectral: SpectralData, temperature: float, sender_up: bool):
-    """Chain states of the truncated thermal mixture and their weight matrix W.
-
-    Returns ([(chain sector, vector, sender bit), ...], W) for the theta(t)
-    formula of full_chain_transfer: ground alone with W = [[1]] at T = 0;
-    ground, T0 and S+-|T0>/sqrt(2) (S+ for sender up, with the sender
-    flipped) at T > 0.  No eigensolve is made here.
-    """
-    sector0 = spectral.sector
-    bit = 1 if sender_up else 0
-    states = [(sector0, spectral.ground, bit)]
-    if temperature == 0.0:
-        return states, np.ones((1, 1))
-    x = math.exp(-spectral.gap / temperature)
-    sector, image = apply_total_spin_ladder(sector0, spectral.triplet, raising=sender_up)
-    states += [(sector0, spectral.triplet, bit), (sector, image / math.sqrt(2.0), 1 - bit)]
-    w = x / (1.0 + 3.0 * x)
-    c = math.sqrt(2.0) * w
-    return states, np.array([[1.0 / (1.0 + 3.0 * x), 0, 0], [0, 3.0 * w, c], [0, c, 0]])
+    n = (sector.n_sites + (sector.twice_sz if raising else -sector.twice_sz)) // 2
+    columns, filled = np.empty((n, sector.dim), dtype=np.int32), np.zeros(sector.dim, dtype=np.intp)
+    for site in range(sector.n_sites):
+        rows = np.nonzero(((sector.basis >> np.uint64(site)) & np.uint64(1)) == raising)[0]
+        columns[filled[rows], rows] = rows[::-1]
+        filled[rows] += 1
+    return columns
 
 
 def full_chain_transfer(
@@ -398,17 +379,21 @@ def full_chain_transfer(
     One sector, 2Sz = +1 for sender up and -1 for sender down, holds it all:
 
         theta(t) = w0 <G|sigma_z(B)|G>
-                   + w [3 <T0|sigma_z(B)|T0> + 2 sqrt(2) Re <P|sigma_z(B)|T0>]
+                   + w [3 <T|sigma_z(B)|T> + 2 sqrt(2) Re <P|sigma_z(B)|T>]
 
-    G and T0 are ground and m = 0 triplet tensored with the sender; P is
+    G and T are ground and m = 0 triplet T0 tensored with the sender; P is
     S+-|T0>/sqrt(2) tensored with the flipped sender.  Spin flip maps the
     m = -+1 member to -<P|sigma_z(B)|P>; the m = +-1 member is pure S = 3/2,
-    so by SU(2) its sigma_z(B) is 3x that of (P + sqrt(2) T0)/sqrt(3), and
-    the P diagonal terms cancel.  The three states are Krylov-propagated in
-    lockstep; the peak is read off the grid with parabolic refinement.
+    so by SU(2) its sigma_z(B) is 3x that of (P + sqrt(2) T)/sqrt(3), and
+    the P diagonal terms cancel.  H commutes with global spin flip F and total
+    S+-: with f = <T0|F|T0> = +-1, F maps T0 with the flipped sender to f T,
+    whose S+- is sqrt(2) P + T, so P(t) = (f S+- F T(t) - T(t))/sqrt(2) and
+    the bracket is <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.
 
-    Memory and time grow combinatorially with L; the command line caps L
-    at cli.FULL_CHAIN_LENGTH_CAP.
+    Only G and T are Krylov-propagated, in lockstep; the peak is read off the
+    grid with parabolic refinement.  At T > 0, |f| != 1 beyond 1e-8 raises
+    OrderingError before any assembly.  Memory and time grow combinatorially
+    with L; the command line caps L at cli.FULL_CHAIN_LENGTH_CAP.
     """
     if spec.gamma is None:
         raise ConfigError("full_chain_transfer needs a spec with a sender coupling")
@@ -421,15 +406,30 @@ def full_chain_transfer(
         raise ValueError("time grid must start at 0 and increase strictly")
     if spectral.sector is None or spectral.sector.n_sites != spec.L:
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
+    if temperature > 0.0:  # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
+        parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
+        if abs(abs(parity) - 1.0) > 1e-8:
+            raise OrderingError(f"triplet spin-flip parity <T0|F|T0> = {parity:.6g}, not +-1")
 
-    branches, weights = _thermal_branches(spectral, temperature, sender_up)
     sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
-    hamiltonian = build_transfer_hamiltonian(spec, sector)
-    states = np.zeros((len(branches), sector.dim), dtype=complex)
-    for psi0, (chain_sector, vector, bit) in zip(states, branches):
-        psi0[sector.index_of((chain_sector.basis << np.uint64(1)) | np.uint64(bit))] = vector
+    hamiltonian = build_transfer_hamiltonian(spec, sector).matrix
+    rows = sector.index_of((spectral.sector.basis << np.uint64(1)) | np.uint64(sender_up))
+    psi0 = np.zeros((2, sector.dim), dtype=complex)
+    psi0[:, rows] = spectral.ground, spectral.triplet
+    ground = _trajectory(hamiltonian, psi0[0], times, krylov_tol)
     signs = _pauli_z_signs(sector, spec.L)
-    theta = _propagate_expectation(hamiltonian.matrix, signs, states, weights, times, krylov_tol)
+    if temperature == 0.0:
+        forms = (np.vdot(g, signs * g).real for g in ground)
+    else:
+        x = math.exp(-spectral.gap / temperature)
+        w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
+        flip_ladder = _flip_ladder(sector, raising=sender_up)
+        forms = (
+            w0 * np.vdot(g, signs * g).real
+            + w * np.vdot(t + 2.0 * parity * t[flip_ladder].sum(axis=0), signs * t).real
+            for g, t in zip(ground, _trajectory(hamiltonian, psi0[1], times, krylov_tol))
+        )
+    theta = np.fromiter(forms, float, times.size)
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
+    apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
@@ -19,6 +20,7 @@ from spinchannel.eigensolve import SpectralData, lowest_eigenpairs, spectral_dat
 from spinchannel.errors import (
     ConfigError,
     FlatCurveError,
+    OrderingError,
     PropagationError,
     UnsupportedRegimeError,
 )
@@ -385,12 +387,58 @@ class TestFullChainTransfer:
         )
         assert built == [twice_sz]
 
+    @pytest.mark.parametrize("temperature, trajectories", [(0.0, 1), (0.2, 2)])
+    @pytest.mark.parametrize("sender_up", [True, False])
+    def test_trajectories_per_run(self, monkeypatch, temperature, trajectories, sender_up):
+        # ground alone at T = 0; ground and T0 at T > 0, the S+- branch follows from T0's
+        started = []
+        trajectory = transfer._trajectory
+
+        def recorded(matrix, psi, times, tol):
+            started.append(psi.size)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", recorded)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        full_chain_transfer(
+            spec, temperature, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec),
+            sender_up=sender_up,
+        )
+        assert len(started) == trajectories
+
+    @pytest.mark.parametrize("sender_up", [True, False])
+    def test_triplet_without_flip_parity_raises_before_assembly(self, monkeypatch, sender_up):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("transfer Hamiltonian assembled for a triplet of mixed parity")
+
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        sd = chain_spectral(spec)
+        # G and T0 have opposite spin-flip parities, so their sum has <F> = 0
+        mixed = replace(sd, triplet=(sd.ground + sd.triplet) / np.sqrt(2.0))
+        with pytest.raises(OrderingError, match="parity"):
+            full_chain_transfer(
+                spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=mixed, sender_up=sender_up
+            )
+
+    @pytest.mark.parametrize("raising", [True, False])
+    def test_flip_ladder_is_ladder_after_reversal(self, rng, raising):
+        # F maps the 2Sz = +-1 sector onto -+1 by reversing the sorted basis
+        sector = enumerate_sector(7, 1 if raising else -1)
+        vec = rng.standard_normal(sector.dim)
+        flipped = enumerate_sector(7, -sector.twice_sz)
+        target, image = apply_total_spin_ladder(flipped, vec[::-1], raising=raising)
+        assert target.twice_sz == sector.twice_sz
+        np.testing.assert_allclose(
+            vec[transfer._flip_ladder(sector, raising)].sum(axis=0), image, rtol=0.0, atol=1e-14
+        )
+
     @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_krylov_tol_fails_before_any_solve(self, monkeypatch, krylov_tol):
         def no_solve(*args, **kwargs):
-            raise AssertionError("eigensolve ran although krylov_tol is invalid")
+            raise AssertionError("transfer Hamiltonian assembled although krylov_tol is invalid")
 
-        monkeypatch.setattr(transfer, "_thermal_branches", no_solve)
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_solve)
         spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
         sd = chain_spectral(spec)
         with pytest.raises(ValueError, match="krylov_tol"):
