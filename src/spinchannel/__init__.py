@@ -7,83 +7,15 @@ singlet-triplet gap.  The ``spinchannel`` command-line tool drives sweeps
 and writes deterministic CSV/JSON output.
 """
 
-from .chain import (
-    ChainSpec,
-    Sector,
-    SparseOperator,
-    build_bond_hamiltonian,
-    build_chain_hamiltonian,
-    build_transfer_hamiltonian,
-    chain_bonds,
-    enumerate_sector,
-    pauli_xx_expectation,
-    pauli_z_expectation,
-    pauli_zz_expectation,
-)
-from .eigensolve import (
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    EigenPair,
-    SpectralData,
-    dense_spectrum,
-    lowest_eigenpairs,
-    spectral_data,
-)
-from .entangle import (
-    SharingResult,
-    concurrence,
-    shared_output_state,
-    sharing_concurrence,
-    sharing_report,
-    werner_concurrence,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DimensionError,
-    FlatCurveError,
-    InsufficientDataError,
-    NoThresholdError,
-    OrderingError,
-    PropagationError,
-    SectorError,
-    SpinChainError,
-    UnsupportedRegimeError,
-)
-from .scaling import (
-    GapRow,
-    GapTable,
-    PowerLawFit,
-    fit_power_law,
-    gap_sweep,
-)
-from .teleport import (
-    DepolarizingChannel,
-    FidelityCurve,
-    apply_channel,
-    fidelity_curve,
-    shrink_factor,
-    teleport_fidelity,
-    threshold_temperature,
-)
-from .thermal import (
-    WERNER_MAX,
-    WERNER_MIN,
-    thermal_g,
-    validate_werner_g,
-    werner_density_matrix,
-)
-from .transfer import (
-    EffectiveModel,
-    TransferCurve,
-    closed_form_fidelity,
-    effective_coupling,
-    full_chain_transfer,
-    max_fidelity,
-    numeric_peak,
-    optimal_time,
-    predicted_peak,
-    three_site_oracle,
-)
+# the package namespace is the union of the modules' public names: __all__,
+# or every public class of errors
+from .chain import *  # noqa: F403
+from .eigensolve import *  # noqa: F403
+from .entangle import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .scaling import *  # noqa: F403
+from .teleport import *  # noqa: F403
+from .thermal import *  # noqa: F403
+from .transfer import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -53,6 +53,7 @@ __all__ = [
     "build_transfer_hamiltonian",
     "symmetry_block",
     "expand_to_sector",
+    "grow_into_block",
     "pauli_z_expectation",
     "pauli_zz_expectation",
     "pauli_xx_expectation",
@@ -182,7 +183,7 @@ def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int], mirrored
     rep = np.minimum(np.minimum(patterns, flipped), np.minimum(mirrored, mirrored ^ full))
     f, r = signs
     chi = np.select([rep == patterns, rep == flipped, rep == mirrored], [1.0, f, r], f * r)
-    size = np.where((mirrored == patterns) | (mirrored == flipped), 2.0, 4.0)
+    size = _orbit_sizes(patterns, mirrored, n_sites)
     return rep, chi, size, _survives(patterns ^ mirrored, full, signs)
 
 
@@ -197,17 +198,54 @@ def symmetry_block(sector: Sector, flip: int, reflect: int) -> Sector:
     return Sector(sector.n_sites, 0, basis, (flip, reflect))
 
 
+def _orbit_sizes(patterns: np.ndarray, mirrored: np.ndarray, n_sites: int) -> np.ndarray:
+    full = np.uint64((1 << n_sites) - 1)  # |O| = 2 when Rp = p or Rp = ~p
+    return np.where((mirrored == patterns) | (mirrored == patterns ^ full), 2.0, 4.0)
+
+
 def expand_to_sector(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
-    """Plain-sector image chi(g_p) vec[rep(p)] / sqrt(|O_p|): an isometry commuting with H."""
+    """Plain-sector image chi(g_p) vec[rep(p)] / sqrt(|O_p|): an isometry commuting with H.
+
+    A scatter with no orbit search: a = vec[r] / sqrt|O_r| goes to r and R a to
+    Rr, and F a and F R a to their complements, at dim - 1 - position since F
+    reverses the sorted basis.  Patterns of dead orbits stay 0.
+    """
     if block.signs is None or sector.signs is not None or sector.twice_sz != 0:
         raise SectorError("expand_to_sector maps a symmetry block into a plain 2Sz = 0 sector")
     if sector.n_sites != block.n_sites:
         raise SectorError(f"block has {block.n_sites} sites, sector has {sector.n_sites}")
     if len(vec) != block.dim:
         raise DimensionError(f"vector has length {len(vec)}, block has dim {block.dim}")
-    rep, chi, size, alive = _orbits(sector.basis, sector.n_sites, block.signs)
-    index = np.minimum(np.searchsorted(block.basis, rep), block.dim - 1)
-    return np.where(alive, chi * vec[index] / np.sqrt(size), 0.0)
+    (flip, reflect), last = block.signs, sector.dim - 1
+    mirrored = _reverse_bits(block.basis, block.n_sites)
+    a = vec / np.sqrt(_orbit_sizes(block.basis, mirrored, block.n_sites))
+    pos, pos_r = sector.index_of(block.basis), sector.index_of(mirrored)
+    out = np.zeros(sector.dim)
+    out[pos], out[last - pos] = a, flip * a
+    out[pos_r], out[last - pos_r] = reflect * a, flip * reflect * a
+    return out
+
+
+def grow_into_block(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
+    """Block vector at L of a plain m = 0 vector at L - 2 with a singlet on sites L/2 - 1, L/2.
+
+    The singlet keeps total spin and flips F and R: (s, s) at L - 2 grows into
+    (-s, -s).  A gather: r gets +-sqrt(|O_r| / 2) vec[r'], r' = r less the two
+    middle bits, + if site L/2 - 1 is up, and 0 if they are aligned.
+    """
+    if block.signs is None or sector.signs is not None or sector.twice_sz != 0:
+        raise SectorError("grow_into_block maps a plain 2Sz = 0 sector into a symmetry block")
+    if sector.n_sites != block.n_sites - 2 or len(vec) != sector.dim:
+        raise DimensionError(f"need a vector of the {block.n_sites - 2}-site m = 0 sector")
+    one, low = np.uint64(1), np.uint64(block.n_sites // 2 - 1)
+    up = (block.basis >> low) & one
+    anti = np.nonzero(up != (block.basis >> (low + one)) & one)[0]
+    reps, up = block.basis[anti], up[anti]
+    kept = (reps & ((one << low) - one)) | ((reps >> (low + one + one)) << low)
+    size = _orbit_sizes(reps, _reverse_bits(reps, block.n_sites), block.n_sites)
+    out = np.zeros(block.dim)
+    out[anti] = np.where(up == one, 1.0, -1.0) * np.sqrt(size / 2.0) * vec[sector.index_of(kept)]
+    return out
 
 
 class SparseOperator:

@@ -12,8 +12,10 @@ validate   run the oracle cross-checks of ``spinchannel.checks``, the same
 
 An optional JSON config file (``--config``) is read as flags that the typed
 flags override; environment variables are never consulted.  Identical
-configuration and seed produce byte-identical output files.  Exit codes:
-0 success, 1 computational failure, 2 usage error.
+configuration and seed produce byte-identical output files.  With --l-step 2
+every length but the first of a --jp series starts its solves from the one
+before (``scaling.sweep_spectral_data``); --seed seeds all other solves.
+Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ _SETTINGS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"
 _HINTS = typing.get_type_hints(RunConfig)
 _NUMERIC = {key: t for key in _SETTINGS for t in (int, float) if _HINTS[key] in (t, t | None)}
 _CHOICES = {"temp_scale": ("lin", "log"), "mode": ("effective", "full"), "format": ("csv", "json")}
-_HELP = {"jp": "value or comma list", "gamma": 'value or "auto"'}
+_HELP = {"jp": "value or comma list", "gamma": 'value or "auto"',
+         "seed": "random start of each solve not grown from the length L - 2 of a sweep"}
 
 
 class UsageError(ValueError):
@@ -311,8 +314,9 @@ def cmd_transfer(cfg: RunConfig) -> int:
     rows: list[list] = []
     warnings: list[str] = []
     derived: dict = {"points": []}
+    held: list = []  # the last chain's solve, grown into the next
     for spec in _chain_grid(cfg, lengths):
-        sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
+        sd = scaling.sweep_spectral_data(spec, held, cfg.tol, seed=cfg.seed)
         for temperature in temps:
             model = transfer.effective_coupling(sd, gamma=cfg.gamma, temperature=temperature)
             t_star, f_star = transfer.predicted_peak(model)

@@ -2,9 +2,9 @@
 
 The workhorse is ARPACK's implicitly restarted Lanczos method, called
 through ``scipy.sparse.linalg.eigsh``; every pair it returns is checked
-against the absolute residual tolerance.  Start vectors come from a seeded
-generator so runs are bit-reproducible.  ARPACK keeps 12 Lanczos vectors, not
-scipy's 20: k = 1 needs ncv >= 2k (ARPACK Users' Guide), and 10-12 were fastest at L = 22.
+against the absolute residual tolerance.  Start vectors are seeded random
+vectors, or grown from the chain two sites shorter, so runs are
+bit-reproducible.  ARPACK keeps 12 Lanczos vectors, not scipy's 20: k = 1 needs ncv >= 2k (ARPACK Users' Guide), and 10-12 were fastest at L = 22.
 Blocks up to dim 256 (all m = 0 blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
@@ -28,6 +28,7 @@ from .chain import (
     build_chain_hamiltonian,
     enumerate_sector,
     expand_to_sector,
+    grow_into_block,
     pauli_xx_expectation,
     pauli_zz_expectation,
     symmetry_block,
@@ -131,19 +132,27 @@ def _dense_pairs(op: SparseOperator, k: int) -> list[EigenPair]:
     return _pairs_with_residuals(op.matrix, energies[:k], vectors[:, :k])
 
 
+def _check_start(v0, dim: int) -> None:
+    if v0 is not None and (np.shape(v0) != (dim,) or not np.all(np.isfinite(v0)) or not np.any(v0)):
+        raise ValueError(f"start vector must be finite and nonzero, of shape ({dim},)")
+
+
 def lowest_eigenpairs(
     op: SparseOperator,
     k: int,
     tol: float = DEFAULT_TOL,
     *,
     seed: int = DEFAULT_SEED,
+    v0: np.ndarray | None = None,
 ) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
     ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
-    started from a seeded random vector, so a fixed seed gives the same
-    pairs on one machine.  ARPACK keeps max(``_ARPACK_NCV``, 2k + 1) Lanczos
-    vectors and restarts at most ``_ARPACK_MAXITER`` times.  Every returned pair
+    started from v0, else from a seeded random vector, so a fixed seed gives
+    the same pairs on one machine; a v0 of the wrong length, not finite or
+    zero raises ValueError, and dense blocks ignore it.  ARPACK keeps
+    max(``_ARPACK_NCV``, 2k + 1) Lanczos vectors and restarts at most
+    ``_ARPACK_MAXITER`` times.  Every returned pair
     has a true residual |Hv - Ev| <= tol; otherwise, or when ARPACK runs
     out of restarts, ConvergenceError carries the residuals.
     """
@@ -153,6 +162,7 @@ def lowest_eigenpairs(
         raise ValueError(f"k = {k} exceeds operator dimension {op.dim}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_start(v0, op.dim)
 
     dim = op.dim
     mat = op.matrix
@@ -160,7 +170,8 @@ def lowest_eigenpairs(
         return _dense_pairs(op, k)
 
     ncv = min(dim, max(_ARPACK_NCV, 2 * k + 1))
-    v0 = np.random.default_rng(seed).standard_normal(dim)
+    if v0 is None:
+        v0 = np.random.default_rng(seed).standard_normal(dim)
     # ARPACK accepts a Ritz value theta once its error estimate is at most
     # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.
     arpack_tol = tol / max(_norm_bound(mat), 1.0)
@@ -202,6 +213,7 @@ def spectral_data(
     tol: float = DEFAULT_TOL,
     *,
     seed: int = DEFAULT_SEED,
+    grow_from: SpectralData | None = None,
 ) -> SpectralData:
     """Low-energy manifold of a chain from one k = 1 solve in each of two blocks.
 
@@ -210,17 +222,36 @@ def spectral_data(
     in (-s, -s) (see the chain module).  ``expand_to_sector`` returns both in
     the plain m = 0 basis, with the block solve's residual.  By Wigner-Eckart
     zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
+
+    ``grow_from``, this function's result for the same couplings at L - 2,
+    replaces the seeded random starts by its |G> and |T0> with a middle
+    singlet inserted (``grow_into_block``): pure S = 0 and S = 1, the lowest
+    spins of their blocks by Lieb-Mattis.  Both starts are built, and
+    ``grow_from`` dropped, before any assembly (one without vectors raises
+    ConfigError, one of another length DimensionError); the plain m = 0
+    basis is enumerated again for the expansions.
     """
     if spec.gamma is not None:
         raise ConfigError("spectral_data expects a chain spec without a sender coupling")
+    if grow_from is not None and any(
+        vec is None for vec in (grow_from.sector, grow_from.ground, grow_from.triplet)
+    ):
+        raise ConfigError("grow_from needs the sector and vectors of a spectral_data result")
 
     a, b = spec.site_a, spec.site_b
 
-    sector0 = enumerate_sector(spec.L, 0)
     singlet_sign = (-1) ** (spec.L // 2)
+    sector0 = enumerate_sector(spec.L, 0)
     blocks = [symmetry_block(sector0, sign, sign) for sign in (singlet_sign, -singlet_sign)]
-    solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed)
-              for block in blocks]
+    starts = [None, None] if grow_from is None else [
+        grow_into_block(block, grow_from.sector, vec)
+        for block, vec in zip(blocks, (grow_from.ground, grow_from.triplet))]
+    for block, start in zip(blocks, starts):
+        _check_start(start, block.dim)
+    del sector0, grow_from  # no plain m = 0 array lives through a solve
+    solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed,
+                                v0=starts.pop(0)) for block in blocks]
+    sector0 = enumerate_sector(spec.L, 0)
     ground, triplet = [  # expanded after both solves: no plain m = 0 vector lives through one
         replace(pair, vector=expand_to_sector(block, sector0, pair.vector))
         for block, (pair,) in zip(blocks, solves)

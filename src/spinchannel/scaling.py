@@ -11,13 +11,13 @@ the asymptotic exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain import ChainSpec
-from .eigensolve import DEFAULT_SEED, DEFAULT_TOL, spectral_data
+from .eigensolve import DEFAULT_SEED, DEFAULT_TOL, SpectralData, spectral_data
 from .errors import ConvergenceError, InsufficientDataError, OrderingError
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "GapTable",
     "PowerLawFit",
     "gap_sweep",
+    "sweep_spectral_data",
     "fit_power_law",
 ]
 
@@ -57,6 +58,22 @@ class PowerLawFit:
     n_points: int
 
 
+def sweep_spectral_data(
+    spec: ChainSpec, held: list, tol: float = DEFAULT_TOL, *, seed: int = DEFAULT_SEED
+) -> SpectralData:
+    """spectral_data of one chain of a length sweep, returned without its vectors.
+
+    ``held`` ([] at the start) keeps the last chain's (spec, SpectralData); if
+    spec is that chain grown by two sites, it is passed as ``grow_from``, as a
+    temporary, so that spectral_data frees it before assembling anything.
+    """
+    if held and replace(held[0][0], L=held[0][0].L + 2) != spec:
+        held.clear()
+    sd = spectral_data(spec, tol, seed=seed, grow_from=held.pop()[1] if held else None)
+    held.append((spec, sd))
+    return replace(sd, sector=None, ground=None, triplet=None)
+
+
 def gap_sweep(
     lengths,
     jp: float,
@@ -67,8 +84,10 @@ def gap_sweep(
 ) -> GapTable:
     """One spectral_data gap per length, deterministic.
 
-    Duplicate lengths are dropped with a warning; a length whose
-    diagonalization fails is recorded as missing rather than fabricated.
+    Each length whose L - 2 was solved grows its start vectors from that
+    solve (``sweep_spectral_data``).  Duplicate lengths are dropped with a
+    warning; a length whose diagonalization fails is recorded as missing
+    rather than fabricated.
     """
     requested = [int(L) for L in lengths]
     specs = [ChainSpec(L=L, J=J, Jp=jp) for L in sorted(set(requested))]
@@ -76,17 +95,16 @@ def gap_sweep(
     if len(specs) != len(requested):
         dupes = sorted({L for L in requested if requested.count(L) > 1})
         warnings.append(f"duplicate lengths removed: {dupes}")
-    rows = []
+    rows, held = [], []
     for spec in specs:
         try:
-            sd = spectral_data(spec, tol, seed=seed)
+            sd = sweep_spectral_data(spec, held, tol, seed=seed)
         except (ConvergenceError, OrderingError) as exc:
             # a failed length is recorded as missing, never fabricated
             warnings.append(f"L = {spec.L} skipped: {exc}")
             skipped.append(spec.L)
             continue
         rows.append(GapRow(length=spec.L, jp=jp, gap=sd.gap, e0=sd.e0))
-        del sd  # its sector and vectors would stay alive through the next, larger solve
     return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 
 

@@ -17,6 +17,7 @@ from spinchannel.chain import (
     build_transfer_hamiltonian,
     enumerate_sector,
     expand_to_sector,
+    grow_into_block,
     pauli_xx_expectation,
     pauli_z_expectation,
     pauli_zz_expectation,
@@ -314,6 +315,78 @@ class TestTotalSpinLadder:
                 _, image = apply_total_spin_ladder(sector, vec, raising)
                 expected = self.searchsorted_ladder(sector, vec, raising)
                 assert image.tobytes() == expected.tobytes()
+
+
+class TestBlockMaps:
+    """expand_to_sector and grow_into_block against the orbit formulas, written out here."""
+
+    @staticmethod
+    def orbit_oracle(block, sector, vec):
+        """chi(g_p) vec[rep(p)] / sqrt|O_p| over the plain sector, orbit by orbit."""
+        n, (flip, reflect) = sector.n_sites, block.signs
+        full = np.uint64((1 << n) - 1)
+        p = sector.basis
+        mirrored = np.zeros_like(p)
+        for site in range(n):
+            mirrored |= ((p >> np.uint64(site)) & np.uint64(1)) << np.uint64(n - 1 - site)
+        members = [(p, 1.0), (p ^ full, flip), (mirrored, reflect), (mirrored ^ full, flip * reflect)]
+        rep = np.minimum.reduce([m for m, _ in members])
+        chi = np.select([rep == m for m, _ in members[:3]], [c for _, c in members[:3]], flip * reflect)
+        size = np.where((mirrored == p) | (mirrored == p ^ full), 2.0, 4.0)
+        index = np.searchsorted(block.basis, rep)
+        found = index < block.dim
+        found[found] = block.basis[index[found]] == rep[found]
+        out = np.zeros(sector.dim)
+        out[found] = chi[found] * vec[index[found]] / np.sqrt(size[found])
+        return out
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_expansion_is_the_orbit_formula_bitwise(self, length, signs):
+        sector = enumerate_sector(length, 0)
+        block = symmetry_block(sector, *signs)
+        vec = np.random.default_rng(length).standard_normal(block.dim)
+        expected = self.orbit_oracle(block, sector, vec)
+        assert expand_to_sector(block, sector, vec).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("length", [6, 8, 10, 12])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_growth_is_the_restricted_singlet_product(self, length, sign):
+        # E^T (x (x) singlet on sites L/2 - 1, L/2), E the block's expansion,
+        # with x a random vector of block (sign, sign) at L - 2 expanded
+        short = enumerate_sector(length - 2, 0)
+        small = symmetry_block(short, sign, sign)
+        x = expand_to_sector(small, short, np.random.default_rng(length).standard_normal(small.dim))
+        x /= np.linalg.norm(x)
+        sector = enumerate_sector(length, 0)
+        low, high = length // 2 - 1, length // 2 + 1
+        grown = np.zeros(sector.dim)
+        for up_left in (True, False):
+            kept = (short.basis & np.uint64((1 << low) - 1)) | ((short.basis >> np.uint64(low)) << np.uint64(high))
+            pattern = kept | np.uint64(1 << (low if up_left else low + 1))
+            grown[sector.index_of(pattern)] = (1.0 if up_left else -1.0) * x / np.sqrt(2.0)
+        for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            block = symmetry_block(sector, *signs)
+            images = np.array([expand_to_sector(block, sector, e) for e in np.eye(block.dim)])
+            restricted = images @ grown if block.dim else np.zeros(0)
+            if signs == (-sign, -sign):  # the singlet flips both parities
+                np.testing.assert_allclose(grow_into_block(block, short, x), restricted, rtol=0, atol=1e-15)
+                assert restricted @ restricted == pytest.approx(1.0, abs=1e-12)
+            else:
+                np.testing.assert_allclose(restricted, 0.0, rtol=0, atol=1e-15)
+
+    def test_growth_guards(self):
+        short, sector = enumerate_sector(8, 0), enumerate_sector(10, 0)
+        block = symmetry_block(sector, 1, 1)
+        x = np.ones(short.dim)
+        with pytest.raises(DimensionError):
+            grow_into_block(block, short, x[:-1])
+        with pytest.raises(DimensionError):
+            grow_into_block(block, sector, np.ones(sector.dim))
+        with pytest.raises(SectorError):
+            grow_into_block(block, enumerate_sector(8, 2), np.ones(enumerate_sector(8, 2).dim))
+        with pytest.raises(SectorError):
+            grow_into_block(sector, short, x)
 
 
 class TestGuards:

@@ -170,6 +170,28 @@ class TestTransferCommand:
         for point in sidecar["derived"]["points"]:
             assert set(point) == {"L", "jp", "T", "gamma"}
 
+    @pytest.mark.parametrize(
+        "flags, grown_from",
+        [
+            (["--l-max", "12", "--jp", "0.1,0.2"],
+             [(8, None), (10, 8), (12, 10), (8, None), (10, 8), (12, 10)]),
+            (["--l-max", "16", "--l-step", "4"], [(8, None), (12, None), (16, None)]),
+        ],
+        ids=["step-2", "step-4"],
+    )
+    def test_effective_sweep_grows_from_l_minus_2(self, monkeypatch, tmp_path, flags, grown_from):
+        # the first length of each jp and any --l-step other than 2 start at random
+        true_solve, calls = spinchannel.scaling.spectral_data, []
+
+        def recorded(spec, *args, grow_from=None, **kwargs):
+            calls.append((spec.L, None if grow_from is None else grow_from.sector.n_sites))
+            return true_solve(spec, *args, grow_from=grow_from, **kwargs)
+
+        monkeypatch.setattr(spinchannel.scaling, "spectral_data", recorded)
+        argv = ["transfer", "--mode", "effective", "--l-min", "8", "--out", str(tmp_path / "e.csv")]
+        assert run(argv + flags) == 0
+        assert calls == grown_from
+
     def test_full_mode_curve_and_sidecar(self, tmp_path):
         out = tmp_path / "full.csv"
         code = run(
@@ -500,7 +522,8 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although --temp-max would be dropped")
 
-        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
+        for module in (spinchannel.eigensolve, spinchannel.scaling):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
         argv = command + ["--length", "8", "--jp", "0.2", "--temp-min", "0.01",
                           "--temp-max", "0.1", "--out", str(tmp_path / "x.csv")]
         assert run(argv) == 2
@@ -512,7 +535,8 @@ class TestConfigFile:
         def no_solve(*args, **kwargs):
             raise AssertionError("spectral_data ran although --gamma is invalid")
 
-        monkeypatch.setattr(spinchannel.eigensolve, "spectral_data", no_solve)
+        for module in (spinchannel.eigensolve, spinchannel.scaling):
+            monkeypatch.setattr(module, "spectral_data", no_solve)
         argv = ["transfer", "--mode", mode, "--length", "8", "--jp", "0.2", "--gamma", gamma]
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
 

@@ -1,6 +1,7 @@
 """Lanczos eigensolver against the dense oracle, plus spectral_data checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from scipy.sparse import csr_matrix, diags
 import spinchannel.chain
 import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
-from spinchannel.chain import expand_to_sector, pauli_xx_expectation, pauli_zz_expectation, symmetry_block
+from spinchannel.chain import apply_total_spin_ladder, expand_to_sector, grow_into_block
+from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation, symmetry_block
 from spinchannel.eigensolve import (
     EigenPair,
+    SpectralData,
     dense_spectrum,
     lowest_eigenpairs,
     spectral_data,
 )
-from spinchannel.errors import ConfigError, ConvergenceError, OrderingError
+from spinchannel.errors import ConfigError, ConvergenceError, DimensionError, OrderingError
 
 from conftest import dense_chain_hamiltonian
 
@@ -389,3 +392,104 @@ class TestSpectralData:
         ab = pauli_zz_expectation(sector, ground.vector, 0, 5)
         ba = pauli_zz_expectation(sector, ground.vector, 5, 0)
         assert ab == pytest.approx(ba, abs=1e-15)
+
+
+def _counting_eigsh(monkeypatch):
+    """Count ARPACK's products per eigsh call through a LinearOperator wrapper."""
+    from scipy.sparse.linalg import LinearOperator
+
+    eigsh, counts = spinchannel.eigensolve.eigsh, []
+
+    def counted(mat, k, **kwargs):
+        counts.append(0)
+
+        def matvec(x):
+            counts[-1] += 1
+            return mat @ x
+
+        return eigsh(LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype), k, **kwargs)
+
+    monkeypatch.setattr(spinchannel.eigensolve, "eigsh", counted)
+    return counts
+
+
+class TestGrownStarts:
+    """spectral_data(grow_from=...) and the start vectors it passes to ARPACK."""
+
+    @pytest.mark.parametrize("length", [6, 8, 12, 14, 16])
+    def test_grown_starts_are_pure_singlet_and_triplet(self, length):
+        # <S^2> = |S+ v|^2 at m = 0: 0 for the grown |G>, 2 for the grown |T0>
+        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
+        sector = enumerate_sector(length, 0)
+        s = (-1) ** (length // 2)
+        for sign, vec, s2 in ((s, short.ground, 0.0), (-s, short.triplet, 2.0)):
+            block = symmetry_block(sector, sign, sign)
+            start = expand_to_sector(block, sector, grow_into_block(block, short.sector, vec))
+            _, raised = apply_total_spin_ladder(sector, start, raising=True)
+            assert start @ start == pytest.approx(1.0, abs=1e-12)
+            assert raised @ raised == pytest.approx(s2, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [14, 16])  # ARPACK blocks; dense ones ignore v0
+    @pytest.mark.parametrize("jp", [0.1, 0.5])
+    def test_grown_solve_matches_random_start(self, length, jp):
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=jp))
+        grown, fresh = spectral_data(spec, grow_from=short), spectral_data(spec)
+        for name in ("e0", "e_triplet", "gap", "gzz_ground", "gzz_triplet", "gxx_triplet"):
+            assert getattr(grown, name) == pytest.approx(getattr(fresh, name), abs=1e-10)
+
+    @pytest.mark.parametrize("length", [16, 18])
+    def test_grown_start_saves_products(self, monkeypatch, length):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
+        counts = _counting_eigsh(monkeypatch)
+        spectral_data(spec)
+        random_products = sum(counts)
+        counts.clear()
+        spectral_data(spec, grow_from=short)
+        assert len(counts) == 2
+        assert sum(counts) < random_products
+
+    def test_random_start_is_the_seeded_vector(self):
+        op = build_chain_hamiltonian(ChainSpec(L=14, J=1.0, Jp=0.1), enumerate_sector(14, 0))
+        v0 = np.random.default_rng(5).standard_normal(op.dim)
+        (seeded,), (given,) = lowest_eigenpairs(op, 1, seed=5), lowest_eigenpairs(op, 1, v0=v0)
+        assert seeded.energy == given.energy
+        assert seeded.vector.tobytes() == given.vector.tobytes()
+
+    @pytest.mark.parametrize("dim_shift", [0, 1000])  # dense (dim 3) and ARPACK (dim 1003)
+    @pytest.mark.parametrize(
+        "make", [lambda n: np.ones(n + 1), lambda n: np.ones((n, 1)), lambda n: np.zeros(n),
+                 lambda n: np.full(n, np.nan), lambda n: np.r_[np.inf, np.ones(n - 1)]],
+        ids=["long", "column", "zero", "nan", "inf"],
+    )
+    def test_bad_start_vector_raises(self, dim_shift, make):
+        dim = 3 + dim_shift
+        op = SparseOperator(diags(np.arange(dim, dtype=float)).tocsr())
+        with pytest.raises(ValueError, match="start vector"):
+            lowest_eigenpairs(op, 1, v0=make(dim))
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda sd: SpectralData(sd.e0, sd.e_triplet, sd.gap, sd.gzz_ground, sd.gzz_triplet,
+                                     sd.gxx_triplet), ConfigError, "vectors"),
+            (lambda sd: replace(sd, triplet=None), ConfigError, "vectors"),
+            (lambda sd: spectral_data(ChainSpec(L=8, J=1.0, Jp=0.1)), DimensionError, "10-site"),
+            (lambda sd: spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1)), DimensionError, "10-site"),
+            (lambda sd: replace(sd, ground=sd.ground[:-1]), DimensionError, "10-site"),
+            (lambda sd: replace(sd, triplet=np.full(sd.triplet.size, np.nan)), ValueError,
+             "start vector"),
+            (lambda sd: replace(sd, ground=np.zeros(sd.ground.size)), ValueError, "start vector"),
+        ],
+        ids=["no-vectors", "no-triplet", "L-4", "same-L", "short-vector", "nan", "zero"],
+    )
+    def test_bad_grow_from_raises_before_assembly(self, monkeypatch, change, error, message):
+        grow_from = change(spectral_data(ChainSpec(L=10, J=1.0, Jp=0.1)))
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled although grow_from is invalid")
+
+        monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", no_assembly)
+        with pytest.raises(error, match=message):
+            spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1), grow_from=grow_from)

@@ -1,13 +1,15 @@
 """Gap sweeps and the power-law fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spinchannel.scaling
-from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector
+from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector, symmetry_block
 from spinchannel.eigensolve import dense_spectrum, spectral_data
 from spinchannel.errors import ConvergenceError, InsufficientDataError
-from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep
+from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep, sweep_spectral_data
 
 
 def synthetic_table(c, alpha, lengths, jp=0.2):
@@ -97,3 +99,60 @@ class TestGapSweep:
         trimmed_fit = fit_power_law(trimmed)
         assert abs(full_fit.alpha - trimmed_fit.alpha) < 0.1
 
+
+
+class TestGrownSweep:
+    """Each length of a sweep starts from the L - 2 solve (sweep_spectral_data)."""
+
+    @pytest.mark.parametrize("jp", [0.1, 0.5])
+    def test_matches_random_start_solves(self, jp):
+        table = gap_sweep(range(8, 19, 2), jp)
+        assert [row.length for row in table.rows] == list(range(8, 19, 2))
+        for row in table.rows:
+            sd = spectral_data(ChainSpec(L=row.length, J=1.0, Jp=jp))
+            assert row.e0 == pytest.approx(sd.e0, abs=1e-10)
+            assert row.gap == pytest.approx(sd.gap, abs=1e-10)
+
+    @staticmethod
+    def record_growth(monkeypatch, fail_at=None):
+        true_solve, grown_from = spinchannel.scaling.spectral_data, []
+
+        def recorded(spec, *args, grow_from=None, **kwargs):
+            grown_from.append((spec.L, None if grow_from is None else grow_from.sector.n_sites))
+            if spec.L == fail_at:
+                raise ConvergenceError("injected failure")
+            return true_solve(spec, *args, grow_from=grow_from, **kwargs)
+
+        monkeypatch.setattr(spinchannel.scaling, "spectral_data", recorded)
+        return grown_from
+
+    def test_grows_only_from_a_solved_l_minus_2(self, monkeypatch):
+        grown_from = self.record_growth(monkeypatch, fail_at=12)
+        table = gap_sweep([6, 8, 12, 14, 16, 20], 0.2)
+        assert table.skipped == (12,)
+        assert grown_from == [(6, None), (8, 6), (12, None), (14, None), (16, 14), (20, None)]
+
+    def test_other_couplings_start_at_random(self, monkeypatch):
+        grown_from, held = self.record_growth(monkeypatch), []
+        for J, jp, L in ((1.0, 0.2, 8), (1.0, 0.3, 10), (2.0, 0.3, 12), (2.0, 0.3, 14)):
+            sd = sweep_spectral_data(ChainSpec(L=L, J=J, Jp=jp), held)
+            assert sd.sector is None and sd.ground is None and sd.triplet is None
+        assert grown_from == [(8, None), (10, None), (12, None), (14, 12)]
+        assert len(held) == 1 and held[0][0] == ChainSpec(L=14, J=2.0, Jp=0.3)
+
+    def test_l_minus_2_is_freed_before_the_next_solve(self):
+        # the L = 16 sector and vectors must die before the L = 18 solves, so
+        # the sweep's peak is that of the L = 18 solve, plus at most the second
+        # start vector built before the first assembly
+        block_dim = symmetry_block(enumerate_sector(18, 0), -1, -1).dim
+        gap_sweep([16, 18], 0.1)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            spectral_data(ChainSpec(L=18, J=1.0, Jp=0.1))
+            _, alone = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gap_sweep([16, 18], 0.1)
+            _, sweep = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sweep <= alone + 8 * block_dim
