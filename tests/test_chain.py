@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import identity
+from scipy.sparse import csr_matrix, identity
 
 import spinchannel.chain
 
@@ -15,6 +15,7 @@ from spinchannel.chain import (
     build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
+    chain_bonds,
     enumerate_sector,
     expand_to_sector,
     grow_into_block,
@@ -68,6 +69,40 @@ class TestEnumerateSector:
         sector = enumerate_sector(8, 2)
         idx = sector.index_of(sector.basis[17])
         assert idx == 17
+
+
+class TestRank:
+    """Sector.index_of, a combinatorial rank, against the binary search of the sorted basis."""
+
+    @staticmethod
+    def assert_is_the_binary_search(sector):
+        ranks = sector.index_of(sector.basis)
+        assert ranks.tobytes() == np.searchsorted(sector.basis, sector.basis).tobytes()
+
+    @pytest.mark.parametrize("n_sites", range(1, 17))
+    def test_every_small_sector(self, n_sites):
+        for twice_sz in range(-n_sites, n_sites + 1, 2):
+            self.assert_is_the_binary_search(enumerate_sector(n_sites, twice_sz))
+
+    @pytest.mark.parametrize("length", [18, 20, 22, 24])
+    def test_full_m0_sectors(self, length):
+        self.assert_is_the_binary_search(enumerate_sector(length, 0))
+
+    @pytest.mark.parametrize("n_sites", range(9, 20, 2))
+    def test_transfer_sectors(self, n_sites):
+        for twice_sz in (1, -1):
+            self.assert_is_the_binary_search(enumerate_sector(n_sites, twice_sz))
+
+    def test_scalar_gives_an_integer(self):
+        sector = enumerate_sector(9, 1)
+        for pattern in (sector.basis[41], int(sector.basis[41])):
+            idx = sector.index_of(pattern)
+            assert isinstance(idx, np.integer) and idx == 41
+
+    def test_block_refuses(self):
+        block = symmetry_block(enumerate_sector(8, 0), 1, 1)
+        with pytest.raises(SectorError, match="plain sector"):
+            block.index_of(block.basis)
 
 
 class TestChainSpec:
@@ -221,6 +256,89 @@ class TestAssemblyAgainstKronOracle:
         off = np.abs(mat - np.diag(np.diag(mat))).sum(axis=1)
         n_bonds = 5
         assert np.all(off <= n_bonds * 0.5 * 1.0 + 1e-12)
+
+
+class TestAssemblyAgainstBinarySearch:
+    """Rank-based assembly against the binary-search assembly it replaced, bit for bit."""
+
+    @staticmethod
+    def searchsorted_assembly(n_sites, bonds, sector):
+        """build_bond_hamiltonian with each partner's column found by np.searchsorted."""
+        basis, signs = sector.basis, sector.signs
+        dim, last = basis.size, n_sites - 1
+        flips = [
+            (c, np.uint64((1 << i) | (1 << j)), np.uint64((1 << (last - i)) | (1 << (last - j))))
+            for i, j, c in bonds
+        ]
+        if signs is not None:
+            full = np.uint64((1 << n_sites) - 1)
+            mirrored = spinchannel.chain._reverse_bits(basis, n_sites)
+            row_size = spinchannel.chain._orbits(basis, n_sites, signs, mirrored)[2]
+
+        def flipped_rows(mask):
+            both = basis & mask
+            return (both != 0) & (both != mask)
+
+        diag = np.zeros(dim)
+        counts = np.ones(dim, dtype=np.int32)
+        for c, mask, rmask in flips:
+            anti = flipped_rows(mask)
+            diag += np.where(anti, -0.25 * c, 0.25 * c)
+            if c == 0.0:
+                continue
+            if signs is not None:
+                anti &= spinchannel.chain._survives(basis ^ mirrored ^ (mask ^ rmask), full, signs)
+            counts += anti
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        fill = indptr[:-1].copy()
+        indices[fill], data[fill] = np.arange(dim), diag
+        fill += 1
+        for c, mask, rmask in flips:
+            if c == 0.0:
+                continue
+            anti = np.nonzero(flipped_rows(mask))[0]
+            partners = basis[anti] ^ mask
+            vals = np.full(anti.size, 0.5 * c)
+            if signs is not None:
+                orbits = spinchannel.chain._orbits(partners, n_sites, signs, mirrored[anti] ^ rmask)
+                reps, chi, size, alive = orbits
+                anti, partners = anti[alive], reps[alive]
+                vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
+            slots = fill[anti]
+            indices[slots], data[slots] = np.searchsorted(basis, partners), vals
+            fill[anti] += 1
+        matrix = csr_matrix((data, indices, indptr), shape=(dim, dim))
+        matrix.sum_duplicates()
+        return matrix
+
+    @staticmethod
+    def assert_bitwise_equal(matrix, expected):
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
+    def test_blocks_and_plain_chain(self, length):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        sector0 = enumerate_sector(length, 0)
+        bonds = chain_bonds(spec)
+        sectors = [sector0] + [symmetry_block(sector0, f, r) for f in (1, -1) for r in (1, -1)]
+        for sector in sectors:
+            matrix = build_chain_hamiltonian(spec, sector).matrix
+            self.assert_bitwise_equal(matrix, self.searchsorted_assembly(length, bonds, sector))
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
+    def test_transfer(self, length):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3, gamma=0.05)
+        bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+        for twice_sz in (1, -1):
+            sector = enumerate_sector(length + 1, twice_sz)
+            real = self.searchsorted_assembly(length + 1, bonds, sector)
+            matrix = build_transfer_hamiltonian(spec, sector).matrix
+            self.assert_bitwise_equal(matrix, real.astype(np.complex128))
 
 
 class TestAssemblyMemory:

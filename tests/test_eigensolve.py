@@ -89,7 +89,7 @@ class TestLowestEigenpairs:
     def test_subspace_memory_peak(self, monkeypatch):
         # ARPACK's buffers grow by ~2 vectors of dim per Lanczos vector kept:
         # tracemalloc reads ~29 such vectors with ncv = 12 and ~45 with 20.
-        # Only the eigsh call is measured, not the norm bound's row slices.
+        # Only the eigsh call is measured, not the norm bound.
         spec = ChainSpec(L=18, J=1.0, Jp=0.1)
         block = symmetry_block(enumerate_sector(18, 0), -1, -1)  # (s, s), s = (-1)^9
         op = build_chain_hamiltonian(spec, block)
@@ -154,6 +154,48 @@ class TestLowestEigenpairs:
         for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 lowest_eigenpairs(op, 1, tol=tol)
+
+
+class TestNormBound:
+    """_norm_bound against the row-slice formula it replaced, bit for bit."""
+
+    @staticmethod
+    def row_slice_bound(mat, rows):
+        bound = 0.0
+        for lo in range(0, mat.shape[0], rows):
+            row_sums = abs(mat[lo : lo + rows]).sum(axis=1)
+            bound = max(bound, float(row_sums.max()))
+        return bound
+
+    @pytest.mark.parametrize("length", [14, 16, 18, 20])
+    @pytest.mark.parametrize("rows", [7, 1 << 16])
+    def test_is_the_row_slice_formula(self, monkeypatch, length, rows):
+        monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
+        sector0 = enumerate_sector(length, 0)
+        for sign in (1, -1):
+            mat = build_chain_hamiltonian(ChainSpec(L=length, Jp=0.1), symmetry_block(sector0, sign, sign)).matrix
+            assert spinchannel.eigensolve._norm_bound(mat) == self.row_slice_bound(mat, rows)
+
+    def test_empty_rows(self, monkeypatch):
+        mat = csr_matrix(np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
+            assert spinchannel.eigensolve._norm_bound(mat) == 3.0
+        assert spinchannel.eigensolve._norm_bound(csr_matrix((3, 3))) == 0.0
+
+    def test_copies_at_most_one_block_of_values(self, monkeypatch):
+        rows = 4096
+        monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
+        block = symmetry_block(enumerate_sector(20, 0), 1, 1)
+        mat = build_chain_hamiltonian(ChainSpec(L=20, Jp=0.1), block).matrix
+        chunk = max(np.diff(mat.indptr[::rows].tolist() + [mat.nnz])) * mat.data.itemsize
+        tracemalloc.start()
+        try:
+            spinchannel.eigensolve._norm_bound(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk
 
 
 class TestDenseSpectrum:
