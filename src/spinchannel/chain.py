@@ -127,14 +127,6 @@ class Sector:
         return _rank(patterns, self.n_sites, (self.n_sites + self.twice_sz) // 2)
 
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    """Set-bit count of every n_bits-bit pattern."""
-    patterns, counts = np.arange(1 << n_bits), np.zeros(1 << n_bits, dtype=np.int64)
-    for bit in range(n_bits):
-        counts += (patterns >> bit) & 1
-    return counts
-
-
 @lru_cache(maxsize=64)
 def _rank_tables(n_sites: int, n_up: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(h, hi_off, lo_rank): the rank tables of the n_sites-bit patterns with n_up set bits.
@@ -150,7 +142,7 @@ def _rank_tables(n_sites: int, n_up: int) -> tuple[int, np.ndarray, np.ndarray]:
         lo_rank[_patterns(low, count)] = np.arange(comb(low, count))
     widths = np.array([comb(low, n_up - c) if c <= n_up else 0 for c in range(n_sites - low + 1)])
     hi_off = np.zeros(1 << (n_sites - low), dtype=np.int64)
-    np.cumsum(widths[_popcounts(n_sites - low)][:-1], out=hi_off[1:])
+    np.cumsum(widths[np.bitwise_count(np.arange(1 << (n_sites - low)))][:-1], out=hi_off[1:])
     hi_off.setflags(write=False)
     lo_rank.setflags(write=False)
     return low, hi_off, lo_rank

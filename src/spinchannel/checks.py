@@ -43,20 +43,17 @@ def closed_form_vs_three_site(tol: float, seed: int):
 
 
 def threshold_bisection(tol: float, seed: int):
-    """Closed-form T* against 1/ln 3 for two spins and against bisection at L = 8."""
+    """Closed-form T* against 1/ln 3 for two spins and against brentq's root
+    of thermal_g = -1/3 at L = 8."""
+    from scipy.optimize import brentq  # imported here, as in transfer.numeric_peak
+
     dev_two_spin = abs(teleport.threshold_temperature(_TWO_SPIN) - 1.0 / math.log(3.0))
     sd = eigensolve.spectral_data(chain.ChainSpec(L=8, J=1.0, Jp=0.2), tol, seed=seed)
-    lo, hi = sd.gap * 1e-3, sd.gap * 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if thermal.thermal_g(sd, mid) < -1.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
-    dev_bisect = abs(teleport.threshold_temperature(sd) - 0.5 * (lo + hi))
-    return dev_two_spin <= 1e-12 and dev_bisect <= 1e-10, (
+    root = brentq(lambda t: thermal.thermal_g(sd, t) + 1.0 / 3.0, 1e-3 * sd.gap, 1e3 * sd.gap)
+    dev_root = abs(teleport.threshold_temperature(sd) - root)
+    return dev_two_spin <= 1e-12 and dev_root <= 1e-10, (
         f"two-spin dev = {dev_two_spin:.3e} (tol 1e-12), "
-        f"bisection dev = {dev_bisect:.3e} (tol 1e-10)"
+        f"brentq dev = {dev_root:.3e} (tol 1e-10)"
     )
 
 

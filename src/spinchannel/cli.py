@@ -12,15 +12,18 @@ validate   run the oracle cross-checks of ``spinchannel.checks``, the same
 
 An optional JSON config file (``--config``) is read as flags that the typed
 flags override; environment variables are never consulted.  Identical
-configuration and seed produce byte-identical output files.  With --l-step 2
-every length but the first of a --jp series starts its solves from the one
-before (``scaling.sweep_spectral_data``); --seed seeds all other solves.
+configuration and seed produce byte-identical output files.  gap-scan and
+effective-mode transfer read one ``scaling.gap_sweep`` per --jp value: with
+--l-step 2 every length but the first starts its solves from the one before,
+and --seed seeds all other solves.  A length whose solve fails is skipped; the
+others are written and the run exits 1.
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -142,6 +145,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged["gamma"] = _parse_gamma(merged["gamma"])
     if not merged["jp"]:
         raise UsageError("--jp needs at least one value")
+    if len(set(merged["jp"])) != len(merged["jp"]):
+        raise UsageError(f"--jp repeats a value: {list(merged['jp'])}")
     if not 0.0 < merged["tol"] < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {merged['tol']}")
     if merged["temp_max"] is None:
@@ -165,11 +170,6 @@ def _length_range(cfg: RunConfig) -> list[int]:
     if not lengths:
         raise UsageError(f"empty length range [{cfg.l_min}, {cfg.l_max}]")
     return lengths
-
-
-def _chain_grid(cfg: RunConfig, lengths: list[int]) -> list[ChainSpec]:
-    """Every (jp, L) chain of a sweep, built up front so a bad value fails before any solve."""
-    return [ChainSpec(L=length, J=cfg.j, Jp=jp) for jp in cfg.jp for length in lengths]
 
 
 def _single_chain(cfg: RunConfig) -> ChainSpec:
@@ -244,17 +244,33 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], derived: dict, wa
         out.write_text(text, encoding="utf-8", newline="")
 
 
-def cmd_gap_scan(cfg: RunConfig) -> int:
-    lengths = _length_range(cfg)
-    _chain_grid(cfg, lengths)  # a bad length or jp fails here, not after a solve
-    rows: list[list] = []
-    derived: dict = {"fits": {}}
-    warnings: list[str] = []
-    failures: list[str] = []
+def _sweep(cfg: RunConfig, lengths: list[int], warnings: list[str], failures: list[str]):
+    """(jp, scaling.gap_sweep table) of each --jp value; notes warnings and skipped lengths."""
+    for jp, length in itertools.product(cfg.jp, lengths):
+        ChainSpec(L=length, J=cfg.j, Jp=jp)  # a bad length or jp fails here, before any solve
     for jp in cfg.jp:
         table = scaling.gap_sweep(lengths, jp, cfg.tol, J=cfg.j, seed=cfg.seed)
         warnings.extend(table.warnings)
         failures.extend(f"jp = {jp}: L = {L} skipped (see warnings)" for L in table.skipped)
+        yield jp, table
+
+
+def _emit_sweep(cfg: RunConfig, header, rows, derived, warnings, failures: list[str]) -> int:
+    """_emit the rows of the solved lengths; exit 1 with a SweepFailure record if any failed."""
+    _emit(cfg, header, rows, derived, warnings)
+    if failures:
+        record = {"error": "SweepFailure", "message": "; ".join(failures)}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return EXIT_FAILURE
+    return EXIT_OK
+
+
+def cmd_gap_scan(cfg: RunConfig) -> int:
+    rows: list[list] = []
+    derived: dict = {"fits": {}}
+    warnings: list[str] = []
+    failures: list[str] = []
+    for jp, table in _sweep(cfg, _length_range(cfg), warnings, failures):
         rows.extend([r.length, r.jp, r.gap, r.e0] for r in table.rows)
         try:
             fit = scaling.fit_power_law(table)
@@ -267,12 +283,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         except InsufficientDataError as exc:
             warnings.append(f"jp = {jp}: no fit ({exc})")
             derived["fits"][_fmt(jp)] = None
-    _emit(cfg, ["L", "jp", "gap", "e0"], rows, derived, warnings)
-    if failures:
-        record = {"error": "SweepFailure", "message": "; ".join(failures)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _emit_sweep(cfg, ["L", "jp", "gap", "e0"], rows, derived, warnings, failures)
 
 
 def cmd_teleport(cfg: RunConfig) -> int:
@@ -313,18 +324,18 @@ def cmd_transfer(cfg: RunConfig) -> int:
         raise UsageError("temperatures must be >= 0")
     rows: list[list] = []
     warnings: list[str] = []
+    failures: list[str] = []
     derived: dict = {"points": []}
-    held: list = []  # the last chain's solve, grown into the next
-    for spec in _chain_grid(cfg, lengths):
-        sd = scaling.sweep_spectral_data(spec, held, cfg.tol, seed=cfg.seed)
-        for temperature in temps:
-            model = transfer.effective_coupling(sd, gamma=cfg.gamma, temperature=temperature)
+    for _, table in _sweep(cfg, lengths, warnings, failures):
+        for row, temperature in itertools.product(table.rows, temps):
+            model = transfer.effective_coupling(row.spectral, gamma=cfg.gamma,
+                                                temperature=temperature)
             t_star, f_star = transfer.predicted_peak(model)
-            rows.append([spec.L, spec.Jp, temperature, model.g, model.j_eff, t_star, f_star])
-            derived["points"].append({"L": spec.L, "jp": spec.Jp, "T": temperature,
+            rows.append([row.length, row.jp, temperature, model.g, model.j_eff, t_star, f_star])
+            derived["points"].append({"L": row.length, "jp": row.jp, "T": temperature,
                                       "gamma": model.gamma})
-    _emit(cfg, ["L", "jp", "T", "g", "jeff", "tstar", "fstar"], rows, derived, warnings)
-    return EXIT_OK
+    header = ["L", "jp", "T", "g", "jeff", "tstar", "fstar"]
+    return _emit_sweep(cfg, header, rows, derived, warnings, failures)
 
 
 def _cmd_transfer_full(cfg: RunConfig) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "GapTable",
     "PowerLawFit",
     "gap_sweep",
-    "sweep_spectral_data",
     "fit_power_law",
 ]
 
@@ -37,6 +36,7 @@ class GapRow(NamedTuple):
     jp: float
     gap: float
     e0: float
+    spectral: SpectralData | None = None  # the length's spectral_data, without vectors
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,6 @@ class PowerLawFit:
     n_points: int
 
 
-def sweep_spectral_data(
-    spec: ChainSpec, held: list, tol: float = DEFAULT_TOL, *, seed: int = DEFAULT_SEED
-) -> SpectralData:
-    """spectral_data of one chain of a length sweep, returned without its vectors.
-
-    ``held`` ([] at the start) keeps the last chain's (spec, SpectralData); if
-    spec is that chain grown by two sites, it is passed as ``grow_from``, as a
-    temporary, so that spectral_data frees it before assembling anything.
-    """
-    if held and replace(held[0][0], L=held[0][0].L + 2) != spec:
-        held.clear()
-    sd = spectral_data(spec, tol, seed=seed, grow_from=held.pop()[1] if held else None)
-    held.append((spec, sd))
-    return replace(sd, sector=None, ground=None, triplet=None)
-
-
 def gap_sweep(
     lengths,
     jp: float,
@@ -82,12 +66,12 @@ def gap_sweep(
     J: float = 1.0,
     seed: int = DEFAULT_SEED,
 ) -> GapTable:
-    """One spectral_data gap per length, deterministic.
+    """One spectral_data per length, deterministic.
 
     Each length whose L - 2 was solved grows its start vectors from that
-    solve (``sweep_spectral_data``).  Duplicate lengths are dropped with a
-    warning; a length whose diagonalization fails is recorded as missing
-    rather than fabricated.
+    solve (``grow_from``).  Duplicate lengths are dropped with a warning; a
+    length whose diagonalization fails is recorded as missing rather than
+    fabricated.
     """
     requested = [int(L) for L in lengths]
     specs = [ChainSpec(L=L, J=J, Jp=jp) for L in sorted(set(requested))]
@@ -95,16 +79,22 @@ def gap_sweep(
     if len(specs) != len(requested):
         dupes = sorted({L for L in requested if requested.count(L) > 1})
         warnings.append(f"duplicate lengths removed: {dupes}")
-    rows, held = [], []
+    rows, solved = [], []  # solved: the last solve, with its vectors
     for spec in specs:
+        if solved and solved[0].sector.n_sites != spec.L - 2:
+            solved.clear()
         try:
-            sd = sweep_spectral_data(spec, held, tol, seed=seed)
+            # popped as a temporary, so spectral_data frees the L - 2 data before assembling
+            solved.append(
+                spectral_data(spec, tol, seed=seed, grow_from=solved.pop() if solved else None)
+            )
         except (ConvergenceError, OrderingError) as exc:
             # a failed length is recorded as missing, never fabricated
             warnings.append(f"L = {spec.L} skipped: {exc}")
             skipped.append(spec.L)
             continue
-        rows.append(GapRow(length=spec.L, jp=jp, gap=sd.gap, e0=sd.e0))
+        sd = replace(solved[0], sector=None, ground=None, triplet=None)
+        rows.append(GapRow(length=spec.L, jp=jp, gap=sd.gap, e0=sd.e0, spectral=sd))
     return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 
 

@@ -179,10 +179,13 @@ def numeric_peak(model: EffectiveModel, t_max: float):
     """(t*, f*) of the first interior fidelity maximum, by scan + refinement.
 
     Scans _PEAK_SCAN_POINTS points on [0, t_max] for the first strict local
-    maximum, then golden-section refines the bracket to 1e-10 in t.  Works
-    for any gamma, serving as the oracle for the commensurate closed forms
-    and as the fallback away from them.
+    maximum, then scipy's bounded Brent minimizer refines its bracket to 1e-10
+    in t.  Works for any gamma, serving as the oracle for the commensurate
+    closed forms and as the fallback away from them.
     """
+    # imported here: a module-level scipy.optimize import slows every command's start-up
+    from scipy.optimize import minimize_scalar
+
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     ts = np.linspace(0.0, t_max, _PEAK_SCAN_POINTS)
@@ -194,23 +197,9 @@ def numeric_peak(model: EffectiveModel, t_max: float):
             f"(gamma = {model.gamma}, g = {model.g})"
         )
     i = int(interior[0]) + 1
-    a, b = ts[i - 1], ts[i + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = closed_form_fidelity(model, c)
-    fd = closed_form_fidelity(model, d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = closed_form_fidelity(model, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = closed_form_fidelity(model, d)
-    t_star = 0.5 * (a + b)
-    return t_star, float(closed_form_fidelity(model, t_star))
+    peak = minimize_scalar(lambda t: -closed_form_fidelity(model, t), bounds=(ts[i - 1], ts[i + 1]),
+                           method="bounded", options={"xatol": 1e-10})
+    return float(peak.x), float(closed_form_fidelity(model, peak.x))
 
 
 def predicted_peak(model: EffectiveModel) -> tuple[float, float]:

@@ -192,6 +192,30 @@ class TestTransferCommand:
         assert run(argv + flags) == 0
         assert calls == grown_from
 
+    def test_failed_length_exits_one_and_keeps_the_other_rows(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # effective mode shares gap-scan's failure rule
+        true_solve = spinchannel.scaling.spectral_data
+
+        def fails_at_ten(spec, *args, **kwargs):
+            if spec.L == 10:
+                raise ConvergenceError("injected failure")
+            return true_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(spinchannel.scaling, "spectral_data", fails_at_ten)
+        out = tmp_path / "e.csv"
+        code = run(["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "12",
+                    "--jp", "0.2", "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "SweepFailure"
+        assert record["message"] == "jp = 0.2: L = 10 skipped (see warnings)"
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["8", "12"]
+        sidecar = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
+        assert "L = 10 skipped: injected failure" in sidecar["warnings"]
+        assert [point["L"] for point in sidecar["derived"]["points"]] == [8, 12]
+
     def test_full_mode_curve_and_sidecar(self, tmp_path):
         out = tmp_path / "full.csv"
         code = run(
@@ -597,6 +621,20 @@ class TestConfigFile:
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", str(out)]) == 2
         assert "--jp needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["gap-scan"], ["transfer", "--mode", "effective"]],
+        ids=["gap-scan", "transfer-effective"],
+    )
+    def test_repeated_jp_value_fails_before_any_solve(self, monkeypatch, tmp_path, capsys,
+                                                      command):
+        # a repeat would solve every chain twice and write each row twice
+        self._forbid_solves(monkeypatch)
+        out = tmp_path / "x.csv"
+        argv = command + ["--l-min", "8", "--l-max", "12", "--jp", "0.2,0.2", "--out", str(out)]
+        assert run(argv) == 2
+        assert "--jp repeats a value: [0.2, 0.2]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Gap sweeps and the power-law fit."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import spinchannel.scaling
 from spinchannel.chain import ChainSpec, build_chain_hamiltonian, enumerate_sector, symmetry_block
 from spinchannel.eigensolve import dense_spectrum, spectral_data
 from spinchannel.errors import ConvergenceError, InsufficientDataError
-from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep, sweep_spectral_data
+from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep
 
 
 def synthetic_table(c, alpha, lengths, jp=0.2):
@@ -85,6 +86,8 @@ class TestGapSweep:
         table = gap_sweep([10], 0.3)
         sd = spectral_data(ChainSpec(L=10, J=1.0, Jp=0.3))
         assert table.rows[0].gap == pytest.approx(sd.gap, abs=1e-12)
+        # each row carries its spectral_data, without the vectors
+        assert table.rows[0].spectral == replace(sd, sector=None, ground=None, triplet=None)
 
     def test_invalid_lengths_rejected_up_front(self):
         with pytest.raises(ValueError):
@@ -102,7 +105,7 @@ class TestGapSweep:
 
 
 class TestGrownSweep:
-    """Each length of a sweep starts from the L - 2 solve (sweep_spectral_data)."""
+    """Each length of a sweep starts from the L - 2 solve (gap_sweep)."""
 
     @pytest.mark.parametrize("jp", [0.1, 0.5])
     def test_matches_random_start_solves(self, jp):
@@ -112,6 +115,8 @@ class TestGrownSweep:
             sd = spectral_data(ChainSpec(L=row.length, J=1.0, Jp=jp))
             assert row.e0 == pytest.approx(sd.e0, abs=1e-10)
             assert row.gap == pytest.approx(sd.gap, abs=1e-10)
+            for name in ("gzz_ground", "gzz_triplet", "gxx_triplet"):
+                assert getattr(row.spectral, name) == pytest.approx(getattr(sd, name), abs=1e-10)
 
     @staticmethod
     def record_growth(monkeypatch, fail_at=None):
@@ -131,14 +136,6 @@ class TestGrownSweep:
         table = gap_sweep([6, 8, 12, 14, 16, 20], 0.2)
         assert table.skipped == (12,)
         assert grown_from == [(6, None), (8, 6), (12, None), (14, None), (16, 14), (20, None)]
-
-    def test_other_couplings_start_at_random(self, monkeypatch):
-        grown_from, held = self.record_growth(monkeypatch), []
-        for J, jp, L in ((1.0, 0.2, 8), (1.0, 0.3, 10), (2.0, 0.3, 12), (2.0, 0.3, 14)):
-            sd = sweep_spectral_data(ChainSpec(L=L, J=J, Jp=jp), held)
-            assert sd.sector is None and sd.ground is None and sd.triplet is None
-        assert grown_from == [(8, None), (10, None), (12, None), (14, 12)]
-        assert len(held) == 1 and held[0][0] == ChainSpec(L=14, J=2.0, Jp=0.3)
 
     def test_l_minus_2_is_freed_before_the_next_solve(self):
         # the L = 16 sector and vectors must die before the L = 18 solves, so
