@@ -21,8 +21,8 @@ f* = 7/8 at g = 0).
 Everything closed-form is cross-checked here against two independent
 routes: exact 8-dimensional unitary evolution (``three_site_oracle``) and
 Krylov-propagated dynamics of the full (L+1)-site chain
-(``full_chain_transfer``).  SU(2) and global spin flip put the whole
-T > 0 mixture of the latter into two trajectories in one magnetization sector.
+(``full_chain_transfer``).  SU(2) and global spin flip put the whole T > 0
+mixture of the latter into two trajectories in one magnetization sector.
 """
 
 from __future__ import annotations
@@ -351,6 +351,28 @@ def _flip_ladder(sector, raising: bool) -> np.ndarray:
     return columns
 
 
+def _branch_theta(spec: ChainSpec, sender_up: bool, chain_basis: np.ndarray, vector: np.ndarray,
+                  times: np.ndarray, krylov_tol: float, parity: float | None = None) -> np.ndarray:
+    """<sigma_z(B)> on the grid of chain state ``vector`` with the sender; with T0's parity f,
+    the bracket <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.  Builds its own sector,
+    matrix and flip ladder, so a worker process needs only these arguments.
+    """
+    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
+    hamiltonian = build_transfer_hamiltonian(spec, sector).matrix
+    psi0 = np.zeros(sector.dim, dtype=complex)
+    psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(sender_up))] = vector
+    signs = _pauli_z_signs(sector, spec.L)
+    states = _trajectory(hamiltonian, psi0, times, krylov_tol)
+    if parity is None:
+        forms = (np.vdot(s, signs * s).real for s in states)
+    else:
+        flip_ladder = _flip_ladder(sector, raising=sender_up)
+        forms = (
+            np.vdot(t + 2.0 * parity * t[flip_ladder].sum(axis=0), signs * t).real for t in states
+        )
+    return np.fromiter(forms, float, times.size)
+
+
 def full_chain_transfer(
     spec: ChainSpec,
     temperature: float,
@@ -379,46 +401,44 @@ def full_chain_transfer(
     whose S+- is sqrt(2) P + T, so P(t) = (f S+- F T(t) - T(t))/sqrt(2) and
     the bracket is <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.
 
-    Only G and T are Krylov-propagated, in lockstep; the peak is read off the
-    grid with parabolic refinement.  At T > 0, |f| != 1 beyond 1e-8 raises
-    OrderingError before any assembly.  Memory and time grow combinatorially
-    with L; the command line caps L at cli.FULL_CHAIN_LENGTH_CAP.
+    Only G and T are Krylov-propagated.  They share no data, so at T > 0 T's
+    trajectory runs in one worker process, joined before this returns or
+    raises, while the caller propagates G's; theta is the same to the bit and
+    worker errors keep their type.  The peak is read off the grid with
+    parabolic refinement.  Non-finite T or times raise ValueError, and at
+    T > 0 |f| != 1 beyond 1e-8 OrderingError, before any assembly.  Memory and
+    time grow combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
     if spec.gamma is None:
         raise ConfigError("full_chain_transfer needs a spec with a sender coupling")
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
     if not 0.0 < krylov_tol < math.inf:
         raise ValueError(f"krylov_tol must be positive and finite, got {krylov_tol}")
     times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("time grid must start at 0 and increase strictly")
+    valid = times.size >= 2 and times[0] == 0.0 and np.all(np.isfinite(times))
+    if not (valid and np.all(np.diff(times) > 0.0)):
+        raise ValueError("time grid must be finite, start at 0 and increase strictly")
     if spectral.sector is None or spectral.sector.n_sites != spec.L:
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
-    if temperature > 0.0:  # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
+    basis = spectral.sector.basis
+    if temperature == 0.0:
+        theta = _branch_theta(spec, sender_up, basis, spectral.ground, times, krylov_tol)
+    else:
+        # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
         parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
         if abs(abs(parity) - 1.0) > 1e-8:
             raise OrderingError(f"triplet spin-flip parity <T0|F|T0> = {parity:.6g}, not +-1")
+        # imported here: T = 0 starts no worker and imports no process machinery
+        from concurrent.futures import ProcessPoolExecutor
 
-    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
-    hamiltonian = build_transfer_hamiltonian(spec, sector).matrix
-    rows = sector.index_of((spectral.sector.basis << np.uint64(1)) | np.uint64(sender_up))
-    psi0 = np.zeros((2, sector.dim), dtype=complex)
-    psi0[:, rows] = spectral.ground, spectral.triplet
-    ground = _trajectory(hamiltonian, psi0[0], times, krylov_tol)
-    signs = _pauli_z_signs(sector, spec.L)
-    if temperature == 0.0:
-        forms = (np.vdot(g, signs * g).real for g in ground)
-    else:
         x = math.exp(-spectral.gap / temperature)
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
-        flip_ladder = _flip_ladder(sector, raising=sender_up)
-        forms = (
-            w0 * np.vdot(g, signs * g).real
-            + w * np.vdot(t + 2.0 * parity * t[flip_ladder].sum(axis=0), signs * t).real
-            for g, t in zip(ground, _trajectory(hamiltonian, psi0[1], times, krylov_tol))
-        )
-    theta = np.fromiter(forms, float, times.size)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            triplet = pool.submit(_branch_theta, spec, sender_up, basis, spectral.triplet, times,
+                                  krylov_tol, parity)
+            ground = _branch_theta(spec, sender_up, basis, spectral.ground, times, krylov_tol)
+            theta = w0 * ground + w * triplet.result()
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))

@@ -6,6 +6,7 @@ products, independently of the bit-twiddling sector machinery under test.
 
 from __future__ import annotations
 
+import concurrent.futures
 from functools import reduce
 
 import numpy as np
@@ -74,3 +75,30 @@ def arpack_dims(monkeypatch):
 
     monkeypatch.setattr(spinchannel.eigensolve, "eigsh", counted)
     return dims
+
+
+class InProcessPool:
+    """Stand-in for ProcessPoolExecutor: each submitted call runs at once, in this process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run full_chain_transfer's worker calls in-process, where monkeypatches see them."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)

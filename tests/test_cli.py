@@ -1,7 +1,10 @@
 """CLI commands: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +327,69 @@ class TestTransferCommand:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_worker_failure_exits_one_with_a_typed_record(self, monkeypatch, tmp_path, capsys):
+        # the caller propagates G at a reachable tol, so only T0's worker fails
+        caller, trajectory = os.getpid(), spinchannel.transfer._trajectory
+
+        def reachable_in_caller(matrix, psi, times, tol):
+            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+
+        monkeypatch.setattr(spinchannel.transfer, "_trajectory", reachable_in_caller)
+        code = run(
+            ["transfer", "--mode", "full", "--length", "6", "--jp", "0.2", "--temp-min", "0.01",
+             "--t-points", "20", "--krylov-tol", "1e-300", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "PropagationError"
+        assert "tol = 1e-300" in record["message"]
+
+
+def run_in_subprocess(code, argv, cwd):
+    """Run ``code`` in a fresh interpreter that imports this checkout's spinchannel."""
+    src = str(Path(spinchannel.transfer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestWorkerProcess:
+    ARGV = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--temp-min", "0.01",
+            "--out", "o.csv"]
+
+    def test_bytes_do_not_depend_on_the_start_method(self, monkeypatch, tmp_path):
+        # spawn is the default on macOS (forkserver on Linux from Python 3.14): the
+        # worker's function and arguments are pickled into a fresh interpreter there
+        (tmp_path / "default").mkdir()
+        (tmp_path / "spawn").mkdir()
+        monkeypatch.chdir(tmp_path / "default")
+        assert run(self.ARGV) == 0
+        run_in_subprocess(
+            "import multiprocessing, sys\n"
+            "from spinchannel.cli import main\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "raise SystemExit(main(sys.argv[1:]))\n",
+            self.ARGV, tmp_path / "spawn",
+        )
+        for name in ("o.csv", "o.json"):
+            spawned, default = (tmp_path / "spawn" / name), (tmp_path / "default" / name)
+            assert spawned.read_bytes() == default.read_bytes()
+
+    def test_zero_temperature_imports_no_process_machinery(self, tmp_path):
+        # counted from after numpy and scipy, which may import what they like
+        loaded = run_in_subprocess(
+            "import sys, numpy, scipy.linalg, scipy.sparse.linalg\n"
+            "before = set(sys.modules)\n"
+            "from spinchannel.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n",
+            ["transfer", "--mode", "full", "--length", "6", "--jp", "0.2", "--out", "o.csv"],
+            tmp_path,
+        )
+        assert loaded.strip() == "[]"
 
 
 class TestShareCommand:

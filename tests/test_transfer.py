@@ -1,5 +1,10 @@
 """Transfer closed forms vs the three-site oracle, and full-chain dynamics."""
 
+import concurrent.futures
+import math
+import multiprocessing
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +14,7 @@ from scipy.linalg import expm
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
+    _pauli_z_signs,
     apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
@@ -19,6 +25,7 @@ from spinchannel.chain import (
 from spinchannel.eigensolve import SpectralData, lowest_eigenpairs, spectral_data
 from spinchannel.errors import (
     ConfigError,
+    ConvergenceError,
     FlatCurveError,
     OrderingError,
     PropagationError,
@@ -370,8 +377,9 @@ class TestFullChainTransfer:
         np.testing.assert_allclose(up.thetas, -down.thetas, atol=1e-10)
 
     @pytest.mark.parametrize("sender_up, twice_sz", [(True, 1), (False, -1)])
-    def test_one_transfer_sector_per_run(self, monkeypatch, sender_up, twice_sz):
-        # the whole T > 0 mixture lives in the sender's 2Sz = +-1 sector
+    def test_one_transfer_sector_per_run(self, monkeypatch, in_process_pool, sender_up, twice_sz):
+        # the whole T > 0 mixture lives in the sender's 2Sz = +-1 sector; the
+        # caller (G) and the worker (T0) each build that sector's matrix
         built = []
         build = transfer.build_transfer_hamiltonian
 
@@ -385,12 +393,14 @@ class TestFullChainTransfer:
             spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec),
             sender_up=sender_up,
         )
-        assert built == [twice_sz]
+        assert built == [twice_sz, twice_sz]
 
     @pytest.mark.parametrize("temperature, trajectories", [(0.0, 1), (0.2, 2)])
     @pytest.mark.parametrize("sender_up", [True, False])
-    def test_trajectories_per_run(self, monkeypatch, temperature, trajectories, sender_up):
-        # ground alone at T = 0; ground and T0 at T > 0, the S+- branch follows from T0's
+    def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories,
+                                  sender_up):
+        # ground alone at T = 0; ground and T0 at T > 0, the S+- branch follows from T0's.
+        # The in-process pool keeps T0's trajectory where the count can see it.
         started = []
         trajectory = transfer._trajectory
 
@@ -481,6 +491,102 @@ class TestFullChainTransfer:
         # flying-qubit bound: information cannot arrive faster than the
         # excitations carrying it, so t* J >= L/2 inside the validity window
         assert curve.t_star * spec.J >= 0.5 * spec.L
+
+
+def lockstep_theta(spec, temperature, times, sd, sender_up, tol=1e-10):
+    """T > 0 theta with G and T0 advanced together in this process, combined per grid point."""
+    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
+    matrix = build_transfer_hamiltonian(spec, sector).matrix
+    psi0 = np.zeros((2, sector.dim), dtype=complex)
+    psi0[:, sector.index_of((sd.sector.basis << np.uint64(1)) | np.uint64(sender_up))] = (
+        sd.ground, sd.triplet)
+    signs = _pauli_z_signs(sector, spec.L)
+    ladder = transfer._flip_ladder(sector, raising=sender_up)
+    parity = float(np.dot(sd.triplet, sd.triplet[::-1]))
+    x = math.exp(-sd.gap / temperature)
+    w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
+    pairs = zip(transfer._trajectory(matrix, psi0[0], times, tol),
+                transfer._trajectory(matrix, psi0[1], times, tol))
+    return np.array([
+        w0 * np.vdot(g, signs * g).real
+        + w * np.vdot(t + 2.0 * parity * t[ladder].sum(axis=0), signs * t).real
+        for g, t in pairs
+    ])
+
+
+class TestWorkerProcess:
+    """At T > 0 the T0 trajectory runs in a worker process."""
+
+    @pytest.mark.parametrize("temperature", [0.2, 1e-3])
+    @pytest.mark.parametrize("sender_up", [True, False])
+    @pytest.mark.parametrize("length", [6, 8, 10])
+    def test_theta_bitwise_equals_both_branches_in_process(self, length, sender_up, temperature):
+        # Jp = 0.1 keeps the gap near 4e-3, so the triplet weight is not 0 at T = 1e-3
+        sd = spectral_data(ChainSpec(L=length, J=1.0, Jp=0.1))
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1, gamma=sd.gap)
+        times = np.linspace(0.0, 400.0, 41)
+        curve = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=sender_up)
+        expected = lockstep_theta(spec, temperature, times, sd, sender_up)
+        assert curve.thetas.tobytes() == expected.tobytes()
+
+    def test_worker_error_arrives_typed_and_no_process_is_left(self, monkeypatch):
+        # the caller propagates G at a reachable tol, so only T0's worker can fail
+        caller, trajectory = os.getpid(), transfer._trajectory
+
+        def reachable_in_caller(matrix, psi, times, tol):
+            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        sd = chain_spectral(spec)
+        times = np.linspace(0.0, 10.0, 5)
+        full_chain_transfer(spec, 0.2, times, spectral=sd)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(PropagationError, match="tol = 1e-300") as failure:
+            full_chain_transfer(spec, 0.2, times, 1e-300, spectral=sd)
+        assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_joins_the_worker(self):
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        with pytest.raises(PropagationError):
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), 1e-300,
+                                spectral=chain_spectral(spec))
+        assert multiprocessing.active_children() == []
+
+    def test_package_errors_survive_pickling(self):
+        error = pickle.loads(pickle.dumps(ConvergenceError("no convergence", residuals=[1e-3])))
+        assert type(error) is ConvergenceError
+        assert error.residuals == [1e-3]
+        assert str(error) == "no convergence"
+
+    def test_zero_temperature_starts_no_worker(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed at T = 0")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        full_chain_transfer(spec, 0.0, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec))
+
+    @pytest.mark.parametrize(
+        "temperature, times, match",
+        [
+            (float("nan"), [0.0, 1.0, 2.0, 3.0], "temperature"),
+            (float("inf"), [0.0, 1.0, 2.0, 3.0], "temperature"),
+            (0.2, [0.0, 1.0, float("nan"), 3.0], "finite"),
+            (0.2, [0.0, 1.0, 2.0, float("inf")], "finite"),
+        ],
+        ids=["T-nan", "T-inf", "t-nan", "t-inf"],
+    )
+    def test_non_finite_input_fails_before_any_work(self, monkeypatch, temperature, times, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although an input is not finite")
+
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        with pytest.raises(ValueError, match=match):
+            full_chain_transfer(spec, temperature, times, spectral=chain_spectral(spec))
 
 
 class TestCouplingScale:
