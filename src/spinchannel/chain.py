@@ -226,15 +226,15 @@ def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int], mirrored
     return rep, chi, size, _survives(patterns ^ mirrored, full, signs)
 
 
-def symmetry_block(sector: Sector, flip: int, reflect: int) -> Sector:
-    """The (F, R) = (flip, reflect) block of a plain 2*Sz = 0 sector."""
-    if sector.twice_sz != 0 or sector.signs is not None or {flip, reflect} - {1, -1}:
-        raise SectorError("symmetry blocks need a plain 2Sz = 0 sector and signs +-1")
-    half = sector.basis[: sector.dim // 2]  # site n_sites - 1 down: p < ~p
-    rep, _, _, alive = _orbits(half, sector.n_sites, (flip, reflect))
+def symmetry_block(n_sites: int, flip: int, reflect: int) -> Sector:
+    """The (F, R) = (flip, reflect) block of the n_sites-site 2*Sz = 0 sector."""
+    if n_sites < 2 or n_sites % 2 or {flip, reflect} - {1, -1}:
+        raise SectorError("symmetry blocks need an even n_sites >= 2 and signs +-1")
+    half = _patterns(n_sites - 1, n_sites // 2)  # site n_sites - 1 down: p < ~p
+    rep, _, _, alive = _orbits(half, n_sites, (flip, reflect))
     basis = half[(rep == half) & alive]
     basis.setflags(write=False)
-    return Sector(sector.n_sites, 0, basis, (flip, reflect))
+    return Sector(n_sites, 0, basis, (flip, reflect))
 
 
 def _orbit_sizes(patterns: np.ndarray, mirrored: np.ndarray, n_sites: int) -> np.ndarray:
@@ -242,48 +242,49 @@ def _orbit_sizes(patterns: np.ndarray, mirrored: np.ndarray, n_sites: int) -> np
     return np.where((mirrored == patterns) | (mirrored == patterns ^ full), 2.0, 4.0)
 
 
-def expand_to_sector(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
+def expand_to_sector(block: Sector, vec: np.ndarray) -> np.ndarray:
     """Plain-sector image chi(g_p) vec[rep(p)] / sqrt(|O_p|): an isometry commuting with H.
 
     A scatter with no orbit search: a = vec[r] / sqrt|O_r| goes to r and R a to
     Rr, and F a and F R a to their complements, at dim - 1 - position since F
-    reverses the sorted basis.  Patterns of dead orbits stay 0.
+    reverses the sorted basis; positions are m = 0 ranks.  Dead orbits stay 0.
     """
-    if block.signs is None or sector.signs is not None or sector.twice_sz != 0:
-        raise SectorError("expand_to_sector maps a symmetry block into a plain 2Sz = 0 sector")
-    if sector.n_sites != block.n_sites:
-        raise SectorError(f"block has {block.n_sites} sites, sector has {sector.n_sites}")
+    if block.signs is None:
+        raise SectorError("expand_to_sector maps a symmetry block into its plain 2Sz = 0 sector")
     if len(vec) != block.dim:
         raise DimensionError(f"vector has length {len(vec)}, block has dim {block.dim}")
-    (flip, reflect), last = block.signs, sector.dim - 1
-    mirrored = _reverse_bits(block.basis, block.n_sites)
-    a = vec / np.sqrt(_orbit_sizes(block.basis, mirrored, block.n_sites))
-    pos, pos_r = sector.index_of(block.basis), sector.index_of(mirrored)
-    out = np.zeros(sector.dim)
+    n_sites, (flip, reflect) = block.n_sites, block.signs
+    last = comb(n_sites, n_sites // 2) - 1
+    mirrored = _reverse_bits(block.basis, n_sites)
+    a = vec / np.sqrt(_orbit_sizes(block.basis, mirrored, n_sites))
+    pos, pos_r = _rank(block.basis, n_sites, n_sites // 2), _rank(mirrored, n_sites, n_sites // 2)
+    out = np.zeros(last + 1)
     out[pos], out[last - pos] = a, flip * a
     out[pos_r], out[last - pos_r] = reflect * a, flip * reflect * a
     return out
 
 
-def grow_into_block(block: Sector, sector: Sector, vec: np.ndarray) -> np.ndarray:
+def grow_into_block(block: Sector, vec: np.ndarray) -> np.ndarray:
     """Block vector at L of a plain m = 0 vector at L - 2 with a singlet on sites L/2 - 1, L/2.
 
     The singlet keeps total spin and flips F and R: (s, s) at L - 2 grows into
     (-s, -s).  A gather: r gets +-sqrt(|O_r| / 2) vec[r'], r' = r less the two
     middle bits, + if site L/2 - 1 is up, and 0 if they are aligned.
     """
-    if block.signs is None or sector.signs is not None or sector.twice_sz != 0:
+    if block.signs is None:
         raise SectorError("grow_into_block maps a plain 2Sz = 0 sector into a symmetry block")
-    if sector.n_sites != block.n_sites - 2 or len(vec) != sector.dim:
-        raise DimensionError(f"need a vector of the {block.n_sites - 2}-site m = 0 sector")
-    one, low = np.uint64(1), np.uint64(block.n_sites // 2 - 1)
+    n_short, n_up = block.n_sites - 2, block.n_sites // 2 - 1
+    if len(vec) != comb(n_short, n_up):
+        raise DimensionError(f"need a vector of the {n_short}-site m = 0 sector")
+    one, low = np.uint64(1), np.uint64(n_up)
     up = (block.basis >> low) & one
     anti = np.nonzero(up != (block.basis >> (low + one)) & one)[0]
     reps, up = block.basis[anti], up[anti]
     kept = (reps & ((one << low) - one)) | ((reps >> (low + one + one)) << low)
     size = _orbit_sizes(reps, _reverse_bits(reps, block.n_sites), block.n_sites)
     out = np.zeros(block.dim)
-    out[anti] = np.where(up == one, 1.0, -1.0) * np.sqrt(size / 2.0) * vec[sector.index_of(kept)]
+    sign = np.where(up == one, 1.0, -1.0)
+    out[anti] = sign * np.sqrt(size / 2.0) * vec[_rank(kept, n_short, n_up)]
     return out
 
 
@@ -370,7 +371,7 @@ def build_bond_hamiltonian(
     if signs is not None:
         full = np.uint64((1 << n_sites) - 1)
         mirrored = _reverse_bits(basis, n_sites)
-        row_size = _orbits(basis, n_sites, signs, mirrored)[2]
+        row_size = _orbit_sizes(basis, mirrored, n_sites)
         block_index = np.empty(comb(n_sites, n_up) // 2, dtype=np.int32)  # read at reps only
         block_index[_rank(basis, n_sites, n_up)] = np.arange(dim, dtype=np.int32)
 

@@ -15,15 +15,16 @@ _TWO_SPIN = eigensolve.SpectralData(-0.75, 0.25, 1.0, -1.0, 1.0, 0.0)
 
 
 def lanczos_vs_dense(tol: float, seed: int):
-    """Lowest two ARPACK energies against the dense spectrum in the L = 12 sectors
-    2S_z = 0, +-2 (dims 924 and 792, above the dense cut-off)."""
+    """Lowest ARPACK energies against the dense spectrum: two in the L = 12 sectors 2S_z = 0,
+    +-2 (dims 924, 792), one in each L = 14 block spectral_data solves (dim 890 each)."""
     worst = 0.0
+    sectors = [(chain.enumerate_sector(12, twice_sz), 2) for twice_sz in (-2, 0, 2)]
+    sectors += [(chain.symmetry_block(14, sign, sign), 1) for sign in (-1, 1)]  # s = (-1)^7
     for jp in (0.1, 0.5, 1.0):
-        spec = chain.ChainSpec(L=12, J=1.0, Jp=jp)
-        for twice_sz in (-2, 0, 2):
-            op = chain.build_chain_hamiltonian(spec, chain.enumerate_sector(12, twice_sz))
+        for sector, k in sectors:
+            op = chain.build_chain_hamiltonian(chain.ChainSpec(sector.n_sites, 1.0, jp), sector)
             dense = eigensolve.dense_spectrum(op)
-            pairs = eigensolve.lowest_eigenpairs(op, 2, tol, seed=seed)
+            pairs = eigensolve.lowest_eigenpairs(op, k, tol, seed=seed)
             for i, pair in enumerate(pairs):
                 worst = max(worst, abs(pair.energy - dense[i]))
     return worst <= 1e-9, f"max energy deviation {worst:.3e} (tol 1e-9)"

@@ -22,7 +22,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chain import (
     ChainSpec,
-    Sector,
     SparseOperator,
     apply_total_spin_ladder,
     build_chain_hamiltonian,
@@ -83,8 +82,8 @@ class SpectralData:
     gzz_ground  -- <G| sigma_z(A) sigma_z(B) |G>
     gzz_triplet -- <T+1| sigma_z(A) sigma_z(B) |T+1>
     gxx_triplet -- <T+1| sigma_x(A) sigma_x(B) |T+1>
-    sector, ground, triplet -- m = 0 basis and unit vectors of |G> and of the
-                   m = 0 triplet member |T0>; None in hand-built instances
+    ground, triplet -- unit vectors of |G> and of the m = 0 triplet member
+                   |T0> in the sorted m = 0 basis; None in hand-built instances
     """
 
     e0: float
@@ -93,7 +92,6 @@ class SpectralData:
     gzz_ground: float
     gzz_triplet: float
     gxx_triplet: float
-    sector: Sector | None = field(default=None, repr=False, compare=False)
     ground: np.ndarray | None = field(default=None, repr=False, compare=False)
     triplet: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -234,32 +232,29 @@ def spectral_data(
     singlet inserted (``grow_into_block``): pure S = 0 and S = 1, the lowest
     spins of their blocks by Lieb-Mattis.  Both starts are built, and
     ``grow_from`` dropped, before any assembly (one without vectors raises
-    ConfigError, one of another length DimensionError); the plain m = 0
-    basis is enumerated again for the expansions.
+    ConfigError, one of another length DimensionError).  The plain m = 0
+    basis is enumerated once, after both solves.
     """
     if spec.gamma is not None:
         raise ConfigError("spectral_data expects a chain spec without a sender coupling")
-    if grow_from is not None and any(
-        vec is None for vec in (grow_from.sector, grow_from.ground, grow_from.triplet)
-    ):
-        raise ConfigError("grow_from needs the sector and vectors of a spectral_data result")
+    if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
+        raise ConfigError("grow_from needs the vectors of a spectral_data result")
 
     a, b = spec.site_a, spec.site_b
 
     singlet_sign = (-1) ** (spec.L // 2)
-    sector0 = enumerate_sector(spec.L, 0)
-    blocks = [symmetry_block(sector0, sign, sign) for sign in (singlet_sign, -singlet_sign)]
+    blocks = [symmetry_block(spec.L, sign, sign) for sign in (singlet_sign, -singlet_sign)]
     starts = [None, None] if grow_from is None else [
-        grow_into_block(block, grow_from.sector, vec)
+        grow_into_block(block, vec)
         for block, vec in zip(blocks, (grow_from.ground, grow_from.triplet))]
     for block, start in zip(blocks, starts):
         _check_start(start, block.dim)
-    del sector0, grow_from  # no plain m = 0 array lives through a solve
+    del grow_from  # no L - 2 vector lives through a solve
     solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed,
                                 v0=starts.pop(0)) for block in blocks]
     sector0 = enumerate_sector(spec.L, 0)
     ground, triplet = [  # expanded after both solves: no plain m = 0 vector lives through one
-        replace(pair, vector=expand_to_sector(block, sector0, pair.vector))
+        replace(pair, vector=expand_to_sector(block, pair.vector))
         for block, (pair,) in zip(blocks, solves)
     ]
 
@@ -287,7 +282,6 @@ def spectral_data(
         gzz_ground=pauli_zz_expectation(sector0, ground.vector, a, b),
         gzz_triplet=xx0,
         gxx_triplet=0.5 * (zz0 + xx0),
-        sector=sector0,
         ground=ground.vector,
         triplet=triplet.vector,
     )

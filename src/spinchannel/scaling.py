@@ -81,7 +81,7 @@ def gap_sweep(
         warnings.append(f"duplicate lengths removed: {dupes}")
     rows, solved = [], []  # solved: the last solve, with its vectors
     for spec in specs:
-        if solved and solved[0].sector.n_sites != spec.L - 2:
+        if solved and rows[-1].length != spec.L - 2:
             solved.clear()
         try:
             # popped as a temporary, so spectral_data frees the L - 2 data before assembling
@@ -93,7 +93,7 @@ def gap_sweep(
             warnings.append(f"L = {spec.L} skipped: {exc}")
             skipped.append(spec.L)
             continue
-        sd = replace(solved[0], sector=None, ground=None, triplet=None)
+        sd = replace(solved[0], ground=None, triplet=None)
         rows.append(GapRow(length=spec.L, jp=jp, gap=sd.gap, e0=sd.e0, spectral=sd))
     return GapTable(rows=tuple(rows), warnings=tuple(warnings), skipped=tuple(skipped))
 

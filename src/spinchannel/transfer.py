@@ -28,6 +28,8 @@ mixture of the latter into two trajectories in one magnetization sector.
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ from .errors import (
     FlatCurveError,
     OrderingError,
     PropagationError,
+    SpinChainError,
     UnsupportedRegimeError,
 )
 from .thermal import SIGMA_DOT_SIGMA, thermal_g, validate_werner_g, werner_density_matrix
@@ -351,15 +354,16 @@ def _flip_ladder(sector, raising: bool) -> np.ndarray:
     return columns
 
 
-def _branch_theta(spec: ChainSpec, sender_up: bool, chain_basis: np.ndarray, vector: np.ndarray,
-                  times: np.ndarray, krylov_tol: float, parity: float | None = None) -> np.ndarray:
-    """<sigma_z(B)> on the grid of chain state ``vector`` with the sender; with T0's parity f,
-    the bracket <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.  Builds its own sector,
-    matrix and flip ladder, so a worker process needs only these arguments.
+def _branch_theta(spec: ChainSpec, sender_up: bool, vector: np.ndarray, times: np.ndarray,
+                  krylov_tol: float, parity: float | None = None) -> np.ndarray:
+    """<sigma_z(B)> on the grid of m = 0 chain state ``vector`` with the sender; with T0's
+    parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.  Builds its own
+    bases, matrix and flip ladder, so a worker process needs only these arguments.
     """
     sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
     hamiltonian = build_transfer_hamiltonian(spec, sector).matrix
     psi0 = np.zeros(sector.dim, dtype=complex)
+    chain_basis = enumerate_sector(spec.L, 0).basis
     psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(sender_up))] = vector
     signs = _pauli_z_signs(sector, spec.L)
     states = _trajectory(hamiltonian, psi0, times, krylov_tol)
@@ -402,10 +406,12 @@ def full_chain_transfer(
     the bracket is <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.
 
     Only G and T are Krylov-propagated.  They share no data, so at T > 0 T's
-    trajectory runs in one worker process, joined before this returns or
-    raises, while the caller propagates G's; theta is the same to the bit and
-    worker errors keep their type.  The peak is read off the grid with
-    parabolic refinement.  Non-finite T or times raise ValueError, and at
+    trajectory runs in one worker process while the caller propagates G's;
+    theta is the same to the bit.  Worker errors keep their type, a worker
+    that dies without one raises SpinChainError, and a caller error ends the
+    worker at once (SIGTERM); no process outlives the call.  t* and f* are the
+    vertex of the quadratic fit through the grid maximum and its neighbours,
+    if it lies among them.  Non-finite T or times raise ValueError, and at
     T > 0 |f| != 1 beyond 1e-8 OrderingError, before any assembly.  Memory and
     time grow combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
@@ -419,11 +425,10 @@ def full_chain_transfer(
     valid = times.size >= 2 and times[0] == 0.0 and np.all(np.isfinite(times))
     if not (valid and np.all(np.diff(times) > 0.0)):
         raise ValueError("time grid must be finite, start at 0 and increase strictly")
-    if spectral.sector is None or spectral.sector.n_sites != spec.L:
+    if spectral.ground is None or spectral.ground.size != math.comb(spec.L, spec.L // 2):
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
-    basis = spectral.sector.basis
     if temperature == 0.0:
-        theta = _branch_theta(spec, sender_up, basis, spectral.ground, times, krylov_tol)
+        theta = _branch_theta(spec, sender_up, spectral.ground, times, krylov_tol)
     else:
         # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
         parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
@@ -431,35 +436,33 @@ def full_chain_transfer(
             raise OrderingError(f"triplet spin-flip parity <T0|F|T0> = {parity:.6g}, not +-1")
         # imported here: T = 0 starts no worker and imports no process machinery
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         x = math.exp(-spectral.gap / temperature)
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
         with ProcessPoolExecutor(max_workers=1) as pool:
-            triplet = pool.submit(_branch_theta, spec, sender_up, basis, spectral.triplet, times,
+            worker = pool.submit(os.getpid)
+            triplet = pool.submit(_branch_theta, spec, sender_up, spectral.triplet, times,
                                   krylov_tol, parity)
-            ground = _branch_theta(spec, sender_up, basis, spectral.ground, times, krylov_tol)
-            theta = w0 * ground + w * triplet.result()
+            try:
+                ground = _branch_theta(spec, sender_up, spectral.ground, times, krylov_tol)
+            except BaseException:
+                if not triplet.done():  # end T0's trajectory rather than join it
+                    os.kill(worker.result(), signal.SIGTERM)
+                raise
+            try:
+                theta = w0 * ground + w * triplet.result()
+            except BrokenProcessPool as exc:
+                raise SpinChainError("the worker propagating T0 ended without a result") from exc
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))
     t_star, f_star = float(times[i]), float(fidelities[i])
     if 0 < i < times.size - 1:
-        # parabolic refinement through the three points around the maximum
-        t0, t1, t2 = times[i - 1 : i + 2]
-        f0, f1, f2 = fidelities[i - 1 : i + 2]
-        denom = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
-        if denom != 0.0:
-            shift = 0.5 * (
-                (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
-            ) / denom
-            tv = t1 - shift
-            if t0 <= tv <= t2:
-                t_star = float(tv)
-                f_star = float(
-                    f0 * (tv - t1) * (tv - t2) / ((t0 - t1) * (t0 - t2))
-                    + f1 * (tv - t0) * (tv - t2) / ((t1 - t0) * (t1 - t2))
-                    + f2 * (tv - t0) * (tv - t1) / ((t2 - t0) * (t2 - t1))
-                )
+        fit = np.polynomial.Polynomial.fit(times[i - 1 : i + 2], fidelities[i - 1 : i + 2], 2)
+        vertex = fit.deriv().roots()  # empty if the three points are collinear
+        if vertex.size and times[i - 1] <= vertex[0] <= times[i + 1]:
+            t_star, f_star = float(vertex[0]), float(fit(vertex[0]))
     return TransferCurve(
         times=times,
         thetas=theta,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def dense_chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
 def dense_transfer_hamiltonian(spec: ChainSpec) -> np.ndarray:
     bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
     return dense_bond_hamiltonian(spec.L + 1, bonds)
+
+
+def chain_length(spectral) -> int:
+    """Length L of the chain whose m = 0 sector, of dim C(L, L/2), holds spectral's vectors."""
+    return next(L for L in range(2, 64, 2) if comb(L, L // 2) == spectral.ground.size)
 
 
 def random_pure_qubit(rng) -> np.ndarray:

@@ -100,7 +100,7 @@ class TestRank:
             assert isinstance(idx, np.integer) and idx == 41
 
     def test_block_refuses(self):
-        block = symmetry_block(enumerate_sector(8, 0), 1, 1)
+        block = symmetry_block(8, 1, 1)
         with pytest.raises(SectorError, match="plain sector"):
             block.index_of(block.basis)
 
@@ -230,7 +230,7 @@ class TestAssemblyAgainstKronOracle:
         if kind == "plain":
             op = build_chain_hamiltonian(spec, sector0)
         elif kind == "block":
-            op = build_chain_hamiltonian(spec, symmetry_block(sector0, -1, 1))
+            op = build_chain_hamiltonian(spec, symmetry_block(length, -1, 1))
         else:
             spec = ChainSpec(L=length, J=1.0, Jp=0.3, gamma=0.05)
             op = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1))
@@ -242,7 +242,7 @@ class TestAssemblyAgainstKronOracle:
     def test_int64_index_path_gives_the_same_matrix(self, monkeypatch):
         # nnz >= 2**31 takes int64 indptr and indices; force that path at L = 10
         spec = ChainSpec(L=10, J=1.0, Jp=0.3)
-        block = symmetry_block(enumerate_sector(10, 0), 1, -1)
+        block = symmetry_block(10, 1, -1)
         small = build_chain_hamiltonian(spec, block).matrix
         monkeypatch.setattr(spinchannel.chain, "get_index_dtype", lambda maxval: np.int64)
         wide = build_chain_hamiltonian(spec, block).matrix
@@ -325,7 +325,7 @@ class TestAssemblyAgainstBinarySearch:
         spec = ChainSpec(L=length, J=1.0, Jp=0.3)
         sector0 = enumerate_sector(length, 0)
         bonds = chain_bonds(spec)
-        sectors = [sector0] + [symmetry_block(sector0, f, r) for f in (1, -1) for r in (1, -1)]
+        sectors = [sector0] + [symmetry_block(length, f, r) for f in (1, -1) for r in (1, -1)]
         for sector in sectors:
             matrix = build_chain_hamiltonian(spec, sector).matrix
             self.assert_bitwise_equal(matrix, self.searchsorted_assembly(length, bonds, sector))
@@ -347,7 +347,7 @@ class TestAssemblyMemory:
         # adds per-row arrays and one bond's temporaries at a time, never all
         # bonds' entries at once (another 16 bytes per entry)
         spec = ChainSpec(L=18, J=1.0, Jp=0.1)
-        block = symmetry_block(enumerate_sector(18, 0), -1, -1)  # (s, s), s = (-1)^9
+        block = symmetry_block(18, -1, -1)  # (s, s), s = (-1)^9
         tracemalloc.start()
         try:
             op = build_chain_hamiltonian(spec, block)
@@ -462,10 +462,10 @@ class TestBlockMaps:
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_expansion_is_the_orbit_formula_bitwise(self, length, signs):
         sector = enumerate_sector(length, 0)
-        block = symmetry_block(sector, *signs)
+        block = symmetry_block(length, *signs)
         vec = np.random.default_rng(length).standard_normal(block.dim)
         expected = self.orbit_oracle(block, sector, vec)
-        assert expand_to_sector(block, sector, vec).tobytes() == expected.tobytes()
+        assert expand_to_sector(block, vec).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("length", [6, 8, 10, 12])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -473,8 +473,8 @@ class TestBlockMaps:
         # E^T (x (x) singlet on sites L/2 - 1, L/2), E the block's expansion,
         # with x a random vector of block (sign, sign) at L - 2 expanded
         short = enumerate_sector(length - 2, 0)
-        small = symmetry_block(short, sign, sign)
-        x = expand_to_sector(small, short, np.random.default_rng(length).standard_normal(small.dim))
+        small = symmetry_block(length - 2, sign, sign)
+        x = expand_to_sector(small, np.random.default_rng(length).standard_normal(small.dim))
         x /= np.linalg.norm(x)
         sector = enumerate_sector(length, 0)
         low, high = length // 2 - 1, length // 2 + 1
@@ -484,27 +484,25 @@ class TestBlockMaps:
             pattern = kept | np.uint64(1 << (low if up_left else low + 1))
             grown[sector.index_of(pattern)] = (1.0 if up_left else -1.0) * x / np.sqrt(2.0)
         for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            block = symmetry_block(sector, *signs)
-            images = np.array([expand_to_sector(block, sector, e) for e in np.eye(block.dim)])
+            block = symmetry_block(length, *signs)
+            images = np.array([expand_to_sector(block, e) for e in np.eye(block.dim)])
             restricted = images @ grown if block.dim else np.zeros(0)
             if signs == (-sign, -sign):  # the singlet flips both parities
-                np.testing.assert_allclose(grow_into_block(block, short, x), restricted, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(grow_into_block(block, x), restricted, rtol=0, atol=1e-15)
                 assert restricted @ restricted == pytest.approx(1.0, abs=1e-12)
             else:
                 np.testing.assert_allclose(restricted, 0.0, rtol=0, atol=1e-15)
 
     def test_growth_guards(self):
         short, sector = enumerate_sector(8, 0), enumerate_sector(10, 0)
-        block = symmetry_block(sector, 1, 1)
+        block = symmetry_block(10, 1, 1)
         x = np.ones(short.dim)
         with pytest.raises(DimensionError):
-            grow_into_block(block, short, x[:-1])
+            grow_into_block(block, x[:-1])
         with pytest.raises(DimensionError):
-            grow_into_block(block, sector, np.ones(sector.dim))
+            grow_into_block(block, np.ones(sector.dim))
         with pytest.raises(SectorError):
-            grow_into_block(block, enumerate_sector(8, 2), np.ones(enumerate_sector(8, 2).dim))
-        with pytest.raises(SectorError):
-            grow_into_block(sector, short, x)
+            grow_into_block(sector, x)
 
 
 class TestGuards:
@@ -529,7 +527,7 @@ class TestGuards:
             build_transfer_hamiltonian(spec, enumerate_sector(4, 0))
 
     def test_block_needs_mirror_symmetric_bonds(self):
-        block = symmetry_block(enumerate_sector(6, 0), 1, 1)
+        block = symmetry_block(6, 1, 1)
         with pytest.raises(ValueError, match="mirror"):
             build_bond_hamiltonian(6, [(0, 1, 0.3), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.7)], block)
         with pytest.raises(ValueError, match="mirror"):
@@ -543,20 +541,21 @@ class TestGuards:
         # plain sectors take any bond list
         build_bond_hamiltonian(6, bonds[:2], enumerate_sector(6, 0))
 
+    @pytest.mark.parametrize("n_sites, flip, reflect", [(7, 1, 1), (0, 1, 1), (8, 0, 1), (8, 1, 2)])
+    def test_symmetry_block_needs_even_sites_and_unit_signs(self, n_sites, flip, reflect):
+        with pytest.raises(SectorError):
+            symmetry_block(n_sites, flip, reflect)
+
     def test_expand_to_sector_rejects_bad_inputs(self):
-        sector6, sector8 = enumerate_sector(6, 0), enumerate_sector(8, 0)
-        block = symmetry_block(sector6, 1, 1)
+        sector6 = enumerate_sector(6, 0)
+        block = symmetry_block(6, 1, 1)
         vec = np.ones(block.dim)
         with pytest.raises(SectorError):
-            expand_to_sector(sector6, sector6, np.ones(sector6.dim))
-        with pytest.raises(SectorError):
-            expand_to_sector(block, sector8, vec)
-        with pytest.raises(SectorError):
-            expand_to_sector(block, enumerate_sector(6, 2), vec)
+            expand_to_sector(sector6, np.ones(sector6.dim))
         with pytest.raises(DimensionError):
-            expand_to_sector(block, sector6, np.ones(block.dim + 1))
+            expand_to_sector(block, np.ones(block.dim + 1))
         with pytest.raises(DimensionError):
-            expand_to_sector(block, sector6, vec[:-1])
+            expand_to_sector(block, vec[:-1])
 
 
 class TestApply:

@@ -42,7 +42,8 @@ def test_channel_check_reads_shrink_factor(monkeypatch):
 
 
 def test_lanczos_vs_dense_runs_arpack(arpack_dims):
-    # three couplings x the L = 12 sectors 2S_z = -2, 0, 2, all above the dense cut-off
+    # three couplings x (the L = 12 sectors 2S_z = -2, 0, 2 and the two L = 14 blocks
+    # of spectral_data), all above the dense cut-off
     ok, detail = checks.lanczos_vs_dense(DEFAULT_TOL, DEFAULT_SEED)
     assert ok, detail
-    assert arpack_dims == [792, 924, 792] * 3
+    assert arpack_dims == [792, 924, 792, 890, 890] * 3

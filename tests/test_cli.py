@@ -1,6 +1,7 @@
 """CLI commands: output formats, determinism, exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import spinchannel.scaling
 import spinchannel.transfer
 from spinchannel.cli import main
 from spinchannel.errors import ConvergenceError
+
+from conftest import chain_length
 
 
 def run(argv):
@@ -187,7 +190,7 @@ class TestTransferCommand:
         true_solve, calls = spinchannel.scaling.spectral_data, []
 
         def recorded(spec, *args, grow_from=None, **kwargs):
-            calls.append((spec.L, None if grow_from is None else grow_from.sector.n_sites))
+            calls.append((spec.L, None if grow_from is None else chain_length(grow_from)))
             return true_solve(spec, *args, grow_from=grow_from, **kwargs)
 
         monkeypatch.setattr(spinchannel.scaling, "spectral_data", recorded)
@@ -344,6 +347,25 @@ class TestTransferCommand:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["error"] == "PropagationError"
         assert "tol = 1e-300" in record["message"]
+
+    def test_dead_worker_exits_one_with_a_typed_record(self, monkeypatch, tmp_path, capsys):
+        # a worker that exits without a Python exception: no traceback, one record
+        caller, trajectory = os.getpid(), spinchannel.transfer._trajectory
+
+        def exiting_in_worker(matrix, psi, times, tol):
+            if os.getpid() != caller:
+                os._exit(3)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(spinchannel.transfer, "_trajectory", exiting_in_worker)
+        code = run(
+            ["transfer", "--mode", "full", "--length", "6", "--jp", "0.2", "--temp-min", "0.01",
+             "--t-points", "20", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "SpinChainError"
+        assert multiprocessing.active_children() == []
 
 
 def run_in_subprocess(code, argv, cwd):

@@ -91,7 +91,7 @@ class TestLowestEigenpairs:
         # tracemalloc reads ~29 such vectors with ncv = 12 and ~45 with 20.
         # Only the eigsh call is measured, not the norm bound.
         spec = ChainSpec(L=18, J=1.0, Jp=0.1)
-        block = symmetry_block(enumerate_sector(18, 0), -1, -1)  # (s, s), s = (-1)^9
+        block = symmetry_block(18, -1, -1)  # (s, s), s = (-1)^9
         op = build_chain_hamiltonian(spec, block)
         true_eigsh = spinchannel.eigensolve.eigsh
         peaks = []
@@ -171,9 +171,8 @@ class TestNormBound:
     @pytest.mark.parametrize("rows", [7, 1 << 16])
     def test_is_the_row_slice_formula(self, monkeypatch, length, rows):
         monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
-        sector0 = enumerate_sector(length, 0)
         for sign in (1, -1):
-            mat = build_chain_hamiltonian(ChainSpec(L=length, Jp=0.1), symmetry_block(sector0, sign, sign)).matrix
+            mat = build_chain_hamiltonian(ChainSpec(L=length, Jp=0.1), symmetry_block(length, sign, sign)).matrix
             assert spinchannel.eigensolve._norm_bound(mat) == self.row_slice_bound(mat, rows)
 
     def test_empty_rows(self, monkeypatch):
@@ -186,7 +185,7 @@ class TestNormBound:
     def test_copies_at_most_one_block_of_values(self, monkeypatch):
         rows = 4096
         monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
-        block = symmetry_block(enumerate_sector(20, 0), 1, 1)
+        block = symmetry_block(20, 1, 1)
         mat = build_chain_hamiltonian(ChainSpec(L=20, Jp=0.1), block).matrix
         chunk = max(np.diff(mat.indptr[::rows].tolist() + [mat.nnz])) * mat.data.itemsize
         tracemalloc.start()
@@ -233,7 +232,7 @@ SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 def _block_expansion(block, sector):
     """Plain-sector images of the block's unit vectors, one per column."""
-    images = [expand_to_sector(block, sector, e) for e in np.eye(block.dim)]
+    images = [expand_to_sector(block, e) for e in np.eye(block.dim)]
     return np.reshape(images, (block.dim, sector.dim)).T  # the L = 4 (1, -1) block is empty
 
 
@@ -246,7 +245,7 @@ class TestSpinInversionBlocks:
         spec = ChainSpec(L=length, J=1.0, Jp=jp)
         sector0 = enumerate_sector(length, 0)
         blocks = [
-            dense_spectrum(build_chain_hamiltonian(spec, symmetry_block(sector0, *signs)))
+            dense_spectrum(build_chain_hamiltonian(spec, symmetry_block(length, *signs)))
             for signs in SIGNS
         ]
         plain = dense_spectrum(build_chain_hamiltonian(spec, sector0))
@@ -257,7 +256,7 @@ class TestSpinInversionBlocks:
         # each block's expansion is an isometry; the four together span the sector
         sector0 = enumerate_sector(length, 0)
         columns = np.hstack(
-            [_block_expansion(symmetry_block(sector0, *signs), sector0) for signs in SIGNS]
+            [_block_expansion(symmetry_block(length, *signs), sector0) for signs in SIGNS]
         )
         assert columns.shape == (sector0.dim, sector0.dim)
         np.testing.assert_allclose(columns.T @ columns, np.eye(sector0.dim), rtol=0, atol=1e-14)
@@ -268,7 +267,7 @@ class TestSpinInversionBlocks:
         # E^T H E with E's columns the expansions of the block's unit vectors
         spec = ChainSpec(L=length, J=1.0, Jp=0.3)
         sector0 = enumerate_sector(length, 0)
-        block = symmetry_block(sector0, *signs)
+        block = symmetry_block(length, *signs)
         expansion = _block_expansion(block, sector0)
         projected = expansion.T @ (build_chain_hamiltonian(spec, sector0).matrix @ expansion)
         matrix = build_chain_hamiltonian(spec, block).matrix.toarray()
@@ -300,7 +299,7 @@ class TestSpinInversionBlocks:
         tol = 1e-10
         spec = ChainSpec(L=length, J=1.0, Jp=0.1)
         sd = spectral_data(spec, tol)
-        op = build_chain_hamiltonian(spec, sd.sector)
+        op = build_chain_hamiltonian(spec, enumerate_sector(length, 0))
         ground, triplet = lowest_eigenpairs(op, 2, tol)
         assert sd.e0 == pytest.approx(ground.energy, abs=1e-10)
         assert sd.e_triplet == pytest.approx(triplet.energy, abs=1e-10)
@@ -364,7 +363,7 @@ class TestSpectralData:
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
         energy = (0.5 + 3.0 + 0.5) / 4.0
         sector0 = enumerate_sector(6, 0)
-        expansion = _block_expansion(symmetry_block(sector0, 1, 1), sector0)
+        expansion = _block_expansion(symmetry_block(6, 1, 1), sector0)
         septet = expansion.T @ np.full(sector0.dim, 1.0 / np.sqrt(sector0.dim))
         true_solve = spinchannel.eigensolve.lowest_eigenpairs
         replaced = []
@@ -391,15 +390,37 @@ class TestSpectralData:
             calls.append(("solve", op.dim))
             return solve(op, *args, **kwargs)
 
-        def recorded_expand(block, sector, vec):
+        def recorded_expand(block, vec):
             calls.append(("expand", block.dim))
-            return expand(block, sector, vec)
+            return expand(block, vec)
 
         monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", recorded_solve)
         monkeypatch.setattr(spinchannel.eigensolve, "expand_to_sector", recorded_expand)
         spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
         assert [name for name, _ in calls] == ["solve", "solve", "expand", "expand"]
         assert [dim for _, dim in calls[2:]] == [dim for _, dim in calls[:2]]
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_one_m0_enumeration_per_call(self, monkeypatch, grown):
+        # the blocks list their own representatives, so the plain m = 0 basis is
+        # enumerated once, for the correlators after both solves
+        short = spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1)) if grown else None
+        enumerate_m, patterns = spinchannel.eigensolve.enumerate_sector, spinchannel.chain._patterns
+        sectors, listed = [], []
+
+        def recorded_enumerate(n_sites, twice_sz):
+            sectors.append((n_sites, twice_sz))
+            return enumerate_m(n_sites, twice_sz)
+
+        def recorded_patterns(n_sites, n_up):
+            listed.append((n_sites, n_up))
+            return patterns(n_sites, n_up)
+
+        monkeypatch.setattr(spinchannel.eigensolve, "enumerate_sector", recorded_enumerate)
+        monkeypatch.setattr(spinchannel.chain, "_patterns", recorded_patterns)
+        spectral_data(ChainSpec(L=14, J=1.0, Jp=0.1), grow_from=short)
+        assert sectors == [(14, 0)]
+        assert listed.count((14, 7)) == 1
 
     @pytest.mark.parametrize("length", [8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.2])
@@ -465,8 +486,8 @@ class TestGrownStarts:
         sector = enumerate_sector(length, 0)
         s = (-1) ** (length // 2)
         for sign, vec, s2 in ((s, short.ground, 0.0), (-s, short.triplet, 2.0)):
-            block = symmetry_block(sector, sign, sign)
-            start = expand_to_sector(block, sector, grow_into_block(block, short.sector, vec))
+            block = symmetry_block(length, sign, sign)
+            start = expand_to_sector(block, grow_into_block(block, vec))
             _, raised = apply_total_spin_ladder(sector, start, raising=True)
             assert start @ start == pytest.approx(1.0, abs=1e-12)
             assert raised @ raised == pytest.approx(s2, abs=1e-12)

@@ -12,6 +12,8 @@ from spinchannel.eigensolve import dense_spectrum, spectral_data
 from spinchannel.errors import ConvergenceError, InsufficientDataError
 from spinchannel.scaling import GapRow, GapTable, fit_power_law, gap_sweep
 
+from conftest import chain_length
+
 
 def synthetic_table(c, alpha, lengths, jp=0.2):
     rows = tuple(GapRow(length=L, jp=jp, gap=c * L ** (-alpha), e0=-float(L)) for L in lengths)
@@ -87,7 +89,7 @@ class TestGapSweep:
         sd = spectral_data(ChainSpec(L=10, J=1.0, Jp=0.3))
         assert table.rows[0].gap == pytest.approx(sd.gap, abs=1e-12)
         # each row carries its spectral_data, without the vectors
-        assert table.rows[0].spectral == replace(sd, sector=None, ground=None, triplet=None)
+        assert table.rows[0].spectral == replace(sd, ground=None, triplet=None)
 
     def test_invalid_lengths_rejected_up_front(self):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ class TestGrownSweep:
         true_solve, grown_from = spinchannel.scaling.spectral_data, []
 
         def recorded(spec, *args, grow_from=None, **kwargs):
-            grown_from.append((spec.L, None if grow_from is None else grow_from.sector.n_sites))
+            grown_from.append((spec.L, None if grow_from is None else chain_length(grow_from)))
             if spec.L == fail_at:
                 raise ConvergenceError("injected failure")
             return true_solve(spec, *args, grow_from=grow_from, **kwargs)
@@ -138,10 +140,10 @@ class TestGrownSweep:
         assert grown_from == [(6, None), (8, 6), (12, None), (14, None), (16, 14), (20, None)]
 
     def test_l_minus_2_is_freed_before_the_next_solve(self):
-        # the L = 16 sector and vectors must die before the L = 18 solves, so
+        # the L = 16 vectors must die before the L = 18 solves, so
         # the sweep's peak is that of the L = 18 solve, plus at most the second
         # start vector built before the first assembly
-        block_dim = symmetry_block(enumerate_sector(18, 0), -1, -1).dim
+        block_dim = symmetry_block(18, -1, -1).dim
         gap_sweep([16, 18], 0.1)  # warm caches and imports
         tracemalloc.start()
         try:

@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from spinchannel.errors import (
     FlatCurveError,
     OrderingError,
     PropagationError,
+    SpinChainError,
     UnsupportedRegimeError,
 )
 from spinchannel.transfer import (
@@ -498,7 +501,8 @@ def lockstep_theta(spec, temperature, times, sd, sender_up, tol=1e-10):
     sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
     matrix = build_transfer_hamiltonian(spec, sector).matrix
     psi0 = np.zeros((2, sector.dim), dtype=complex)
-    psi0[:, sector.index_of((sd.sector.basis << np.uint64(1)) | np.uint64(sender_up))] = (
+    chain_basis = enumerate_sector(spec.L, 0).basis
+    psi0[:, sector.index_of((chain_basis << np.uint64(1)) | np.uint64(sender_up))] = (
         sd.ground, sd.triplet)
     signs = _pauli_z_signs(sector, spec.L)
     ladder = transfer._flip_ladder(sector, raising=sender_up)
@@ -547,11 +551,40 @@ class TestWorkerProcess:
         assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
 
-    def test_caller_error_joins_the_worker(self):
+    def test_caller_error_joins_the_worker(self, monkeypatch):
+        # the caller's trajectory fails at once while the worker's sleeps 5 s:
+        # the error must not wait for the worker, and the worker must be gone
+        caller, trajectory = os.getpid(), transfer._trajectory
+
+        def failing_in_caller(matrix, psi, times, tol):
+            if os.getpid() == caller:
+                raise PropagationError("caller failed")
+            time.sleep(5.0)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
-        with pytest.raises(PropagationError):
-            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), 1e-300,
-                                spectral=chain_spectral(spec))
+        sd = chain_spectral(spec)
+        start = time.perf_counter()
+        with pytest.raises(PropagationError, match="caller failed"):
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=sd)
+        assert time.perf_counter() - start < 2.5
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_a_package_error(self, monkeypatch):
+        # a worker that exits without a Python exception breaks the pool
+        caller, trajectory = os.getpid(), transfer._trajectory
+
+        def exiting_in_worker(matrix, psi, times, tol):
+            if os.getpid() != caller:
+                os._exit(3)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        with pytest.raises(SpinChainError, match="worker") as failure:
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec))
+        assert isinstance(failure.value.__cause__, BrokenProcessPool)
         assert multiprocessing.active_children() == []
 
     def test_package_errors_survive_pickling(self):
