@@ -15,10 +15,13 @@ _TWO_SPIN = eigensolve.SpectralData(-0.75, 0.25, 1.0, -1.0, 1.0, 0.0)
 
 
 def lanczos_vs_dense(tol: float, seed: int):
-    """Lowest ARPACK energies against the dense spectrum: two in the L = 12 sectors 2S_z = 0,
-    +-2 (dims 924, 792), one in each L = 14 block spectral_data solves (dim 890 each)."""
+    """Lowest iterative energies against the dense spectrum: two by ARPACK in the L = 12
+    sectors 2S_z = 0, +-2 (dims 924, 792); one by two-pass Lanczos in the L = 12 sector
+    2S_z = 0, where T0 lies 3.3e-3 above G at Jp = 0.1, and in each L = 14 block
+    spectral_data solves (dim 890 each)."""
     worst = 0.0
     sectors = [(chain.enumerate_sector(12, twice_sz), 2) for twice_sz in (-2, 0, 2)]
+    sectors += [(sectors[1][0], 1)]
     sectors += [(chain.symmetry_block(14, sign, sign), 1) for sign in (-1, 1)]  # s = (-1)^7
     for jp in (0.1, 0.5, 1.0):
         for sector, k in sectors:

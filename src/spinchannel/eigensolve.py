@@ -1,11 +1,15 @@
 """Lowest eigenpairs of sector Hamiltonians and derived spectral quantities.
 
-The workhorse is ARPACK's implicitly restarted Lanczos method, called
-through ``scipy.sparse.linalg.eigsh``; every pair it returns is checked
-against the absolute residual tolerance.  Start vectors are seeded random
-vectors, or grown from the chain two sites shorter, so runs are
-bit-reproducible.  ARPACK keeps 12 Lanczos vectors, not scipy's 20: k = 1 needs ncv >= 2k (ARPACK Users' Guide), and 10-12 were fastest at L = 22.
-Blocks up to dim 256 (all m = 0 blocks to L = 12) get an exact dense ``eigh``.
+A k = 1 solve, the only kind the commands make, is a plain Lanczos run in
+two passes that stores no basis: pass 1 runs the three-term recurrence until
+the lowest Ritz pair's residual estimate meets tol, pass 2 reruns it and sums
+the Ritz vector (the scheme of Cullum and Willoughby's Lanczos codes).  k >= 2
+is ARPACK's implicitly restarted Lanczos, ``scipy.sparse.linalg.eigsh``,
+imported only then; ``validate`` and the tests use it as the oracle of k = 1.
+Every returned pair is checked against the absolute residual tolerance.
+Start vectors are seeded random vectors, or grown from the chain two sites
+shorter, so runs are bit-reproducible.  Blocks up to dim 256 (all m = 0
+blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
 triplet, from two symmetry blocks of the m = 0 sector; SU(2) fixes
@@ -18,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy
 
 from .chain import (
     ChainSpec,
@@ -54,8 +59,10 @@ DEFAULT_SEED = 1234
 _DENSE_CUTOFF = 256         # eigh: ~10 ms at dim 252; the L = 10 transfer pins hold its vector
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
 _NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
-_ARPACK_NCV = 12            # Lanczos vectors kept for k <= 5 (2k + 1 above); they set the peak
-_ARPACK_MAXITER = 50_000    # ARPACK's maxiter, implicit restarts allowed
+_LANCZOS_MAX_STEPS = 5_000  # k = 1: steps of one Lanczos run (<= 80 in the commands and checks)
+_LANCZOS_RESTARTS = 2       # k = 1: reruns from the Ritz vector of a pair above tol
+_ARPACK_NCV = 12            # k >= 2: Lanczos vectors ARPACK keeps for k <= 5 (2k + 1 above)
+_ARPACK_MAXITER = 50_000    # k >= 2: ARPACK's maxiter, implicit restarts allowed
 
 # |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
 # second order, ~L^2 (tol/level spacing)^2, while an admixture of weight p
@@ -141,6 +148,56 @@ def _check_start(v0, dim: int) -> None:
         raise ValueError(f"start vector must be finite and nonzero, of shape ({dim},)")
 
 
+def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray, known: int = 0):
+    """Yield v_1, v_2, ... of the plain three-term Lanczos recurrence from v0.
+
+    Keeps v_(j-1), v_j and the product only, and reorthogonalizes nothing.  Step
+    j's coefficients go to alphas[j], betas[j]; the first ``known`` are reused, so
+    a rerun with pass 1's coefficients yields its vectors bit for bit.
+    """
+    v_prev, v = None, v0 * (1.0 / np.linalg.norm(v0))
+    for j in range(alphas.size):
+        yield v
+        w = mat @ v
+        if j:
+            w = daxpy(v_prev, w, a=-betas[j - 1])
+        if j >= known:
+            alphas[j] = v @ w
+        w = daxpy(v, w, a=-alphas[j])
+        if j >= known:
+            betas[j] = np.linalg.norm(w)
+        if not betas[j]:
+            return
+        v_prev, v = v, np.multiply(w, 1.0 / betas[j], out=w)
+
+
+def _lanczos_lowest(mat, v0: np.ndarray, tol: float) -> tuple[EigenPair, int]:
+    """Lowest pair by two passes of ``_lanczos_vectors``, and the steps taken.
+
+    Pass 1 stops at the first step m with beta_m |y_m| <= tol/2 for the lowest
+    Ritz pair (theta, y) of the tridiagonal matrix, or at ``_LANCZOS_MAX_STEPS``;
+    pass 2 reruns m steps and sums x = sum_j y_j v_j.  The energy is the
+    Rayleigh quotient of x, and the residual the true |Hx - Ex|.
+    """
+    alphas, betas = np.zeros(_LANCZOS_MAX_STEPS), np.zeros(_LANCZOS_MAX_STEPS)
+    vectors = _lanczos_vectors(mat, v0, alphas, betas)
+    next(vectors)
+    for m in range(1, _LANCZOS_MAX_STEPS + 1):
+        exhausted = next(vectors, None) is None
+        _, y = eigh_tridiagonal(alphas[:m], betas[: m - 1], select="i", select_range=(0, 0))
+        if exhausted or betas[m - 1] * abs(y[-1, 0]) <= 0.5 * tol:
+            break
+    vectors.close()
+    x = np.zeros(mat.shape[0])
+    for coeff, v in zip(y[:, 0], _lanczos_vectors(mat, v0, alphas, betas, known=m)):
+        x = daxpy(v, x, a=coeff)
+    x *= 1.0 / np.linalg.norm(x)
+    hx = mat @ x
+    energy = float(x @ hx)
+    residual = float(np.linalg.norm(daxpy(x, hx, a=-energy)))
+    return EigenPair(energy, x, residual), m
+
+
 def lowest_eigenpairs(
     op: SparseOperator,
     k: int,
@@ -151,14 +208,16 @@ def lowest_eigenpairs(
 ) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
-    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
-    started from v0, else from a seeded random vector, so a fixed seed gives
-    the same pairs on one machine; a v0 of the wrong length, not finite or
-    zero raises ValueError, and dense blocks ignore it.  ARPACK keeps
-    max(``_ARPACK_NCV``, 2k + 1) Lanczos vectors and restarts at most
-    ``_ARPACK_MAXITER`` times.  Every returned pair
-    has a true residual |Hv - Ev| <= tol; otherwise, or when ARPACK runs
-    out of restarts, ConvergenceError carries the residuals.
+    Iterative solves start from v0, else from a seeded random vector, so a
+    fixed seed gives the same pairs on one machine; a v0 of the wrong length,
+    not finite or zero raises ValueError, and dense blocks ignore it.  k = 1
+    is a two-pass plain Lanczos (``_lanczos_lowest``) that stores no basis;
+    a pair above tol reruns from its own vector up to ``_LANCZOS_RESTARTS``
+    times.  k >= 2 is ARPACK's implicitly restarted Lanczos
+    (``scipy.sparse.linalg.eigsh``), keeping max(``_ARPACK_NCV``, 2k + 1)
+    vectors and restarting at most ``_ARPACK_MAXITER`` times.  Every
+    returned pair has a true residual |Hv - Ev| <= tol; otherwise, or when
+    ARPACK runs out of restarts, ConvergenceError carries the residuals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -173,9 +232,25 @@ def lowest_eigenpairs(
     if dim <= max(_DENSE_CUTOFF, 4 * k):
         return _dense_pairs(op, k)
 
-    ncv = min(dim, max(_ARPACK_NCV, 2 * k + 1))
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(dim)
+    if k == 1:
+        steps = 0
+        for _ in range(1 + _LANCZOS_RESTARTS):
+            pair, m = _lanczos_lowest(mat, v0, tol)
+            steps += m
+            if pair.residual <= tol:
+                return [pair]
+            v0 = pair.vector
+        raise ConvergenceError(
+            f"Lanczos residual {pair.residual:.3e} above tol {tol} after {steps} steps "
+            f"in {1 + _LANCZOS_RESTARTS} runs (dim = {dim})",
+            residuals=[pair.residual],
+        )
+
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only validate and tests need k >= 2
+
+    ncv = min(dim, max(_ARPACK_NCV, 2 * k + 1))
     # ARPACK accepts a Ritz value theta once its error estimate is at most
     # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.
     arpack_tol = tol / max(_norm_bound(mat), 1.0)
@@ -249,7 +324,7 @@ def spectral_data(
         for block, vec in zip(blocks, (grow_from.ground, grow_from.triplet))]
     for block, start in zip(blocks, starts):
         _check_start(start, block.dim)
-    del grow_from  # no L - 2 vector lives through a solve
+    del grow_from, start  # no L - 2 vector lives through a solve, no start past its own
     solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed,
                                 v0=starts.pop(0)) for block in blocks]
     sector0 = enumerate_sector(spec.L, 0)

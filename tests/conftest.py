@@ -12,8 +12,8 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, chain_bonds
 
 # single-site operators in basis order {down, up} so that bit i of the
@@ -69,17 +69,19 @@ def rng():
 def arpack_dims(monkeypatch):
     """Dims of the operators handed to ARPACK's eigsh while the test runs.
 
-    Sectors up to the dense cut-off bypass ARPACK; a Lanczos oracle checks
-    this list so that it cannot silently become a dense-vs-dense comparison.
+    Sectors up to the dense cut-off bypass ARPACK, and k = 1 solves never reach
+    it; a Lanczos oracle checks this list so that it cannot silently become a
+    dense-vs-dense comparison.  The solver imports eigsh at call time, so the
+    patch is on scipy's module.
     """
-    true_eigsh = spinchannel.eigensolve.eigsh
+    true_eigsh = scipy.sparse.linalg.eigsh
     dims = []
 
     def counted(mat, *args, **kwargs):
         dims.append(mat.shape[0])
         return true_eigsh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(spinchannel.eigensolve, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     return dims
 
 

@@ -41,9 +41,18 @@ def test_channel_check_reads_shrink_factor(monkeypatch):
     assert not ok, detail
 
 
-def test_lanczos_vs_dense_runs_arpack(arpack_dims):
-    # three couplings x (the L = 12 sectors 2S_z = -2, 0, 2 and the two L = 14 blocks
-    # of spectral_data), all above the dense cut-off
+def test_lanczos_vs_dense_runs_arpack(monkeypatch, arpack_dims):
+    # three couplings x (ARPACK, k = 2, in the L = 12 sectors 2S_z = -2, 0, 2; two-pass
+    # Lanczos, k = 1, in the L = 12 sector 2S_z = 0 and the two L = 14 blocks of
+    # spectral_data), all above the dense cut-off
+    true_lanczos, lanczos_dims = spinchannel.eigensolve._lanczos_lowest, []
+
+    def counted(mat, *args):
+        lanczos_dims.append(mat.shape[0])
+        return true_lanczos(mat, *args)
+
+    monkeypatch.setattr(spinchannel.eigensolve, "_lanczos_lowest", counted)
     ok, detail = checks.lanczos_vs_dense(DEFAULT_TOL, DEFAULT_SEED)
     assert ok, detail
-    assert arpack_dims == [792, 924, 792, 890, 890] * 3
+    assert arpack_dims == [792, 924, 792] * 3
+    assert lanczos_dims == [924, 890, 890] * 3

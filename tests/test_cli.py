@@ -414,6 +414,19 @@ class TestWorkerProcess:
         assert loaded.strip() == "[]"
 
 
+def test_gap_scan_leaves_arpack_unloaded(tmp_path):
+    # k = 1 solves are two-pass Lanczos; only k >= 2 (validate) imports ARPACK
+    loaded = run_in_subprocess(
+        "import sys\n"
+        "from spinchannel.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n",
+        ["gap-scan", "--l-min", "8", "--l-max", "14", "--jp", "0.1", "--out", "o.csv"],
+        tmp_path,
+    )
+    assert loaded.strip() == "False"
+
+
 class TestShareCommand:
     def test_report_fields(self, tmp_path):
         out = tmp_path / "share.csv"

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse import csr_matrix, diags
 
 import spinchannel.chain
@@ -13,6 +14,7 @@ from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian,
 from spinchannel.chain import apply_total_spin_ladder, expand_to_sector, grow_into_block
 from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation, symmetry_block
 from spinchannel.eigensolve import (
+    DEFAULT_TOL,
     EigenPair,
     SpectralData,
     dense_spectrum,
@@ -86,29 +88,21 @@ class TestLowestEigenpairs:
         np.testing.assert_allclose([p.energy for p in pairs], dense[:k], rtol=0, atol=1e-9)
         assert max(p.residual for p in pairs) <= 1e-10
 
-    def test_subspace_memory_peak(self, monkeypatch):
-        # ARPACK's buffers grow by ~2 vectors of dim per Lanczos vector kept:
-        # tracemalloc reads ~29 such vectors with ncv = 12 and ~45 with 20.
-        # Only the eigsh call is measured, not the norm bound.
+    def test_subspace_memory_peak(self, arpack_dims):
+        # k = 1 keeps no Lanczos basis: the start, v_(j-1), v_j and the product,
+        # then the Ritz vector, and the coefficient arrays.  ARPACK with ncv = 12
+        # read ~29 vectors of dim here, and ~45 with 20.
         spec = ChainSpec(L=18, J=1.0, Jp=0.1)
         block = symmetry_block(18, -1, -1)  # (s, s), s = (-1)^9
         op = build_chain_hamiltonian(spec, block)
-        true_eigsh = spinchannel.eigensolve.eigsh
-        peaks = []
-
-        def measured(*args, **kwargs):
-            tracemalloc.start()
-            try:
-                result = true_eigsh(*args, **kwargs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            return result
-
-        monkeypatch.setattr(spinchannel.eigensolve, "eigsh", measured)
-        lowest_eigenpairs(op, 1)
-        assert len(peaks) == 1
-        assert peaks[0] <= 36 * op.dim * 8
+        tracemalloc.start()
+        try:
+            lowest_eigenpairs(op, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arpack_dims == []
+        assert peak <= 8 * op.dim * 8
 
     def test_variational_bound(self, rng):
         spec = ChainSpec(L=8, J=1.0, Jp=0.5)
@@ -128,7 +122,7 @@ class TestLowestEigenpairs:
         assert "residual" in str(err.value) or err.value.residuals is None or err.value.residuals
 
     def test_residual_guard_rejects_inaccurate_pairs(self, monkeypatch):
-        true_eigsh = spinchannel.eigensolve.eigsh
+        true_eigsh = scipy.sparse.linalg.eigsh
 
         def perturbed(*args, **kwargs):
             energies, vectors = true_eigsh(*args, **kwargs)
@@ -136,13 +130,54 @@ class TestLowestEigenpairs:
             vectors[0] += 1e-3
             return energies, vectors
 
-        monkeypatch.setattr(spinchannel.eigensolve, "eigsh", perturbed)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
         spec = ChainSpec(L=12, J=1.0, Jp=0.1)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 2, 1e-10)
         assert isinstance(err.value.residuals, list)
         assert max(err.value.residuals) > 1e-10
+
+    def test_residual_guard_rejects_inaccurate_ritz_vectors(self, monkeypatch):
+        # pass 2 (the rerun with known coefficients) yields shifted vectors, so
+        # every run's x misses tol and no restart can help
+        true_vectors = spinchannel.eigensolve._lanczos_vectors
+
+        def perturbed(mat, v0, alphas, betas, known=0):
+            for v in true_vectors(mat, v0, alphas, betas, known):
+                yield v + 1e-3 if known else v
+
+        monkeypatch.setattr(spinchannel.eigensolve, "_lanczos_vectors", perturbed)
+        op = build_chain_hamiltonian(ChainSpec(L=12, J=1.0, Jp=0.1), enumerate_sector(12, 0))
+        with pytest.raises(ConvergenceError, match="steps in 3 runs") as err:
+            lowest_eigenpairs(op, 1, 1e-10)
+        (residual,) = err.value.residuals
+        assert residual > 1e-10
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(spinchannel.eigensolve, "_LANCZOS_MAX_STEPS", 3)
+        op = build_chain_hamiltonian(ChainSpec(L=12, J=1.0, Jp=0.1), enumerate_sector(12, 0))
+        with pytest.raises(ConvergenceError, match="after 9 steps in 3 runs") as err:
+            lowest_eigenpairs(op, 1)
+        (residual,) = err.value.residuals
+        assert residual > 1e-10
+
+    def test_invariant_start_ends_at_breakdown(self):
+        # v0 in the span of two eigenvectors: beta_2 = 0 ends pass 1 with an exact pair
+        op = SparseOperator(diags(np.arange(300, dtype=float)).tocsr())
+        v0 = np.zeros(300)
+        v0[[3, 7]] = 1.0
+        (pair,) = lowest_eigenpairs(op, 1, v0=v0)
+        assert pair.energy == pytest.approx(3.0, abs=1e-14)
+        assert abs(pair.vector[3]) == pytest.approx(1.0, abs=1e-14)
+        assert pair.residual <= 1e-14
+
+    def test_k1_deterministic_given_seed(self, arpack_dims):
+        op = build_chain_hamiltonian(ChainSpec(L=16, J=1.0, Jp=0.2), symmetry_block(16, 1, 1))
+        (a,), (b,) = lowest_eigenpairs(op, 1, seed=42), lowest_eigenpairs(op, 1, seed=42)
+        assert arpack_dims == []
+        assert a.energy == b.energy
+        assert a.vector.tobytes() == b.vector.tobytes()
 
     def test_bad_arguments(self):
         sector = enumerate_sector(2, 0)
@@ -154,6 +189,40 @@ class TestLowestEigenpairs:
         for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 lowest_eigenpairs(op, 1, tol=tol)
+
+
+class TestTwoPassLanczos:
+    """k = 1 (two-pass Lanczos) against the lowest pair of k = 2 (ARPACK)."""
+
+    SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+    @pytest.mark.parametrize("length", [14, 16, 18])
+    @pytest.mark.parametrize("jp", [0.05, 0.1, 0.5, 1.0])
+    def test_matches_arpack(self, length, jp, arpack_dims):
+        spec, short = ChainSpec(L=length, J=1.0, Jp=jp), ChainSpec(L=length - 2, J=1.0, Jp=jp)
+        # the lowest vector of block (F, R) at L - 2 with a middle singlet is in (-F, -R) at L
+        seeds = {}
+        for flip, reflect in self.SIGNS:
+            block = symmetry_block(length - 2, flip, reflect)
+            (pair,) = lowest_eigenpairs(build_chain_hamiltonian(short, block), 1)
+            seeds[-flip, -reflect] = expand_to_sector(block, pair.vector)
+        cases = []
+        for signs in self.SIGNS:
+            block = symmetry_block(length, *signs)
+            cases.append((block, grow_into_block(block, seeds[signs])))
+        s = (-1) ** (length // 2)
+        ground_block = symmetry_block(length, s, s)
+        ground_start = grow_into_block(ground_block, seeds[s, s])
+        cases.append((enumerate_sector(length, 0), expand_to_sector(ground_block, ground_start)))
+        for sector, grown in cases:
+            op = build_chain_hamiltonian(spec, sector)
+            reference = lowest_eigenpairs(op, 2)[0]
+            for v0 in (None, grown):
+                (pair,) = lowest_eigenpairs(op, 1, v0=v0)
+                assert abs(pair.energy - reference.energy) <= 1e-10
+                assert abs(pair.vector @ reference.vector) >= 1.0 - 1e-10
+                assert pair.residual <= DEFAULT_TOL
+        assert arpack_dims == [sector.dim for sector, _ in cases]
 
 
 class TestNormBound:
@@ -457,27 +526,27 @@ class TestSpectralData:
         assert ab == pytest.approx(ba, abs=1e-15)
 
 
-def _counting_eigsh(monkeypatch):
-    """Count ARPACK's products per eigsh call through a LinearOperator wrapper."""
-    from scipy.sparse.linalg import LinearOperator
+def _counting_products(monkeypatch):
+    """Vector products of each matrix spectral_data assembles, one count per block."""
+    build, counts = spinchannel.eigensolve.build_chain_hamiltonian, []
 
-    eigsh, counts = spinchannel.eigensolve.eigsh, []
+    class CountingCSR(csr_matrix):
+        def _matmul_vector(self, other):
+            counts[self.count_index] += 1
+            return super()._matmul_vector(other)
 
-    def counted(mat, k, **kwargs):
+    def counted(*args, **kwargs):
+        op = build(*args, **kwargs)
+        op.matrix.__class__, op.matrix.count_index = CountingCSR, len(counts)
         counts.append(0)
+        return op
 
-        def matvec(x):
-            counts[-1] += 1
-            return mat @ x
-
-        return eigsh(LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype), k, **kwargs)
-
-    monkeypatch.setattr(spinchannel.eigensolve, "eigsh", counted)
+    monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", counted)
     return counts
 
 
 class TestGrownStarts:
-    """spectral_data(grow_from=...) and the start vectors it passes to ARPACK."""
+    """spectral_data(grow_from=...) and the start vectors it passes to the solver."""
 
     @pytest.mark.parametrize("length", [6, 8, 12, 14, 16])
     def test_grown_starts_are_pure_singlet_and_triplet(self, length):
@@ -492,7 +561,7 @@ class TestGrownStarts:
             assert start @ start == pytest.approx(1.0, abs=1e-12)
             assert raised @ raised == pytest.approx(s2, abs=1e-12)
 
-    @pytest.mark.parametrize("length", [14, 16])  # ARPACK blocks; dense ones ignore v0
+    @pytest.mark.parametrize("length", [14, 16])  # Lanczos blocks; dense ones ignore v0
     @pytest.mark.parametrize("jp", [0.1, 0.5])
     def test_grown_solve_matches_random_start(self, length, jp):
         spec = ChainSpec(L=length, J=1.0, Jp=jp)
@@ -505,7 +574,7 @@ class TestGrownStarts:
     def test_grown_start_saves_products(self, monkeypatch, length):
         spec = ChainSpec(L=length, J=1.0, Jp=0.1)
         short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
-        counts = _counting_eigsh(monkeypatch)
+        counts = _counting_products(monkeypatch)
         spectral_data(spec)
         random_products = sum(counts)
         counts.clear()
@@ -520,7 +589,7 @@ class TestGrownStarts:
         assert seeded.energy == given.energy
         assert seeded.vector.tobytes() == given.vector.tobytes()
 
-    @pytest.mark.parametrize("dim_shift", [0, 1000])  # dense (dim 3) and ARPACK (dim 1003)
+    @pytest.mark.parametrize("dim_shift", [0, 1000])  # dense (dim 3) and Lanczos (dim 1003)
     @pytest.mark.parametrize(
         "make", [lambda n: np.ones(n + 1), lambda n: np.ones((n, 1)), lambda n: np.zeros(n),
                  lambda n: np.full(n, np.nan), lambda n: np.r_[np.inf, np.ones(n - 1)]],
