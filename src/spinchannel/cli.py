@@ -76,7 +76,9 @@ _HINTS = typing.get_type_hints(RunConfig)
 _NUMERIC = {key: t for key in _SETTINGS for t in (int, float) if _HINTS[key] in (t, t | None)}
 _CHOICES = {"temp_scale": ("lin", "log"), "mode": ("effective", "full"), "format": ("csv", "json")}
 _HELP = {"jp": "value or comma list", "gamma": 'value or "auto"',
-         "seed": "random start of each solve not grown from the length L - 2 of a sweep"}
+         "seed": "random start of each solve not grown from the length L - 2 of a sweep",
+         "tol": "true eigenpair residual |Hv - Ev| to meet; round-off keeps it above ~2e-15 "
+                "to 2e-14 at L = 14..16, so below that every Lanczos solve (L > 12) fails"}
 
 
 class UsageError(ValueError):

@@ -3,7 +3,9 @@
 A k = 1 solve, the only kind the commands make, is a plain Lanczos run in
 two passes that stores no basis: pass 1 runs the three-term recurrence until
 the lowest Ritz pair's residual estimate meets tol, pass 2 reruns it and sums
-the Ritz vector (the scheme of Cullum and Willoughby's Lanczos codes).  k >= 2
+the Ritz vector (the scheme of Cullum and Willoughby's Lanczos codes).  That
+recurrence, ``_lanczos_vectors``, also builds each Krylov basis of the
+transfer module's propagator, in complex arithmetic.  k >= 2
 is ARPACK's implicitly restarted Lanczos, ``scipy.sparse.linalg.eigsh``,
 imported only then; ``validate`` and the tests use it as the oracle of k = 1.
 Every returned pair is checked against the absolute residual tolerance.
@@ -19,11 +21,12 @@ block really is a spin-1 triplet, <S^2> = 2, and fails loudly otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, get_blas_funcs
 
 from .chain import (
     ChainSpec,
@@ -58,7 +61,6 @@ DEFAULT_SEED = 1234
 
 _DENSE_CUTOFF = 256         # eigh: ~10 ms at dim 252; the L = 10 transfer pins hold its vector
 _DENSE_ORACLE_CAP = 4096    # refuse dense_spectrum above this dimension
-_NORM_ROW_BLOCK = 1 << 16   # rows per block when bounding the spectrum
 _LANCZOS_MAX_STEPS = 5_000  # k = 1: steps of one Lanczos run (<= 80 in the commands and checks)
 _LANCZOS_RESTARTS = 2       # k = 1: reruns from the Ritz vector of a pair above tol
 _ARPACK_NCV = 12            # k >= 2: Lanczos vectors ARPACK keeps for k <= 5 (2k + 1 above)
@@ -111,24 +113,6 @@ class SpectralData:
                 raise ValueError(f"{name} = {val} outside [-1, 1]")
 
 
-def _norm_bound(mat) -> float:
-    """Largest absolute row sum, an upper bound on every |eigenvalue|.
-
-    Summed from slices of the CSR arrays, ``_NORM_ROW_BLOCK`` rows at a
-    time, so |values| of only one block is ever copied.  ``reduceat`` over
-    the non-empty rows is what scipy's ``abs(mat).sum(axis=1)`` runs, so the
-    bound is the same bit for bit.
-    """
-    bound, indptr = 0.0, mat.indptr
-    for lo in range(0, mat.shape[0], _NORM_ROW_BLOCK):
-        starts = indptr[lo : lo + _NORM_ROW_BLOCK + 1]
-        first = starts[:-1][np.diff(starts) > 0]
-        if first.size:
-            values = np.abs(mat.data[first[0] : starts[-1]])
-            bound = max(bound, float(np.add.reduceat(values, first - first[0]).max()))
-    return bound
-
-
 def _pairs_with_residuals(mat, energies: np.ndarray, vectors: np.ndarray) -> list[EigenPair]:
     pairs = []
     for i in np.argsort(energies, kind="stable"):
@@ -151,21 +135,33 @@ def _check_start(v0, dim: int) -> None:
 def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray, known: int = 0):
     """Yield v_1, v_2, ... of the plain three-term Lanczos recurrence from v0.
 
-    Keeps v_(j-1), v_j and the product only, and reorthogonalizes nothing.  Step
-    j's coefficients go to alphas[j], betas[j]; the first ``known`` are reused, so
-    a rerun with pass 1's coefficients yields its vectors bit for bit.
+    The one recurrence of the package: real vectors for the eigensolver,
+    complex ones for the Krylov propagator of the transfer module.  Keeps
+    v_(j-1), v_j and the product only, and reorthogonalizes nothing; lost
+    orthogonality does not spoil Lanczos f(A)b (Druskin, Greenbaum and
+    Knizhnerman, SIAM J. Sci. Comput. 19, 1998).  Step j's coefficients go to
+    alphas[j], betas[j]; the first ``known`` are reused, so a rerun with pass
+    1's coefficients yields its vectors bit for bit.  A beta_j <= 1e-13
+    max(1, |alpha_j|), an invariant subspace up to rounding, is stored as 0
+    and ends the recurrence.
+
+    Updates run in place (BLAS daxpy or zaxpy; ``w -= beta * v`` allocates a
+    temporary) and normalizing multiplies by 1/beta, since dividing a
+    complex vector by a real costs several times the multiply.
     """
-    v_prev, v = None, v0 * (1.0 / np.linalg.norm(v0))
+    v_prev, v = None, v0 * (1.0 / math.sqrt(np.vdot(v0, v0).real))
+    axpy = get_blas_funcs("axpy", (v,))
     for j in range(alphas.size):
         yield v
         w = mat @ v
         if j:
-            w = daxpy(v_prev, w, a=-betas[j - 1])
+            w = axpy(v_prev, w, a=-betas[j - 1])
         if j >= known:
-            alphas[j] = v @ w
-        w = daxpy(v, w, a=-alphas[j])
+            alphas[j] = np.vdot(v, w).real
+        w = axpy(v, w, a=-alphas[j])
         if j >= known:
-            betas[j] = np.linalg.norm(w)
+            beta = math.sqrt(np.vdot(w, w).real)
+            betas[j] = beta if beta > 1e-13 * max(1.0, abs(alphas[j])) else 0.0
         if not betas[j]:
             return
         v_prev, v = v, np.multiply(w, 1.0 / betas[j], out=w)
@@ -248,12 +244,12 @@ def lowest_eigenpairs(
             residuals=[pair.residual],
         )
 
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only validate and tests need k >= 2
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh, norm  # only validate and tests need k >= 2
 
     ncv = min(dim, max(_ARPACK_NCV, 2 * k + 1))
     # ARPACK accepts a Ritz value theta once its error estimate is at most
-    # arpack_tol * |theta|; since |theta| <= the norm bound, that is <= tol.
-    arpack_tol = tol / max(_norm_bound(mat), 1.0)
+    # arpack_tol * |theta|; since |theta| <= the infinity norm, that is <= tol.
+    arpack_tol = tol / max(norm(mat, np.inf), 1.0)
     try:
         energies, vectors = eigsh(
             mat, k, which="SA", v0=v0, ncv=ncv, maxiter=_ARPACK_MAXITER, tol=arpack_tol

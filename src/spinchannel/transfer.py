@@ -21,7 +21,8 @@ f* = 7/8 at g = 0).
 Everything closed-form is cross-checked here against two independent
 routes: exact 8-dimensional unitary evolution (``three_site_oracle``) and
 Krylov-propagated dynamics of the full (L+1)-site chain
-(``full_chain_transfer``).  SU(2) and global spin flip put the whole T > 0
+(``full_chain_transfer``), whose Krylov bases come from the eigensolver's
+Lanczos recurrence.  SU(2) and global spin flip put the whole T > 0
 mixture of the latter into two trajectories in one magnetization sector.
 """
 
@@ -42,7 +43,7 @@ from .chain import (
     build_transfer_hamiltonian,
     enumerate_sector,
 )
-from .eigensolve import SpectralData
+from .eigensolve import SpectralData, _lanczos_vectors
 from .errors import (
     ConfigError,
     FlatCurveError,
@@ -267,37 +268,18 @@ class TransferCurve:
 def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float):
     """Advance psi by exp(-i H dt) for the largest dt <= dt_req meeting tol.
 
-    One plain three-term Lanczos basis (dimension <= _KRYLOV_DIM) from psi,
-    as in Expokit's Hermitian expv (Sidje, ACM TOMS 24, 1998).  Lost
-    orthogonality does not spoil Lanczos f(A)b (Druskin, Greenbaum and
-    Knizhnerman, SIAM J. Sci. Comput. 19, 1998), so nothing is
-    reorthogonalized.  dt halves until beta_next * dt * |last coefficient|
-    <= tol, else PropagationError.  Returns (psi_new, dt_done).
-
-    Updates run in place (BLAS zaxpy; ``w -= beta * v`` allocates a
-    temporary) and normalizing multiplies by 1/beta, since dividing a
-    complex vector by a real costs several times the multiply.
+    One Lanczos basis (dimension <= _KRYLOV_DIM) from psi by the eigensolver's
+    recurrence, ``_lanczos_vectors``, as in Expokit's Hermitian expv (Sidje,
+    ACM TOMS 24, 1998).  dt halves until beta_next * dt * |last coefficient|
+    <= tol, else PropagationError; a breakdown (beta_next = 0) takes the full
+    step.  psi_new is summed over the basis in place by zaxpy.  Returns
+    (psi_new, dt_done).
     """
     nrm = math.sqrt(np.vdot(psi, psi).real)
-    v_rows = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
-    np.multiply(psi, 1.0 / nrm, out=v_rows[0])
-    alphas = np.empty(_KRYLOV_DIM)
-    betas = np.empty(_KRYLOV_DIM)
-    beta_next = 0.0
-    for m in range(1, _KRYLOV_DIM + 1):
-        w = matrix @ v_rows[m - 1]
-        if m > 1:
-            w = zaxpy(v_rows[m - 2], w, a=-betas[m - 2])
-        a = alphas[m - 1] = np.vdot(v_rows[m - 1], w).real
-        w = zaxpy(v_rows[m - 1], w, a=-a)
-        beta = math.sqrt(np.vdot(w, w).real)
-        if beta <= 1e-13 * max(1.0, abs(a)):
-            break
-        if m == _KRYLOV_DIM:
-            beta_next = beta
-            break
-        betas[m - 1] = beta
-        np.multiply(w, 1.0 / beta, out=v_rows[m])
+    alphas, betas = np.empty(_KRYLOV_DIM), np.empty(_KRYLOV_DIM)
+    basis = list(_lanczos_vectors(matrix, psi, alphas, betas))
+    m = len(basis)
+    beta_next = betas[m - 1]  # stored as 0 at a breakdown
 
     omega, modes = eigh_tridiagonal(alphas[:m], betas[: m - 1])
     first_row = modes[0, :]  # modes.T @ e1
@@ -312,7 +294,9 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float):
                 f"Krylov step cannot meet tol = {tol} even at dt = {dt}"
             )
         dt *= 0.5
-    psi_new = (nrm * coeff) @ v_rows[:m]
+    psi_new = np.zeros(psi.size, dtype=complex)
+    for c, v in zip(nrm * coeff, basis):
+        psi_new = zaxpy(v, psi_new, a=c)
     return psi_new, dt
 
 
@@ -411,8 +395,9 @@ def full_chain_transfer(
     that dies without one raises SpinChainError, and a caller error ends the
     worker at once (SIGTERM); no process outlives the call.  t* and f* are the
     vertex of the quadratic fit through the grid maximum and its neighbours,
-    if it lies among them.  Non-finite T or times raise ValueError, and at
-    T > 0 |f| != 1 beyond 1e-8 OrderingError, before any assembly.  Memory and
+    if it lies among them.  Non-finite T or times raise ValueError, a missing
+    or misfitting ground vector (or triplet vector at T > 0) ConfigError, and
+    at T > 0 |f| != 1 beyond 1e-8 OrderingError, before any assembly.  Memory and
     time grow combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
     if spec.gamma is None:
@@ -425,7 +410,8 @@ def full_chain_transfer(
     valid = times.size >= 2 and times[0] == 0.0 and np.all(np.isfinite(times))
     if not (valid and np.all(np.diff(times) > 0.0)):
         raise ValueError("time grid must be finite, start at 0 and increase strictly")
-    if spectral.ground is None or spectral.ground.size != math.comb(spec.L, spec.L // 2):
+    vectors = (spectral.ground,) if temperature == 0.0 else (spectral.ground, spectral.triplet)
+    if any(v is None or v.size != math.comb(spec.L, spec.L // 2) for v in vectors):
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
     if temperature == 0.0:
         theta = _branch_theta(spec, sender_up, spectral.ground, times, krylov_tol)

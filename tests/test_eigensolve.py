@@ -225,45 +225,67 @@ class TestTwoPassLanczos:
         assert arpack_dims == [sector.dim for sector, _ in cases]
 
 
-class TestNormBound:
-    """_norm_bound against the row-slice formula it replaced, bit for bit."""
+class TestLanczosRecurrence:
+    """_lanczos_vectors, the recurrence of the eigensolver and of the Krylov propagator."""
 
-    @staticmethod
-    def row_slice_bound(mat, rows):
-        bound = 0.0
-        for lo in range(0, mat.shape[0], rows):
-            row_sums = abs(mat[lo : lo + rows]).sum(axis=1)
-            bound = max(bound, float(row_sums.max()))
-        return bound
+    LEVELS = np.linspace(-1.0, 1.0, 300)
+
+    def rounding_invariant_start(self, dtype):
+        """A rotated diagonal matrix and a start in span{q_3, q_7}, invariant only up to rounding."""
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((300, 300)))
+        mat = (q * self.LEVELS) @ q.T
+        return 0.5 * (mat + mat.T), q[:, 3] + (1j if dtype is complex else 1.0) * q[:, 7], q
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_ends_on_a_rounding_invariant_subspace(self, dtype):
+        mat, v0, q = self.rounding_invariant_start(dtype)
+        alphas, betas = np.full(10, np.nan), np.full(10, np.nan)
+        vectors = list(spinchannel.eigensolve._lanczos_vectors(mat, v0, alphas, betas))
+        assert len(vectors) == 2 and vectors[1].dtype == dtype
+        assert betas[1] == 0.0
+        residual = mat @ vectors[1] - alphas[1] * vectors[1] - betas[0] * vectors[0]
+        assert 0.0 < np.linalg.norm(residual) < 1e-13  # not an exact zero
+        if dtype is float:
+            (pair,) = lowest_eigenpairs(SparseOperator(csr_matrix(mat)), 1, v0=v0)
+            assert pair.energy == pytest.approx(self.LEVELS[3], abs=1e-14)
+            assert abs(pair.vector @ q[:, 3]) == pytest.approx(1.0, abs=1e-14)
+            assert pair.residual <= 1e-12  # rounding of the rotated matrix
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rerun_with_known_coefficients_stops_at_the_same_step(self, dtype):
+        mat, v0, _ = self.rounding_invariant_start(dtype)
+        alphas, betas = np.full(10, np.nan), np.full(10, np.nan)
+        first = list(spinchannel.eigensolve._lanczos_vectors(mat, v0, alphas, betas))
+        stored = alphas.copy(), betas.copy()
+        rerun = list(spinchannel.eigensolve._lanczos_vectors(mat, v0, alphas, betas, known=2))
+        assert [v.tobytes() for v in rerun] == [v.tobytes() for v in first]
+        np.testing.assert_array_equal(alphas, stored[0])
+        np.testing.assert_array_equal(betas, stored[1])
+
+
+class TestArpackTolerance:
+    """k >= 2 hands ARPACK tol over the largest absolute row sum, bounded below by 1."""
 
     @pytest.mark.parametrize("length", [14, 16, 18, 20])
-    @pytest.mark.parametrize("rows", [7, 1 << 16])
-    def test_is_the_row_slice_formula(self, monkeypatch, length, rows):
-        monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
-        for sign in (1, -1):
-            mat = build_chain_hamiltonian(ChainSpec(L=length, Jp=0.1), symmetry_block(length, sign, sign)).matrix
-            assert spinchannel.eigensolve._norm_bound(mat) == self.row_slice_bound(mat, rows)
+    def test_is_tol_over_the_largest_row_sum(self, monkeypatch, length):
+        class Stop(Exception):
+            pass
 
-    def test_empty_rows(self, monkeypatch):
-        mat = csr_matrix(np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
-        for rows in (1, 2, 3, 7):
-            monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
-            assert spinchannel.eigensolve._norm_bound(mat) == 3.0
-        assert spinchannel.eigensolve._norm_bound(csr_matrix((3, 3))) == 0.0
+        handed = []
 
-    def test_copies_at_most_one_block_of_values(self, monkeypatch):
-        rows = 4096
-        monkeypatch.setattr(spinchannel.eigensolve, "_NORM_ROW_BLOCK", rows)
-        block = symmetry_block(20, 1, 1)
-        mat = build_chain_hamiltonian(ChainSpec(L=20, Jp=0.1), block).matrix
-        chunk = max(np.diff(mat.indptr[::rows].tolist() + [mat.nnz])) * mat.data.itemsize
-        tracemalloc.start()
-        try:
-            spinchannel.eigensolve._norm_bound(mat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * chunk
+        def recorder(mat, k, **kwargs):
+            handed.append(kwargs["tol"])
+            raise Stop
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorder)
+        op = build_chain_hamiltonian(ChainSpec(L=length, Jp=0.1), symmetry_block(length, 1, 1))
+        with pytest.raises(Stop):
+            lowest_eigenpairs(op, 2, 1e-10)
+        # the row sums by reduceat over the non-empty rows, which is what scipy's norm runs
+        starts = op.matrix.indptr[:-1][np.diff(op.matrix.indptr) > 0]
+        bound = np.add.reduceat(np.abs(op.matrix.data), starts).max()
+        assert bound > 1.0
+        assert handed == [1e-10 / bound]
 
 
 class TestDenseSpectrum:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import spinchannel.eigensolve
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
@@ -480,6 +481,21 @@ class TestFullChainTransfer:
             with pytest.raises(ConfigError):
                 full_chain_transfer(spec, 0.0, times, spectral=spectral)
 
+    @pytest.mark.parametrize("triplet_length", [None, 6])
+    def test_requires_the_triplet_vector_at_finite_temperature(self, monkeypatch, triplet_length):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("transfer Hamiltonian assembled although the triplet is unfit")
+
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
+        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        sd = chain_spectral(spec)
+        if triplet_length is None:
+            sd = replace(sd, triplet=None)
+        else:
+            sd = replace(sd, triplet=spectral_data(ChainSpec(L=triplet_length, Jp=0.5)).triplet)
+        with pytest.raises(ConfigError, match="with state vectors"):
+            full_chain_transfer(spec, 0.1, np.linspace(0.0, 1.0, 5), spectral=sd)
+
     def test_agrees_with_effective_model_at_weak_coupling(self):
         # small version of the headline comparison (L = 6 keeps it quick)
         spec = ChainSpec(L=6, J=1.0, Jp=0.1)
@@ -672,6 +688,33 @@ class TestKrylovStep:
         psi = rng.standard_normal(matrix.shape[0]).astype(complex)
         with pytest.raises(PropagationError):
             transfer._krylov_step(matrix, psi, 1.0, tol=0.0)
+
+    def test_one_recurrence_of_full_dimension_per_step(self, monkeypatch, rng):
+        class CountingMatrix:
+            def __init__(self, matrix):
+                self.matrix, self.products = matrix, 0
+
+            def __matmul__(self, v):
+                self.products += 1
+                return self.matrix @ v
+
+        assert transfer._lanczos_vectors is spinchannel.eigensolve._lanczos_vectors
+        recurrences = []
+
+        def counted(*args, **kwargs):
+            recurrences.append(args)
+            return spinchannel.eigensolve._lanczos_vectors(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "_lanczos_vectors", counted)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        matrix = CountingMatrix(build_transfer_hamiltonian(spec, enumerate_sector(9, 1)).matrix)
+        psi = rng.standard_normal(126) + 1j * rng.standard_normal(126)
+        psi /= np.linalg.norm(psi)
+        for dt_req in (0.7, 40.0):
+            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, tol=1e-12)
+        assert dt_done < 40.0  # halving dt reuses the step's one basis
+        assert len(recurrences) == 2
+        assert matrix.products == 2 * transfer._KRYLOV_DIM
 
     def test_eigenvector_breaks_down_and_takes_full_step(self, rng):
         matrix = self.random_symmetric(rng)
