@@ -42,7 +42,7 @@ from math import comb, inf
 import numpy as np
 from scipy.sparse import csr_matrix, get_index_dtype
 
-from .errors import ConfigError, DimensionError, SectorError
+from .errors import DimensionError, SectorError
 
 __all__ = [
     "ChainSpec",
@@ -65,19 +65,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Geometry and couplings of a probed chain.
+    """Geometry and couplings of a probed chain, without the transfer's sender.
 
     L      -- number of chain sites including the probes (even, >= 4)
     J      -- bulk exchange coupling; sets the energy unit
     Jp     -- probe coupling on the two end bonds
-    gamma  -- sender coupling, present only for transfer setups.  gamma = 0
-              is allowed and means "sender attached but switched off".
     """
 
     L: int
     J: float = 1.0
     Jp: float = 1.0
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.L < 4 or self.L % 2 != 0:
@@ -86,8 +83,6 @@ class ChainSpec:
             raise ValueError(f"J must be positive (antiferromagnetic) and finite, got {self.J}")
         if not 0.0 < self.Jp < inf:
             raise ValueError(f"Jp must be positive (antiferromagnetic) and finite, got {self.Jp}")
-        if self.gamma is not None and not 0.0 <= self.gamma < inf:
-            raise ValueError(f"gamma must be >= 0 and finite when present, got {self.gamma}")
 
     @property
     def site_a(self) -> int:
@@ -414,27 +409,26 @@ def build_bond_hamiltonian(
 
 def build_chain_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperator:
     """Chain Hamiltonian (no sender): Jp on the two end bonds, J inside."""
-    if spec.gamma is not None:
-        raise ConfigError("spec carries a sender coupling; use build_transfer_hamiltonian")
     if sector.n_sites != spec.L:
         raise DimensionError(f"sector has {sector.n_sites} sites, chain has {spec.L}")
     return build_bond_hamiltonian(spec.L, chain_bonds(spec), sector)
 
 
-def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperator:
+def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector, gamma: float) -> SparseOperator:
     """Transfer Hamiltonian: chain on sites 1..L plus gamma bond (0, 1) to the sender.
 
-    Assembled as real, stored as complex128 (imaginary parts exactly zero):
-    its only consumer, the Krylov propagator, multiplies complex states, and
-    a real CSR matrix is upcast to complex on every such product.
+    gamma = 0 leaves the sender attached but switched off; gamma < 0 or not
+    finite raises ValueError.  Assembled as real, stored as complex128 (zero
+    imaginary parts): the Krylov propagator, its only consumer, multiplies
+    complex states, and a real CSR matrix is upcast on every such product.
     """
-    if spec.gamma is None:
-        raise ConfigError("transfer Hamiltonian needs a sender coupling gamma")
+    if not 0.0 <= gamma < inf:
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     if sector.n_sites != spec.L + 1:
         raise DimensionError(
             f"sector has {sector.n_sites} sites, transfer system has {spec.L + 1}"
         )
-    bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+    bonds = [(0, 1, gamma)] + chain_bonds(spec, offset=1)
     real = build_bond_hamiltonian(spec.L + 1, bonds, sector).matrix
     return SparseOperator(real.astype(np.complex128))
 

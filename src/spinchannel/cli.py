@@ -28,7 +28,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ class RunConfig:
     t_points: int = 600
     mode: str = "effective"
     tol: float = eigensolve.DEFAULT_TOL
-    krylov_tol: float = 1e-10
+    krylov_tol: float = transfer.DEFAULT_KRYLOV_TOL
     seed: int = eigensolve.DEFAULT_SEED
     out: str | None = None
     format: str = "csv"
@@ -360,7 +360,7 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
     t_max = cfg.t_max if cfg.t_max is not None else 1.35 * t_pred
     times = np.linspace(0.0, t_max, cfg.t_points)
     curve = transfer.full_chain_transfer(
-        replace(base, gamma=model.gamma), temperature, times, cfg.krylov_tol, spectral=sd
+        base, temperature, times, cfg.krylov_tol, gamma=model.gamma, spectral=sd
     )
     warnings = []
     if temperature > sd.gap / 2.0:

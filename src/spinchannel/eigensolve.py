@@ -128,6 +128,8 @@ def _dense_pairs(op: SparseOperator, k: int) -> list[EigenPair]:
 
 
 def _check_start(v0, dim: int) -> None:
+    if np.iscomplexobj(v0):  # the operators are real symmetric
+        raise ValueError(f"start vector must be real, got dtype {np.asarray(v0).dtype}")
     if v0 is not None and (np.shape(v0) != (dim,) or not np.all(np.isfinite(v0)) or not np.any(v0)):
         raise ValueError(f"start vector must be finite and nonzero, of shape ({dim},)")
 
@@ -205,13 +207,13 @@ def lowest_eigenpairs(
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
     Iterative solves start from v0, else from a seeded random vector, so a
-    fixed seed gives the same pairs on one machine; a v0 of the wrong length,
-    not finite or zero raises ValueError, and dense blocks ignore it.  k = 1
-    is a two-pass plain Lanczos (``_lanczos_lowest``) that stores no basis;
-    a pair above tol reruns from its own vector up to ``_LANCZOS_RESTARTS``
-    times.  k >= 2 is ARPACK's implicitly restarted Lanczos
-    (``scipy.sparse.linalg.eigsh``), keeping max(``_ARPACK_NCV``, 2k + 1)
-    vectors and restarting at most ``_ARPACK_MAXITER`` times.  Every
+    fixed seed gives the same pairs on one machine; a complex v0, or one of
+    the wrong length, not finite or zero, raises ValueError; dense blocks
+    ignore it.  k = 1 is a two-pass plain Lanczos (``_lanczos_lowest``) that
+    stores no basis; a pair above tol reruns from its own vector up to
+    ``_LANCZOS_RESTARTS`` times.  k >= 2 is ARPACK's implicitly restarted
+    Lanczos (``scipy.sparse.linalg.eigsh``), keeping max(``_ARPACK_NCV``,
+    2k + 1) vectors and restarting at most ``_ARPACK_MAXITER`` times.  Every
     returned pair has a true residual |Hv - Ev| <= tol; otherwise, or when
     ARPACK runs out of restarts, ConvergenceError carries the residuals.
     """
@@ -306,8 +308,6 @@ def spectral_data(
     ConfigError, one of another length DimensionError).  The plain m = 0
     basis is enumerated once, after both solves.
     """
-    if spec.gamma is not None:
-        raise ConfigError("spectral_data expects a chain spec without a sender coupling")
     if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
         raise ConfigError("grow_from needs the vectors of a spectral_data result")
 

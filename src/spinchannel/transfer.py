@@ -64,11 +64,13 @@ __all__ = [
     "numeric_peak",
     "predicted_peak",
     "three_site_oracle",
+    "DEFAULT_KRYLOV_TOL",
     "full_chain_transfer",
 ]
 
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
+DEFAULT_KRYLOV_TOL = 1e-10  # error bound of one Krylov time step, the CLI's default too
 
 
 @dataclass(frozen=True)
@@ -322,39 +324,39 @@ def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
         yield psi
 
 
-def _flip_ladder(sector, raising: bool) -> np.ndarray:
-    """Total S+ after spin flip F (S- if not raising) as columns: S+- F v = v[columns].sum(0).
+def _flip_ladder(sector) -> np.ndarray:
+    """Total S+ after spin flip F as columns: S+ F v = v[columns].sum(0).
 
-    Site i's term maps a pattern with bit i set (clear) to it with every other
-    bit complemented, which reverses the sorted order of those patterns; each
-    pattern has n such bits, so columns has shape (n, dim); int32 halves its memory.
+    Site i's term maps a pattern with bit i set to it with every other bit
+    complemented, which reverses the sorted order of those patterns; each
+    pattern has n set bits, so columns has shape (n, dim); int32 halves its memory.
     """
-    n = (sector.n_sites + (sector.twice_sz if raising else -sector.twice_sz)) // 2
+    n = (sector.n_sites + sector.twice_sz) // 2
     columns, filled = np.empty((n, sector.dim), dtype=np.int32), np.zeros(sector.dim, dtype=np.intp)
     for site in range(sector.n_sites):
-        rows = np.nonzero(((sector.basis >> np.uint64(site)) & np.uint64(1)) == raising)[0]
+        rows = np.nonzero((sector.basis >> np.uint64(site)) & np.uint64(1))[0]
         columns[filled[rows], rows] = rows[::-1]
         filled[rows] += 1
     return columns
 
 
-def _branch_theta(spec: ChainSpec, sender_up: bool, vector: np.ndarray, times: np.ndarray,
+def _branch_theta(spec: ChainSpec, gamma: float, vector: np.ndarray, times: np.ndarray,
                   krylov_tol: float, parity: float | None = None) -> np.ndarray:
-    """<sigma_z(B)> on the grid of m = 0 chain state ``vector`` with the sender; with T0's
-    parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.  Builds its own
+    """<sigma_z(B)> on the grid of m = 0 chain state ``vector`` with the sender up; with T0's
+    parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.  Builds its own
     bases, matrix and flip ladder, so a worker process needs only these arguments.
     """
-    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
-    hamiltonian = build_transfer_hamiltonian(spec, sector).matrix
+    sector = enumerate_sector(spec.L + 1, 1)
+    hamiltonian = build_transfer_hamiltonian(spec, sector, gamma).matrix
     psi0 = np.zeros(sector.dim, dtype=complex)
     chain_basis = enumerate_sector(spec.L, 0).basis
-    psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(sender_up))] = vector
+    psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = vector
     signs = _pauli_z_signs(sector, spec.L)
     states = _trajectory(hamiltonian, psi0, times, krylov_tol)
     if parity is None:
         forms = (np.vdot(s, signs * s).real for s in states)
     else:
-        flip_ladder = _flip_ladder(sector, raising=sender_up)
+        flip_ladder = _flip_ladder(sector)
         forms = (
             np.vdot(t + 2.0 * parity * t[flip_ladder].sum(axis=0), signs * t).real for t in states
         )
@@ -365,43 +367,45 @@ def full_chain_transfer(
     spec: ChainSpec,
     temperature: float,
     times,
-    krylov_tol: float = 1e-10,
+    krylov_tol: float = DEFAULT_KRYLOV_TOL,
     *,
+    gamma: float,
     spectral: SpectralData,
-    sender_up: bool = True,
 ) -> TransferCurve:
     """Transfer fidelity from exact dynamics of the (L+1)-site system.
 
     The chain starts in the truncated thermal mixture of the eigenstates in
     ``spectral`` (spectral_data of the chain without the sender): ground with
     weight w0 = 1/(1+3x), each triplet member with w = x/(1+3x), x = exp(-gap/T).
-    One sector, 2Sz = +1 for sender up and -1 for sender down, holds it all:
+    The sender (coupled to A by gamma) starts up: a down one only flips theta's
+    sign, by global spin flip.  The 2Sz = +1 sector holds it all:
 
         theta(t) = w0 <G|sigma_z(B)|G>
                    + w [3 <T|sigma_z(B)|T> + 2 sqrt(2) Re <P|sigma_z(B)|T>]
 
-    G and T are ground and m = 0 triplet T0 tensored with the sender; P is
-    S+-|T0>/sqrt(2) tensored with the flipped sender.  Spin flip maps the
-    m = -+1 member to -<P|sigma_z(B)|P>; the m = +-1 member is pure S = 3/2,
+    G and T are ground and m = 0 triplet T0 tensored with the up sender; P is
+    S+|T0>/sqrt(2) tensored with the down sender.  Spin flip maps the
+    m = -1 member to -<P|sigma_z(B)|P>; the m = +1 member is pure S = 3/2,
     so by SU(2) its sigma_z(B) is 3x that of (P + sqrt(2) T)/sqrt(3), and
     the P diagonal terms cancel.  H commutes with global spin flip F and total
-    S+-: with f = <T0|F|T0> = +-1, F maps T0 with the flipped sender to f T,
-    whose S+- is sqrt(2) P + T, so P(t) = (f S+- F T(t) - T(t))/sqrt(2) and
-    the bracket is <T|sigma_z(B)|T> + 2 f Re <S+- F T|sigma_z(B)|T>.
+    S+: with f = <T0|F|T0> = +-1, F maps T0 with the down sender to f T,
+    whose S+ is sqrt(2) P + T, so P(t) = (f S+ F T(t) - T(t))/sqrt(2) and
+    the bracket is <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.
 
     Only G and T are Krylov-propagated.  They share no data, so at T > 0 T's
     trajectory runs in one worker process while the caller propagates G's;
     theta is the same to the bit.  Worker errors keep their type, a worker
     that dies without one raises SpinChainError, and a caller error ends the
-    worker at once (SIGTERM); no process outlives the call.  t* and f* are the
-    vertex of the quadratic fit through the grid maximum and its neighbours,
-    if it lies among them.  Non-finite T or times raise ValueError, a missing
-    or misfitting ground vector (or triplet vector at T > 0) ConfigError, and
-    at T > 0 |f| != 1 beyond 1e-8 OrderingError, before any assembly.  Memory and
-    time grow combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
+    worker at once (SIGTERM); no process outlives the call.  t* and f* are
+    the vertex of the quadratic fit through the grid maximum and its
+    neighbours, if it lies among them.  A negative or non-finite gamma,
+    non-finite T or times raise ValueError, a missing or misfitting ground
+    vector (or triplet vector at T > 0) ConfigError, and at T > 0 |f| != 1
+    beyond 1e-8 OrderingError, before any assembly.  Memory and time grow
+    combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
-    if spec.gamma is None:
-        raise ConfigError("full_chain_transfer needs a spec with a sender coupling")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
     if not 0.0 < krylov_tol < math.inf:
@@ -414,7 +418,7 @@ def full_chain_transfer(
     if any(v is None or v.size != math.comb(spec.L, spec.L // 2) for v in vectors):
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
     if temperature == 0.0:
-        theta = _branch_theta(spec, sender_up, spectral.ground, times, krylov_tol)
+        theta = _branch_theta(spec, gamma, spectral.ground, times, krylov_tol)
     else:
         # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
         parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
@@ -428,10 +432,10 @@ def full_chain_transfer(
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
         with ProcessPoolExecutor(max_workers=1) as pool:
             worker = pool.submit(os.getpid)
-            triplet = pool.submit(_branch_theta, spec, sender_up, spectral.triplet, times,
+            triplet = pool.submit(_branch_theta, spec, gamma, spectral.triplet, times,
                                   krylov_tol, parity)
             try:
-                ground = _branch_theta(spec, sender_up, spectral.ground, times, krylov_tol)
+                ground = _branch_theta(spec, gamma, spectral.ground, times, krylov_tol)
             except BaseException:
                 if not triplet.done():  # end T0's trajectory rather than join it
                     os.kill(worker.result(), signal.SIGTERM)

@@ -45,8 +45,8 @@ def dense_chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return dense_bond_hamiltonian(spec.L, chain_bonds(spec))
 
 
-def dense_transfer_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+def dense_transfer_hamiltonian(spec: ChainSpec, gamma: float) -> np.ndarray:
+    bonds = [(0, 1, gamma)] + chain_bonds(spec, offset=1)
     return dense_bond_hamiltonian(spec.L + 1, bonds)
 
 

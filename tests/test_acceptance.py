@@ -142,9 +142,10 @@ def test_criterion_08_effective_model_validity():
     model = EffectiveModel(j_eff=sd.gap, gamma=sd.gap, g=sd.gzz_ground)
     t_pred = optimal_time(model)
     f_pred = max_fidelity(sd.gzz_ground)
-    spec = ChainSpec(L=8, J=1.0, Jp=0.1, gamma=sd.gap)
     times = np.linspace(0.0, 1.35 * t_pred, 700)
-    curve = full_chain_transfer(spec, 0.0, times, krylov_tol=1e-10, spectral=sd)
+    curve = full_chain_transfer(
+        ChainSpec(L=8, J=1.0, Jp=0.1), 0.0, times, krylov_tol=1e-10, gamma=sd.gap, spectral=sd
+    )
     dev_f = abs(curve.f_star - f_pred)
     dev_t = abs(curve.t_star - t_pred) / t_pred
     elapsed = time.perf_counter() - start

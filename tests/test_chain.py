@@ -25,7 +25,7 @@ from spinchannel.chain import (
     symmetry_block,
 )
 from spinchannel.eigensolve import dense_spectrum
-from spinchannel.errors import ConfigError, DimensionError, SectorError
+from spinchannel.errors import DimensionError, SectorError
 
 from conftest import (
     S_MINUS,
@@ -119,17 +119,15 @@ class TestChainSpec:
             ChainSpec(L=4, J=-1.0)
         with pytest.raises(ValueError):
             ChainSpec(L=4, Jp=0.0)
-        with pytest.raises(ValueError):
-            ChainSpec(L=4, gamma=-0.1)
         for value in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
-                ChainSpec(L=4, gamma=value)
             for field in ("J", "Jp"):
                 with pytest.raises(ValueError, match=f"{field} must be positive"):
                     ChainSpec(L=4, **{field: value})
 
     def test_gamma_zero_allowed(self):
-        assert ChainSpec(L=4, gamma=0.0).gamma == 0.0
+        # gamma is the transfer builder's argument, not a field of the chain
+        op = build_transfer_hamiltonian(ChainSpec(L=4), enumerate_sector(5, 1), 0.0)
+        assert op.dim == 10
 
 
 class TestTwoSpinBond:
@@ -188,23 +186,23 @@ class TestAssemblyAgainstKronOracle:
         np.testing.assert_allclose(pooled, full, atol=1e-12)
 
     def test_transfer_lowest_matches_dense(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.1)
-        full = np.linalg.eigvalsh(dense_transfer_hamiltonian(spec))
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        full = np.linalg.eigvalsh(dense_transfer_hamiltonian(spec, 0.1))
         lows = []
         for twice_sz in range(-5, 6, 2):
             sector = enumerate_sector(5, twice_sz)
-            op = build_transfer_hamiltonian(spec, sector)
+            op = build_transfer_hamiltonian(spec, sector, 0.1)
             lows.append(dense_spectrum(op)[0])
         assert min(lows) == pytest.approx(full[0], abs=1e-12)
 
     def test_transfer_gamma_zero_decouples_sender(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.7, gamma=0.0)
+        spec = ChainSpec(L=4, J=1.0, Jp=0.7)
         eigs = []
         for twice_sz in range(-5, 6, 2):
             sector = enumerate_sector(5, twice_sz)
-            eigs.append(dense_spectrum(build_transfer_hamiltonian(spec, sector)))
+            eigs.append(dense_spectrum(build_transfer_hamiltonian(spec, sector, 0.0)))
         pooled = np.sort(np.concatenate(eigs))
-        chain = np.linalg.eigvalsh(dense_chain_hamiltonian(ChainSpec(L=4, J=1.0, Jp=0.7)))
+        chain = np.linalg.eigvalsh(dense_chain_hamiltonian(spec))
         doubled = np.sort(np.concatenate([chain, chain]))  # free spin doubles everything
         np.testing.assert_allclose(pooled, doubled, atol=1e-12)
 
@@ -232,8 +230,7 @@ class TestAssemblyAgainstKronOracle:
         elif kind == "block":
             op = build_chain_hamiltonian(spec, symmetry_block(length, -1, 1))
         else:
-            spec = ChainSpec(L=length, J=1.0, Jp=0.3, gamma=0.05)
-            op = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1))
+            op = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), 0.05)
         matrix = op.matrix
         assert matrix.has_canonical_format
         assert matrix.indices.dtype == np.int32 and matrix.indptr.dtype == np.int32
@@ -332,12 +329,12 @@ class TestAssemblyAgainstBinarySearch:
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
     def test_transfer(self, length):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3, gamma=0.05)
-        bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        bonds = [(0, 1, 0.05)] + chain_bonds(spec, offset=1)
         for twice_sz in (1, -1):
             sector = enumerate_sector(length + 1, twice_sz)
             real = self.searchsorted_assembly(length + 1, bonds, sector)
-            matrix = build_transfer_hamiltonian(spec, sector).matrix
+            matrix = build_transfer_hamiltonian(spec, sector, 0.05).matrix
             self.assert_bitwise_equal(matrix, real.astype(np.complex128))
 
 
@@ -512,19 +509,27 @@ class TestGuards:
             build_chain_hamiltonian(spec, enumerate_sector(4, 0))
 
     def test_chain_with_gamma_rejected(self):
-        spec = ChainSpec(L=4, gamma=0.5)
-        with pytest.raises(ConfigError):
-            build_chain_hamiltonian(spec, enumerate_sector(4, 0))
+        # the spec describes the chain alone; the sender coupling has no field
+        with pytest.raises(TypeError):
+            ChainSpec(L=4, gamma=0.1)
 
     def test_transfer_without_gamma_rejected(self):
-        spec = ChainSpec(L=4)
-        with pytest.raises(ConfigError):
-            build_transfer_hamiltonian(spec, enumerate_sector(5, 1))
+        # gamma is a required argument: no default sender coupling
+        with pytest.raises(TypeError, match="gamma"):
+            build_transfer_hamiltonian(ChainSpec(L=4), enumerate_sector(5, 1))
+
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
+    def test_transfer_bad_gamma_fails_before_assembly(self, monkeypatch, gamma):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled although gamma is invalid")
+
+        monkeypatch.setattr(spinchannel.chain, "build_bond_hamiltonian", no_assembly)
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            build_transfer_hamiltonian(ChainSpec(L=4), enumerate_sector(5, 1), gamma)
 
     def test_transfer_sector_size_mismatch(self):
-        spec = ChainSpec(L=4, gamma=0.2)
         with pytest.raises(DimensionError):
-            build_transfer_hamiltonian(spec, enumerate_sector(4, 0))
+            build_transfer_hamiltonian(ChainSpec(L=4), enumerate_sector(4, 0), 0.2)
 
     def test_block_needs_mirror_symmetric_bonds(self):
         block = symmetry_block(6, 1, 1)

@@ -531,10 +531,6 @@ class TestSpectralData:
             pauli_xx_expectation(sector1, pair.vector, a, b), abs=1e-10
         )
 
-    def test_rejects_transfer_spec(self):
-        with pytest.raises(ConfigError):
-            spectral_data(ChainSpec(L=4, gamma=0.2))
-
     def test_reflection_symmetry_of_gzz(self):
         # the chain is mirror symmetric, so swapping probes changes nothing
         spec = ChainSpec(L=6, J=1.0, Jp=0.3)
@@ -622,6 +618,21 @@ class TestGrownStarts:
         op = SparseOperator(diags(np.arange(dim, dtype=float)).tocsr())
         with pytest.raises(ValueError, match="start vector"):
             lowest_eigenpairs(op, 1, v0=make(dim))
+
+    @pytest.mark.parametrize("phase", [1j, 1.0 + 1.0j], ids=["imaginary", "complex"])
+    def test_complex_start_vector_names_its_dtype(self, phase):
+        # the operator is real: a complex start fails before any product, with
+        # neither a ComplexWarning nor a silently dropped imaginary part
+        op = build_chain_hamiltonian(ChainSpec(L=14, J=1.0, Jp=0.1), symmetry_block(14, 1, 1))
+
+        class NoProducts(csr_matrix):
+            def _matmul_vector(self, other):
+                raise AssertionError("product taken although the start vector is complex")
+
+        op.matrix.__class__ = NoProducts
+        v = np.random.default_rng(5).standard_normal(op.dim)
+        with pytest.raises(ValueError, match="start vector must be real, got dtype complex128"):
+            lowest_eigenpairs(op, 1, v0=phase * v)
 
     @pytest.mark.parametrize(
         "change, error, message",

@@ -52,11 +52,6 @@ from conftest import dense_transfer_hamiltonian, random_pure_qubit
 G_VALUES = (-1.0, -0.5, 0.0, 1.0 / 3.0)
 
 
-def chain_spectral(spec):
-    """spectral_data of the bare chain under a transfer spec."""
-    return spectral_data(replace(spec, gamma=None))
-
-
 def commensurate_fidelity(g, u):
     """Four-term cosine form at gamma = j_eff, with u = j_eff * t."""
     return (
@@ -290,18 +285,17 @@ class TestPredictedPeak:
         assert closed_form_fidelity(model, t_star + 1e-3) < f_star
 
 
-def dense_mixture_theta(spec, temperature, times):
-    """theta(t) of the truncated four-state mixture by dense eigh evolution."""
-    base = replace(spec, gamma=None)
+def dense_mixture_theta(spec, gamma, temperature, times):
+    """theta(t) of the truncated four-state mixture, sender up, by dense eigh evolution."""
     sector0 = enumerate_sector(spec.L, 0)
-    pairs0 = lowest_eigenpairs(build_chain_hamiltonian(base, sector0), 2, 1e-12)
+    pairs0 = lowest_eigenpairs(build_chain_hamiltonian(spec, sector0), 2, 1e-12)
     branches = [(sector0, pairs0[0].vector, 1.0)]
     if temperature > 0.0:
         triplet = [(sector0, pairs0[1].vector)]
         energies = []
         for tsz in (2, -2):
             sector = enumerate_sector(spec.L, tsz)
-            (pair,) = lowest_eigenpairs(build_chain_hamiltonian(base, sector), 1, 1e-12)
+            (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, sector), 1, 1e-12)
             triplet.append((sector, pair.vector))
             energies.append(pair.energy)
         x = np.exp(-(energies[0] - pairs0[0].energy) / temperature)
@@ -310,7 +304,7 @@ def dense_mixture_theta(spec, temperature, times):
     theta = np.zeros(len(times))
     for sector, vec, weight in branches:
         full_sector = enumerate_sector(spec.L + 1, sector.twice_sz + 1)
-        h = build_transfer_hamiltonian(spec, full_sector).matrix.toarray()
+        h = build_transfer_hamiltonian(spec, full_sector, gamma).matrix.toarray()
         psi0 = np.zeros(full_sector.dim, dtype=complex)
         psi0[full_sector.index_of((sector.basis << np.uint64(1)) | np.uint64(1))] = vec
         bits = (full_sector.basis >> np.uint64(spec.L)) & np.uint64(1)
@@ -324,20 +318,22 @@ def dense_mixture_theta(spec, temperature, times):
 
 class TestFullChainTransfer:
     def test_matches_dense_evolution(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
         times = np.linspace(0.0, 25.0, 40)
         curve = full_chain_transfer(
-            spec, 0.0, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+            spec, 0.0, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
         )
-        np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.0, times), atol=1e-10)
+        expected = dense_mixture_theta(spec, 0.3, 0.0, times)
+        np.testing.assert_allclose(curve.thetas, expected, atol=1e-10)
 
     def test_finite_temperature_matches_dense(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
         times = np.linspace(0.0, 15.0, 25)
         curve = full_chain_transfer(
-            spec, 0.2, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+            spec, 0.2, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
         )
-        np.testing.assert_allclose(curve.thetas, dense_mixture_theta(spec, 0.2, times), atol=1e-10)
+        expected = dense_mixture_theta(spec, 0.3, 0.2, times)
+        np.testing.assert_allclose(curve.thetas, expected, atol=1e-10)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.2])
     def test_truncated_krylov_matches_dense(self, monkeypatch, temperature):
@@ -352,58 +348,45 @@ class TestFullChainTransfer:
             return psi_new, dt_done
 
         monkeypatch.setattr(transfer, "_krylov_step", recorded)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
         times = np.linspace(0.0, 80.0, 9)
         curve = full_chain_transfer(
-            spec, temperature, times, krylov_tol=1e-12, spectral=chain_spectral(spec)
+            spec, temperature, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
         )
         assert min(dim for dim, _ in steps) > 30
         assert any(halved for _, halved in steps)
         np.testing.assert_allclose(
-            curve.thetas, dense_mixture_theta(spec, temperature, times), atol=1e-10
+            curve.thetas, dense_mixture_theta(spec, 0.3, temperature, times), atol=1e-10
         )
 
     def test_decoupled_sender_constant_theta(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5, gamma=0.0)
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
         curve = full_chain_transfer(
-            spec, 0.0, np.linspace(0.0, 30.0, 16), spectral=chain_spectral(spec)
+            spec, 0.0, np.linspace(0.0, 30.0, 16), gamma=0.0, spectral=spectral_data(spec)
         )
         assert np.max(np.abs(curve.thetas - curve.thetas[0])) <= 1e-10
         assert curve.fidelities[0] == pytest.approx(0.5, abs=1e-10)
 
-    @pytest.mark.parametrize("temperature", [0.0, 0.2])
-    def test_sender_down_flips_theta(self, temperature):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.4, gamma=0.2)
-        times = np.linspace(0.0, 20.0, 21)
-        sd = chain_spectral(spec)
-        up = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=True)
-        down = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=False)
-        np.testing.assert_allclose(up.thetas, -down.thetas, atol=1e-10)
-
-    @pytest.mark.parametrize("sender_up, twice_sz", [(True, 1), (False, -1)])
-    def test_one_transfer_sector_per_run(self, monkeypatch, in_process_pool, sender_up, twice_sz):
-        # the whole T > 0 mixture lives in the sender's 2Sz = +-1 sector; the
+    def test_one_transfer_sector_per_run(self, monkeypatch, in_process_pool):
+        # the whole T > 0 mixture lives in the up sender's 2Sz = +1 sector; the
         # caller (G) and the worker (T0) each build that sector's matrix
         built = []
         build = transfer.build_transfer_hamiltonian
 
-        def recorded(spec, sector):
+        def recorded(spec, sector, gamma):
             built.append(sector.twice_sz)
-            return build(spec, sector)
+            return build(spec, sector, gamma)
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", recorded)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
         full_chain_transfer(
-            spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec),
-            sender_up=sender_up,
+            spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
-        assert built == [twice_sz, twice_sz]
+        assert built == [1, 1]
 
     @pytest.mark.parametrize("temperature, trajectories", [(0.0, 1), (0.2, 2)])
-    @pytest.mark.parametrize("sender_up", [True, False])
-    def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories,
-                                  sender_up):
-        # ground alone at T = 0; ground and T0 at T > 0, the S+- branch follows from T0's.
+    def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories):
+        # ground alone at T = 0; ground and T0 at T > 0, the S+ branch follows from T0's.
         # The in-process pool keeps T0's trajectory where the count can see it.
         started = []
         trajectory = transfer._trajectory
@@ -413,38 +396,32 @@ class TestFullChainTransfer:
             return trajectory(matrix, psi, times, tol)
 
         monkeypatch.setattr(transfer, "_trajectory", recorded)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
         full_chain_transfer(
-            spec, temperature, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec),
-            sender_up=sender_up,
+            spec, temperature, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
         assert len(started) == trajectories
 
-    @pytest.mark.parametrize("sender_up", [True, False])
-    def test_triplet_without_flip_parity_raises_before_assembly(self, monkeypatch, sender_up):
+    def test_triplet_without_flip_parity_raises_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
             raise AssertionError("transfer Hamiltonian assembled for a triplet of mixed parity")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
-        sd = chain_spectral(spec)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
         # G and T0 have opposite spin-flip parities, so their sum has <F> = 0
         mixed = replace(sd, triplet=(sd.ground + sd.triplet) / np.sqrt(2.0))
         with pytest.raises(OrderingError, match="parity"):
-            full_chain_transfer(
-                spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=mixed, sender_up=sender_up
-            )
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=mixed)
 
-    @pytest.mark.parametrize("raising", [True, False])
-    def test_flip_ladder_is_ladder_after_reversal(self, rng, raising):
-        # F maps the 2Sz = +-1 sector onto -+1 by reversing the sorted basis
-        sector = enumerate_sector(7, 1 if raising else -1)
+    def test_flip_ladder_is_ladder_after_reversal(self, rng):
+        # F maps the 2Sz = +1 sector onto -1 by reversing the sorted basis
+        sector = enumerate_sector(7, 1)
         vec = rng.standard_normal(sector.dim)
-        flipped = enumerate_sector(7, -sector.twice_sz)
-        target, image = apply_total_spin_ladder(flipped, vec[::-1], raising=raising)
-        assert target.twice_sz == sector.twice_sz
+        target, image = apply_total_spin_ladder(enumerate_sector(7, -1), vec[::-1], raising=True)
+        assert target.twice_sz == 1
         np.testing.assert_allclose(
-            vec[transfer._flip_ladder(sector, raising)].sum(axis=0), image, rtol=0.0, atol=1e-14
+            vec[transfer._flip_ladder(sector)].sum(axis=0), image, rtol=0.0, atol=1e-14
         )
 
     @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -453,25 +430,27 @@ class TestFullChainTransfer:
             raise AssertionError("transfer Hamiltonian assembled although krylov_tol is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_solve)
-        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
-        sd = chain_spectral(spec)
+        spec = ChainSpec(L=4, Jp=0.5)
+        sd = spectral_data(spec)
         with pytest.raises(ValueError, match="krylov_tol"):
-            full_chain_transfer(spec, 0.0, np.linspace(0.0, 1.0, 5), krylov_tol, spectral=sd)
+            full_chain_transfer(
+                spec, 0.0, np.linspace(0.0, 1.0, 5), krylov_tol, gamma=0.1, spectral=sd
+            )
 
     def test_requires_gamma_and_valid_grid(self):
-        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
-        sd = chain_spectral(spec)
-        with pytest.raises(ConfigError):
-            full_chain_transfer(ChainSpec(L=4, Jp=0.5), 0.0, np.linspace(0.0, 1.0, 5), spectral=sd)
+        spec = ChainSpec(L=4, Jp=0.5)
+        sd = spectral_data(spec)
+        with pytest.raises(TypeError, match="gamma"):  # keyword-only, no default
+            full_chain_transfer(spec, 0.0, np.linspace(0.0, 1.0, 5), spectral=sd)
+        with pytest.raises(ValueError):  # must start at 0
+            full_chain_transfer(spec, 0.0, np.linspace(1.0, 2.0, 5), gamma=0.1, spectral=sd)
         with pytest.raises(ValueError):
-            full_chain_transfer(spec, 0.0, np.linspace(1.0, 2.0, 5), spectral=sd)  # must start at 0
-        with pytest.raises(ValueError):
-            full_chain_transfer(spec, -0.1, np.linspace(0.0, 1.0, 5), spectral=sd)
+            full_chain_transfer(spec, -0.1, np.linspace(0.0, 1.0, 5), gamma=0.1, spectral=sd)
 
     def test_requires_spectral_vectors_of_the_chain(self):
-        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        spec = ChainSpec(L=4, Jp=0.5)
         times = np.linspace(0.0, 1.0, 5)
-        sd = chain_spectral(spec)
+        sd = spectral_data(spec)
         scalars_only = SpectralData(
             e0=sd.e0, e_triplet=sd.e_triplet, gap=sd.gap, gzz_ground=sd.gzz_ground,
             gzz_triplet=sd.gzz_triplet, gxx_triplet=sd.gxx_triplet,
@@ -479,7 +458,7 @@ class TestFullChainTransfer:
         other_length = spectral_data(ChainSpec(L=6, Jp=0.5))
         for spectral in (scalars_only, other_length):
             with pytest.raises(ConfigError):
-                full_chain_transfer(spec, 0.0, times, spectral=spectral)
+                full_chain_transfer(spec, 0.0, times, gamma=0.1, spectral=spectral)
 
     @pytest.mark.parametrize("triplet_length", [None, 6])
     def test_requires_the_triplet_vector_at_finite_temperature(self, monkeypatch, triplet_length):
@@ -487,14 +466,14 @@ class TestFullChainTransfer:
             raise AssertionError("transfer Hamiltonian assembled although the triplet is unfit")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
-        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
-        sd = chain_spectral(spec)
+        spec = ChainSpec(L=4, Jp=0.5)
+        sd = spectral_data(spec)
         if triplet_length is None:
             sd = replace(sd, triplet=None)
         else:
             sd = replace(sd, triplet=spectral_data(ChainSpec(L=triplet_length, Jp=0.5)).triplet)
         with pytest.raises(ConfigError, match="with state vectors"):
-            full_chain_transfer(spec, 0.1, np.linspace(0.0, 1.0, 5), spectral=sd)
+            full_chain_transfer(spec, 0.1, np.linspace(0.0, 1.0, 5), gamma=0.1, spectral=sd)
 
     def test_agrees_with_effective_model_at_weak_coupling(self):
         # small version of the headline comparison (L = 6 keeps it quick)
@@ -504,7 +483,7 @@ class TestFullChainTransfer:
         t_pred = optimal_time(model)
         f_pred = max_fidelity(sd.gzz_ground)
         times = np.linspace(0.0, 1.3 * t_pred, 500)
-        curve = full_chain_transfer(replace(spec, gamma=sd.gap), 0.0, times, spectral=sd)
+        curve = full_chain_transfer(spec, 0.0, times, gamma=sd.gap, spectral=sd)
         assert abs(curve.f_star - f_pred) < 0.05
         assert abs(curve.t_star - t_pred) / t_pred < 0.1
         # flying-qubit bound: information cannot arrive faster than the
@@ -512,16 +491,15 @@ class TestFullChainTransfer:
         assert curve.t_star * spec.J >= 0.5 * spec.L
 
 
-def lockstep_theta(spec, temperature, times, sd, sender_up, tol=1e-10):
+def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
     """T > 0 theta with G and T0 advanced together in this process, combined per grid point."""
-    sector = enumerate_sector(spec.L + 1, 1 if sender_up else -1)
-    matrix = build_transfer_hamiltonian(spec, sector).matrix
+    sector = enumerate_sector(spec.L + 1, 1)
+    matrix = build_transfer_hamiltonian(spec, sector, gamma).matrix
     psi0 = np.zeros((2, sector.dim), dtype=complex)
     chain_basis = enumerate_sector(spec.L, 0).basis
-    psi0[:, sector.index_of((chain_basis << np.uint64(1)) | np.uint64(sender_up))] = (
-        sd.ground, sd.triplet)
+    psi0[:, sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = sd.ground, sd.triplet
     signs = _pauli_z_signs(sector, spec.L)
-    ladder = transfer._flip_ladder(sector, raising=sender_up)
+    ladder = transfer._flip_ladder(sector)
     parity = float(np.dot(sd.triplet, sd.triplet[::-1]))
     x = math.exp(-sd.gap / temperature)
     w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
@@ -538,15 +516,14 @@ class TestWorkerProcess:
     """At T > 0 the T0 trajectory runs in a worker process."""
 
     @pytest.mark.parametrize("temperature", [0.2, 1e-3])
-    @pytest.mark.parametrize("sender_up", [True, False])
     @pytest.mark.parametrize("length", [6, 8, 10])
-    def test_theta_bitwise_equals_both_branches_in_process(self, length, sender_up, temperature):
+    def test_theta_bitwise_equals_both_branches_in_process(self, length, temperature):
         # Jp = 0.1 keeps the gap near 4e-3, so the triplet weight is not 0 at T = 1e-3
-        sd = spectral_data(ChainSpec(L=length, J=1.0, Jp=0.1))
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1, gamma=sd.gap)
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        sd = spectral_data(spec)
         times = np.linspace(0.0, 400.0, 41)
-        curve = full_chain_transfer(spec, temperature, times, spectral=sd, sender_up=sender_up)
-        expected = lockstep_theta(spec, temperature, times, sd, sender_up)
+        curve = full_chain_transfer(spec, temperature, times, gamma=sd.gap, spectral=sd)
+        expected = lockstep_theta(spec, sd.gap, temperature, times, sd)
         assert curve.thetas.tobytes() == expected.tobytes()
 
     def test_worker_error_arrives_typed_and_no_process_is_left(self, monkeypatch):
@@ -557,13 +534,13 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
 
         monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
-        sd = chain_spectral(spec)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
         times = np.linspace(0.0, 10.0, 5)
-        full_chain_transfer(spec, 0.2, times, spectral=sd)
+        full_chain_transfer(spec, 0.2, times, gamma=0.3, spectral=sd)
         assert multiprocessing.active_children() == []
         with pytest.raises(PropagationError, match="tol = 1e-300") as failure:
-            full_chain_transfer(spec, 0.2, times, 1e-300, spectral=sd)
+            full_chain_transfer(spec, 0.2, times, 1e-300, gamma=0.3, spectral=sd)
         assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
 
@@ -579,11 +556,11 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, tol)
 
         monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
-        sd = chain_spectral(spec)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
         start = time.perf_counter()
         with pytest.raises(PropagationError, match="caller failed"):
-            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=sd)
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=sd)
         assert time.perf_counter() - start < 2.5
         assert multiprocessing.active_children() == []
 
@@ -597,9 +574,10 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, tol)
 
         monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
         with pytest.raises(SpinChainError, match="worker") as failure:
-            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec))
+            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=sd)
         assert isinstance(failure.value.__cause__, BrokenProcessPool)
         assert multiprocessing.active_children() == []
 
@@ -614,28 +592,34 @@ class TestWorkerProcess:
             raise AssertionError("a process pool was constructed at T = 0")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5, gamma=0.3)
-        full_chain_transfer(spec, 0.0, np.linspace(0.0, 10.0, 5), spectral=chain_spectral(spec))
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        full_chain_transfer(
+            spec, 0.0, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
+        )
 
     @pytest.mark.parametrize(
-        "temperature, times, match",
+        "temperature, times, gamma, match",
         [
-            (float("nan"), [0.0, 1.0, 2.0, 3.0], "temperature"),
-            (float("inf"), [0.0, 1.0, 2.0, 3.0], "temperature"),
-            (0.2, [0.0, 1.0, float("nan"), 3.0], "finite"),
-            (0.2, [0.0, 1.0, 2.0, float("inf")], "finite"),
+            (float("nan"), [0.0, 1.0, 2.0, 3.0], 0.1, "temperature"),
+            (float("inf"), [0.0, 1.0, 2.0, 3.0], 0.1, "temperature"),
+            (0.2, [0.0, 1.0, float("nan"), 3.0], 0.1, "finite"),
+            (0.2, [0.0, 1.0, 2.0, float("inf")], 0.1, "finite"),
+            (0.2, [0.0, 1.0, 2.0, 3.0], -0.1, "gamma must be >= 0 and finite"),
+            (0.2, [0.0, 1.0, 2.0, 3.0], float("nan"), "gamma must be >= 0 and finite"),
+            (0.2, [0.0, 1.0, 2.0, 3.0], float("inf"), "gamma must be >= 0 and finite"),
         ],
-        ids=["T-nan", "T-inf", "t-nan", "t-inf"],
+        ids=["T-nan", "T-inf", "t-nan", "t-inf", "gamma-negative", "gamma-nan", "gamma-inf"],
     )
-    def test_non_finite_input_fails_before_any_work(self, monkeypatch, temperature, times, match):
+    def test_non_finite_input_fails_before_any_work(self, monkeypatch, temperature, times, gamma,
+                                                    match):
         def no_work(*args, **kwargs):
-            raise AssertionError("work started although an input is not finite")
+            raise AssertionError("work started although an input is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_work)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
-        spec = ChainSpec(L=4, Jp=0.5, gamma=0.1)
+        spec = ChainSpec(L=4, Jp=0.5)
         with pytest.raises(ValueError, match=match):
-            full_chain_transfer(spec, temperature, times, spectral=chain_spectral(spec))
+            full_chain_transfer(spec, temperature, times, gamma=gamma, spectral=spectral_data(spec))
 
 
 class TestCouplingScale:
@@ -666,10 +650,9 @@ class TestCouplingScale:
         sd, sd_scaled = spectral_data(base), spectral_data(scaled)
         gamma = sd.gap
         times = np.linspace(0.0, 1.35 * np.pi / gamma, 120)
-        curve = full_chain_transfer(replace(base, gamma=gamma), temperature, times, spectral=sd)
+        curve = full_chain_transfer(base, temperature, times, gamma=gamma, spectral=sd)
         curve_scaled = full_chain_transfer(
-            replace(scaled, gamma=lam * gamma), lam * temperature, times / lam,
-            spectral=sd_scaled,
+            scaled, lam * temperature, times / lam, gamma=lam * gamma, spectral=sd_scaled
         )
         assert 0.0 < curve.t_star < times[-1]
         assert lam * curve_scaled.t_star == pytest.approx(curve.t_star, rel=1e-10, abs=0)
@@ -706,8 +689,10 @@ class TestKrylovStep:
             return spinchannel.eigensolve._lanczos_vectors(*args, **kwargs)
 
         monkeypatch.setattr(transfer, "_lanczos_vectors", counted)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
-        matrix = CountingMatrix(build_transfer_hamiltonian(spec, enumerate_sector(9, 1)).matrix)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        matrix = CountingMatrix(
+            build_transfer_hamiltonian(spec, enumerate_sector(9, 1), 0.3).matrix
+        )
         psi = rng.standard_normal(126) + 1j * rng.standard_normal(126)
         psi /= np.linalg.norm(psi)
         for dt_req in (0.7, 40.0):
@@ -725,10 +710,10 @@ class TestKrylovStep:
         np.testing.assert_allclose(psi_new, np.exp(-2.5j * energies[3]) * psi, atol=1e-12)
 
     def test_transfer_matrix_is_complex_copy_of_real_assembly(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
         sector = enumerate_sector(9, 1)
-        matrix = build_transfer_hamiltonian(spec, sector).matrix
-        bonds = [(0, 1, spec.gamma)] + chain_bonds(spec, offset=1)
+        matrix = build_transfer_hamiltonian(spec, sector, 0.3).matrix
+        bonds = [(0, 1, 0.3)] + chain_bonds(spec, offset=1)
         real = build_bond_hamiltonian(9, bonds, sector).matrix
         assert matrix.dtype == np.complex128
         assert np.all(matrix.data.imag == 0.0)
@@ -739,12 +724,12 @@ class TestKrylovStep:
     def test_chained_steps_match_dense_expm_at_L8(self):
         # L = 8 transfer sector (dim 126 > _KRYLOV_DIM) against exp(-iHt) of the
         # Kronecker-product Hamiltonian restricted to the same sector
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5, gamma=0.3)
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
         sector = enumerate_sector(9, 1)
         assert sector.dim == 126
-        matrix = build_transfer_hamiltonian(spec, sector).matrix
+        matrix = build_transfer_hamiltonian(spec, sector, 0.3).matrix
         states = sector.basis.astype(np.int64)
-        dense = dense_transfer_hamiltonian(spec)[np.ix_(states, states)]
+        dense = dense_transfer_hamiltonian(spec, 0.3)[np.ix_(states, states)]
         rng = np.random.default_rng(8)
         psi0 = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
         psi0 /= np.linalg.norm(psi0)
