@@ -264,10 +264,13 @@ def grow_into_block(block: Sector, vec: np.ndarray) -> np.ndarray:
 
     The singlet keeps total spin and flips F and R: (s, s) at L - 2 grows into
     (-s, -s).  A gather: r gets +-sqrt(|O_r| / 2) vec[r'], r' = r less the two
-    middle bits, + if site L/2 - 1 is up, and 0 if they are aligned.
+    middle bits, + if site L/2 - 1 is up, and 0 if they are aligned.  The
+    blocks are real, so a complex vec raises ValueError naming its dtype.
     """
     if block.signs is None:
         raise SectorError("grow_into_block maps a plain 2Sz = 0 sector into a symmetry block")
+    if np.iscomplexobj(vec):
+        raise ValueError(f"grown vector must be real, got dtype {np.asarray(vec).dtype}")
     n_short, n_up = block.n_sites - 2, block.n_sites // 2 - 1
     if len(vec) != comb(n_short, n_up):
         raise DimensionError(f"need a vector of the {n_short}-site m = 0 sector")

@@ -134,7 +134,8 @@ def _check_start(v0, dim: int) -> None:
         raise ValueError(f"start vector must be finite and nonzero, of shape ({dim},)")
 
 
-def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray, known: int = 0):
+def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray, known: int = 0,
+                     out: np.ndarray | None = None):
     """Yield v_1, v_2, ... of the plain three-term Lanczos recurrence from v0.
 
     The one recurrence of the package: real vectors for the eigensolver,
@@ -149,9 +150,12 @@ def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
 
     Updates run in place (BLAS daxpy or zaxpy; ``w -= beta * v`` allocates a
     temporary) and normalizing multiplies by 1/beta, since dividing a
-    complex vector by a real costs several times the multiply.
+    complex vector by a real costs several times the multiply.  With ``out``
+    (alphas.size rows) v_j is normalized into out[j], so a caller that
+    keeps the basis holds one buffer instead of a fresh vector per step.
     """
-    v_prev, v = None, v0 * (1.0 / math.sqrt(np.vdot(v0, v0).real))
+    scale = 1.0 / math.sqrt(np.vdot(v0, v0).real)
+    v_prev, v = None, v0 * scale if out is None else np.multiply(v0, scale, out=out[0])
     axpy = get_blas_funcs("axpy", (v,))
     for j in range(alphas.size):
         yield v
@@ -164,9 +168,10 @@ def _lanczos_vectors(mat, v0: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
         if j >= known:
             beta = math.sqrt(np.vdot(w, w).real)
             betas[j] = beta if beta > 1e-13 * max(1.0, abs(alphas[j])) else 0.0
-        if not betas[j]:
+        if not betas[j] or j + 1 == alphas.size:
             return
-        v_prev, v = v, np.multiply(w, 1.0 / betas[j], out=w)
+        v_prev, v = v, np.multiply(w, 1.0 / betas[j], out=w if out is None else out[j + 1])
+        del w  # frees the product before the next one is made (with out it is not v)
 
 
 def _lanczos_lowest(mat, v0: np.ndarray, tol: float) -> tuple[EigenPair, int]:

@@ -23,7 +23,10 @@ routes: exact 8-dimensional unitary evolution (``three_site_oracle``) and
 Krylov-propagated dynamics of the full (L+1)-site chain
 (``full_chain_transfer``), whose Krylov bases come from the eigensolver's
 Lanczos recurrence.  SU(2) and global spin flip put the whole T > 0
-mixture of the latter into two trajectories in one magnetization sector.
+mixture of the latter into two trajectories in one magnetization sector,
+which the caller and one worker process share; at T = 0 the two split the
+ground state's grid, and the worker reaches its part with one Chebyshev
+jump.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import zaxpy
+from scipy.linalg.blas import daxpy, dscal, zaxpy
+from scipy.sparse import identity
 
 from .chain import (
     ChainSpec,
     _pauli_z_signs,
     build_transfer_hamiltonian,
+    chain_bonds,
     enumerate_sector,
 )
 from .eigensolve import SpectralData, _lanczos_vectors
@@ -70,6 +75,11 @@ __all__ = [
 
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
+_JUMP_TERM_COST = 0.33  # one real Chebyshev term in complex Lanczos steps (measured, L = 14)
+# a jump's Bessel tail bound as a fraction of krylov_tol: a Krylov step's error estimate
+# overstates its error by orders of magnitude, the tail does not; at 1e-3 the jump's error
+# sits at its rounding floor (~5e-13 at L = 10..12) for ~1.6 z^(1/3) more terms (28 of ~5,000)
+_JUMP_TAIL = 1e-3
 DEFAULT_KRYLOV_TOL = 1e-10  # error bound of one Krylov time step, the CLI's default too
 
 
@@ -267,20 +277,22 @@ class TransferCurve:
     f_star: float
 
 
-def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float):
+def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, basis=None):
     """Advance psi by exp(-i H dt) for the largest dt <= dt_req meeting tol.
 
     One Lanczos basis (dimension <= _KRYLOV_DIM) from psi by the eigensolver's
     recurrence, ``_lanczos_vectors``, as in Expokit's Hermitian expv (Sidje,
-    ACM TOMS 24, 1998).  dt halves until beta_next * dt * |last coefficient|
-    <= tol, else PropagationError; a breakdown (beta_next = 0) takes the full
-    step.  psi_new is summed over the basis in place by zaxpy.  Returns
-    (psi_new, dt_done).
+    ACM TOMS 24, 1998), written into ``basis``, a (_KRYLOV_DIM, dim) complex
+    buffer that a trajectory reuses for every step (allocated if None).
+    dt halves until beta_next * dt * |last coefficient| <= tol, else
+    PropagationError; a breakdown (beta_next = 0) takes the full step.  psi_new
+    is summed over the basis in place by zaxpy.  Returns (psi_new, dt_done).
     """
+    if basis is None:
+        basis = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
     nrm = math.sqrt(np.vdot(psi, psi).real)
     alphas, betas = np.empty(_KRYLOV_DIM), np.empty(_KRYLOV_DIM)
-    basis = list(_lanczos_vectors(matrix, psi, alphas, betas))
-    m = len(basis)
+    m = sum(1 for _ in _lanczos_vectors(matrix, psi, alphas, betas, out=basis))
     beta_next = betas[m - 1]  # stored as 0 at a breakdown
 
     omega, modes = eigh_tridiagonal(alphas[:m], betas[: m - 1])
@@ -297,7 +309,7 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float):
             )
         dt *= 0.5
     psi_new = np.zeros(psi.size, dtype=complex)
-    for c, v in zip(nrm * coeff, basis):
+    for c, v in zip(nrm * coeff, basis[:m]):
         psi_new = zaxpy(v, psi_new, a=c)
     return psi_new, dt
 
@@ -310,18 +322,88 @@ def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
     PropagationError.
     """
     t_now, dt_hint = 0.0, None
+    basis = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
     for t_target in times:
         while t_target - t_now > 1e-14 * max(1.0, t_target):
             dt_req = t_target - t_now
             if dt_hint is not None:
                 dt_req = min(dt_req, dt_hint)
-            psi, dt_done = _krylov_step(matrix, psi, dt_req, tol)
+            psi, dt_done = _krylov_step(matrix, psi, dt_req, tol, basis)
             t_now += dt_done
             dt_hint = dt_done * 1.5 if dt_done == dt_req else dt_done
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-10:
             raise PropagationError(f"norm drift {drift:.3e} at t = {t_now}")
         yield psi
+
+
+def _gershgorin(matrix) -> tuple[float, float]:
+    """Center and radius of the Gershgorin interval of a real symmetric CSR matrix."""
+    diag = matrix.diagonal()
+    discs = abs(matrix) @ np.ones(matrix.shape[0]) - np.abs(diag)
+    low, high = float(np.min(diag - discs)), float(np.max(diag + discs))
+    return (high + low) / 2.0, (high - low) / 2.0
+
+
+def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float):
+    """exp(-i H t0) psi0 for real symmetric CSR H and real unit psi0, by one Chebyshev series.
+
+    With c +- r the Gershgorin interval of H, X = (H - c)/r has its spectrum in
+    [-1, 1] and exp(-i H t0) = exp(-i c t0) [J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X)],
+    z = r t0 (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The vectors
+    T_k(X) psi0 are real, from T_(k+1) = 2 X T_k - T_(k-1) with three vectors, and
+    (-i)^k is real for even k and imaginary for odd k, so each term goes into one
+    real accumulator, in place (BLAS daxpy and dscal).  The series stops at the
+    first K with 2 sum_(k>=K) |J_k(z)| <= tol, which bounds the error since
+    |T_k(X)| <= 1; Bessel values that miss J_0^2 + 2 sum J_k^2 = 1 by more than
+    1e-12, or a tol that no computed order meets, raise PropagationError.
+    Returns (psi(t0), the tail bound).
+    """
+    # imported here: scipy.special takes 50-76 ms to import, and only a worker jumps
+    from scipy.special import jv
+
+    center, radius = _gershgorin(matrix)
+    z = radius * t0
+    # J_k(z) falls like exp(-0.94 m^1.5) at k = z + m z^(1/3): m = 40 is below 1e-100
+    bessel = jv(np.arange(math.ceil(z + 40.0 * np.cbrt(z) + 40.0)), z)
+    unity = bessel[0] ** 2 + 2.0 * math.fsum(bessel[1:] ** 2)
+    if not abs(unity - 1.0) <= 1e-12:
+        raise PropagationError(f"Bessel values J_k({z:.6g}) miss J_0^2 + 2 sum J_k^2 = 1 "
+                               f"by {unity - 1.0:.3e}")
+    tails = 2.0 * np.cumsum(np.abs(bessel[::-1]))[::-1]  # tails[K] = 2 sum_(k>=K) |J_k|
+    reached = np.nonzero(tails <= tol)[0]
+    if reached.size == 0:
+        raise PropagationError(f"Chebyshev jump cannot meet tol = {tol} at t = {t0}")
+    terms = int(reached[0])
+    # (-i)^k = 1, -i, -1, i, ...: the sign of its real or imaginary part
+    coeffs = 2.0 * bessel[:terms] * np.resize([1.0, -1.0, -1.0, 1.0], terms)
+    double_x = (matrix - center * identity(psi0.size, format="csr")) * (2.0 / radius)
+    accumulators = [bessel[0] * psi0, np.zeros(psi0.size)]  # even k: real part; odd k: imaginary
+    previous, current = None, psi0
+    for k in range(1, terms):
+        following = double_x @ current
+        following = dscal(0.5, following) if k == 1 else daxpy(previous, following, a=-1.0)
+        accumulators[k % 2] = daxpy(following, accumulators[k % 2], a=coeffs[k])
+        previous, current = current, following
+    psi = np.empty(psi0.size, dtype=complex)
+    psi.real, psi.imag = accumulators
+    psi *= np.exp(-1.0j * center * t0)
+    return psi, float(tails[terms])
+
+
+def _split_index(times: np.ndarray, radius: float) -> int:
+    """Grid index where the worker's segment of a T = 0 trajectory starts.
+
+    The caller takes one Krylov step (_KRYLOV_DIM products) per grid step to
+    times[k - 1]; the worker jumps to times[k] with ~radius * times[k] Chebyshev
+    terms at _JUMP_TERM_COST steps each and steps on to the end.  k balances
+    the two estimates; a pure function of the grid and the radius, so the
+    bytes never depend on timing.
+    """
+    ks = np.arange(1, times.size)
+    caller = _KRYLOV_DIM * (ks - 1.0)
+    worker = _JUMP_TERM_COST * radius * times[ks] + _KRYLOV_DIM * (times.size - 1.0 - ks)
+    return int(ks[np.argmin(np.maximum(caller, worker))])
 
 
 def _flip_ladder(sector) -> np.ndarray:
@@ -343,16 +425,21 @@ def _flip_ladder(sector) -> np.ndarray:
 def _branch_theta(spec: ChainSpec, gamma: float, vector: np.ndarray, times: np.ndarray,
                   krylov_tol: float, parity: float | None = None) -> np.ndarray:
     """<sigma_z(B)> on the grid of m = 0 chain state ``vector`` with the sender up; with T0's
-    parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.  Builds its own
-    bases, matrix and flip ladder, so a worker process needs only these arguments.
+    parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.  A grid that
+    starts at t0 > 0 is reached by one Chebyshev jump of the real start state, then
+    Krylov-stepped.  Builds its own bases, matrix and flip ladder, so a worker process needs
+    only these arguments.
     """
     sector = enumerate_sector(spec.L + 1, 1)
     hamiltonian = build_transfer_hamiltonian(spec, sector, gamma).matrix
-    psi0 = np.zeros(sector.dim, dtype=complex)
+    psi0 = np.zeros(sector.dim)
     chain_basis = enumerate_sector(spec.L, 0).basis
     psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = vector
+    if times[0] > 0.0:
+        psi0, _ = _chebyshev_jump(hamiltonian.real, psi0, times[0], _JUMP_TAIL * krylov_tol)
     signs = _pauli_z_signs(sector, spec.L)
-    states = _trajectory(hamiltonian, psi0, times, krylov_tol)
+    states = _trajectory(hamiltonian, psi0.astype(complex, copy=False), times - times[0],
+                         krylov_tol)
     if parity is None:
         forms = (np.vdot(s, signs * s).real for s in states)
     else:
@@ -392,17 +479,24 @@ def full_chain_transfer(
     whose S+ is sqrt(2) P + T, so P(t) = (f S+ F T(t) - T(t))/sqrt(2) and
     the bracket is <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.
 
-    Only G and T are Krylov-propagated.  They share no data, so at T > 0 T's
-    trajectory runs in one worker process while the caller propagates G's;
-    theta is the same to the bit.  Worker errors keep their type, a worker
-    that dies without one raises SpinChainError, and a caller error ends the
-    worker at once (SIGTERM); no process outlives the call.  t* and f* are
-    the vertex of the quadratic fit through the grid maximum and its
-    neighbours, if it lies among them.  A negative or non-finite gamma,
-    non-finite T or times raise ValueError, a missing or misfitting ground
-    vector (or triplet vector at T > 0) ConfigError, and at T > 0 |f| != 1
-    beyond 1e-8 OrderingError, before any assembly.  Memory and time grow
-    combinatorially with L; the CLI caps L at FULL_CHAIN_LENGTH_CAP.
+    Only G and T are Krylov-propagated, by the caller and one worker process
+    together.  At T > 0 the worker propagates T and the caller G, and theta is
+    the same to the bit as with both in one process.  At T = 0 they split G's
+    grid at the index ``_split_index`` picks from the grid and the Gershgorin
+    radius r = (gamma + sum of the chain's couplings)/2: the caller steps the
+    first part, and the worker jumps to the second part's first time with one
+    Chebyshev series of the real start state (``_chebyshev_jump``) and steps on,
+    which moves theta there in its last digits only.  Worker errors keep their
+    type, a worker that dies without one raises SpinChainError, and a caller
+    error ends the worker at once (SIGTERM); no process outlives the call, and
+    a script that calls this under the spawn or forkserver start method needs
+    the ``if __name__ == "__main__":`` guard.  t* and f* are the vertex of the
+    quadratic fit through the grid maximum and its neighbours, if it lies among
+    them.  A negative or non-finite gamma, non-finite T or times raise
+    ValueError, a missing or misfitting ground vector (or triplet vector at
+    T > 0) ConfigError, and at T > 0 |f| != 1 beyond 1e-8 OrderingError, before
+    any assembly or worker.  Memory and time grow combinatorially with L; the
+    CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
@@ -418,32 +512,37 @@ def full_chain_transfer(
     if any(v is None or v.size != math.comb(spec.L, spec.L // 2) for v in vectors):
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
     if temperature == 0.0:
-        theta = _branch_theta(spec, gamma, spectral.ground, times, krylov_tol)
+        # every row's Gershgorin disc reaches up to sum/4, the Neel row's down to -3 sum/4
+        radius = 0.5 * math.fsum([gamma] + [c for *_, c in chain_bonds(spec)])
+        split = _split_index(times, radius)
+        own_times, remote_args = times[:split], (spectral.ground, times[split:], krylov_tol)
     else:
         # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
         parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
         if abs(abs(parity) - 1.0) > 1e-8:
             raise OrderingError(f"triplet spin-flip parity <T0|F|T0> = {parity:.6g}, not +-1")
-        # imported here: T = 0 starts no worker and imports no process machinery
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         x = math.exp(-spectral.gap / temperature)
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            worker = pool.submit(os.getpid)
-            triplet = pool.submit(_branch_theta, spec, gamma, spectral.triplet, times,
-                                  krylov_tol, parity)
-            try:
-                ground = _branch_theta(spec, gamma, spectral.ground, times, krylov_tol)
-            except BaseException:
-                if not triplet.done():  # end T0's trajectory rather than join it
-                    os.kill(worker.result(), signal.SIGTERM)
-                raise
-            try:
-                theta = w0 * ground + w * triplet.result()
-            except BrokenProcessPool as exc:
-                raise SpinChainError("the worker propagating T0 ended without a result") from exc
+        own_times, remote_args = times, (spectral.triplet, times, krylov_tol, parity)
+    # imported here: only full-chain transfer starts a worker, so no other command imports
+    # the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(os.getpid)
+        remote = pool.submit(_branch_theta, spec, gamma, *remote_args)
+        try:
+            own = _branch_theta(spec, gamma, spectral.ground, own_times, krylov_tol)
+        except BaseException:
+            if not remote.done():  # end the worker's trajectory rather than join it
+                os.kill(worker.result(), signal.SIGTERM)
+            raise
+        try:
+            other = remote.result()
+        except BrokenProcessPool as exc:
+            raise SpinChainError("the worker process ended without a result") from exc
+    theta = np.concatenate((own, other)) if temperature == 0.0 else w0 * own + w * other
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))

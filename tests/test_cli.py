@@ -378,40 +378,50 @@ def run_in_subprocess(code, argv, cwd):
 
 
 class TestWorkerProcess:
-    ARGV = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--temp-min", "0.01",
-            "--out", "o.csv"]
+    ARGV = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--out", "o.csv"]
 
     def test_bytes_do_not_depend_on_the_start_method(self, monkeypatch, tmp_path):
         # spawn is the default on macOS (forkserver on Linux from Python 3.14): the
-        # worker's function and arguments are pickled into a fresh interpreter there
-        (tmp_path / "default").mkdir()
-        (tmp_path / "spawn").mkdir()
-        monkeypatch.chdir(tmp_path / "default")
-        assert run(self.ARGV) == 0
-        run_in_subprocess(
-            "import multiprocessing, sys\n"
-            "from spinchannel.cli import main\n"
-            "multiprocessing.set_start_method('spawn')\n"
-            "raise SystemExit(main(sys.argv[1:]))\n",
-            self.ARGV, tmp_path / "spawn",
-        )
-        for name in ("o.csv", "o.json"):
-            spawned, default = (tmp_path / "spawn" / name), (tmp_path / "default" / name)
-            assert spawned.read_bytes() == default.read_bytes()
+        # worker's function and arguments are pickled into a fresh interpreter there.
+        # At T = 0 the worker jumps to the second segment of G's grid, at T > 0 it
+        # propagates T0.
+        for temperature in ("0", "0.01"):
+            argv = self.ARGV + ["--temp-min", temperature]
+            default, spawn = tmp_path / temperature / "default", tmp_path / temperature / "spawn"
+            default.mkdir(parents=True)
+            spawn.mkdir()
+            monkeypatch.chdir(default)
+            assert run(argv) == 0
+            run_in_subprocess(
+                "import multiprocessing, sys\n"
+                "from spinchannel.cli import main\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "raise SystemExit(main(sys.argv[1:]))\n",
+                argv, spawn,
+            )
+            for name in ("o.csv", "o.json"):
+                assert (spawn / name).read_bytes() == (default / name).read_bytes()
 
-    def test_zero_temperature_imports_no_process_machinery(self, tmp_path):
-        # counted from after numpy and scipy, which may import what they like
+    def test_process_pool_and_bessel_functions_stay_unloaded(self, tmp_path):
+        # only full mode starts a worker, and only a worker jumps (scipy.special's jv):
+        # the other commands load neither module, a T = 0 full-mode caller no jv
+        commands = [
+            ["gap-scan", "--l-min", "8", "--l-max", "12", "--jp", "0.2"],
+            ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "1e-3", "--temp-max",
+             "1e-1", "--temp-points", "5"],
+            ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "12", "--jp", "0.2"],
+            ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2"],
+        ]
         loaded = run_in_subprocess(
-            "import sys, numpy, scipy.linalg, scipy.sparse.linalg\n"
-            "before = set(sys.modules)\n"
+            "import json, sys\n"
             "from spinchannel.cli import main\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in set(sys.modules) - before\n"
-            "             if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n",
-            ["transfer", "--mode", "full", "--length", "6", "--jp", "0.2", "--out", "o.csv"],
-            tmp_path,
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv + ['--out', 'o.csv']) == 0\n"
+            "    print(sorted(m for m in ('concurrent.futures.process', 'scipy.special')\n"
+            "                 if m in sys.modules))\n",
+            [json.dumps(commands)], tmp_path,
         )
-        assert loaded.strip() == "[]"
+        assert loaded.split("\n")[:4] == ["[]", "[]", "[]", "['concurrent.futures.process']"]
 
 
 def test_gap_scan_leaves_arpack_unloaded(tmp_path):

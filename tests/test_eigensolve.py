@@ -634,6 +634,22 @@ class TestGrownStarts:
         with pytest.raises(ValueError, match="start vector must be real, got dtype complex128"):
             lowest_eigenpairs(op, 1, v0=phase * v)
 
+    @pytest.mark.parametrize("phase", [1j, 1.0 + 1.0j], ids=["imaginary", "complex"])
+    def test_complex_grow_from_names_its_dtype(self, monkeypatch, phase):
+        # the blocks are real: growing a complex L - 2 vector neither warns nor drops
+        # its imaginary part, and fails before any assembly
+        sd12 = spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled although the grown vector is complex")
+
+        monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", no_assembly)
+        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+            spectral_data(ChainSpec(L=14, J=1.0, Jp=0.1),
+                          grow_from=replace(sd12, ground=phase * sd12.ground))
+        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+            grow_into_block(symmetry_block(14, 1, 1), phase * sd12.ground)
+
     @pytest.mark.parametrize(
         "change, error, message",
         [

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -342,8 +343,8 @@ class TestFullChainTransfer:
         steps = []
         krylov_step = transfer._krylov_step
 
-        def recorded(matrix, psi, dt_req, tol):
-            psi_new, dt_done = krylov_step(matrix, psi, dt_req, tol)
+        def recorded(matrix, psi, dt_req, tol, basis=None):
+            psi_new, dt_done = krylov_step(matrix, psi, dt_req, tol, basis)
             steps.append((psi.size, dt_done < dt_req))
             return psi_new, dt_done
 
@@ -384,23 +385,34 @@ class TestFullChainTransfer:
         )
         assert built == [1, 1]
 
-    @pytest.mark.parametrize("temperature, trajectories", [(0.0, 1), (0.2, 2)])
+    @pytest.mark.parametrize("temperature, trajectories", [(0.0, 2), (0.2, 2)])
     def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories):
-        # ground alone at T = 0; ground and T0 at T > 0, the S+ branch follows from T0's.
-        # The in-process pool keeps T0's trajectory where the count can see it.
-        started = []
-        trajectory = transfer._trajectory
+        # at T = 0 two segments of G's grid that cover it exactly once, the second
+        # reached by a jump; at T > 0 ground and T0 whole, the S+ branch follows from
+        # T0's.  The in-process pool keeps the worker's trajectory where the count can see it.
+        started, segments = [], []
+        trajectory, branch_theta = transfer._trajectory, transfer._branch_theta
 
         def recorded(matrix, psi, times, tol):
             started.append(psi.size)
             return trajectory(matrix, psi, times, tol)
 
+        def recorded_branch(spec, gamma, vector, times, *args):
+            segments.append(times)
+            return branch_theta(spec, gamma, vector, times, *args)
+
         monkeypatch.setattr(transfer, "_trajectory", recorded)
+        monkeypatch.setattr(transfer, "_branch_theta", recorded_branch)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
-        full_chain_transfer(
-            spec, temperature, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
-        )
+        grid = np.linspace(0.0, 10.0, 5)
+        full_chain_transfer(spec, temperature, grid, gamma=0.3, spectral=spectral_data(spec))
         assert len(started) == trajectories
+        if temperature == 0.0:
+            head, tail = sorted(segments, key=lambda times: times[0])
+            assert head[0] == 0.0 < tail[0]
+            np.testing.assert_array_equal(np.concatenate((head, tail)), grid)
+        else:
+            assert all(np.array_equal(times, grid) for times in segments)
 
     def test_triplet_without_flip_parity_raises_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
@@ -427,9 +439,10 @@ class TestFullChainTransfer:
     @pytest.mark.parametrize("krylov_tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_krylov_tol_fails_before_any_solve(self, monkeypatch, krylov_tol):
         def no_solve(*args, **kwargs):
-            raise AssertionError("transfer Hamiltonian assembled although krylov_tol is invalid")
+            raise AssertionError("work started although krylov_tol is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_solve)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_solve)
         spec = ChainSpec(L=4, Jp=0.5)
         sd = spectral_data(spec)
         with pytest.raises(ValueError, match="krylov_tol"):
@@ -513,7 +526,7 @@ def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
 
 
 class TestWorkerProcess:
-    """At T > 0 the T0 trajectory runs in a worker process."""
+    """One worker process: T0's trajectory at T > 0, the second segment of G's at T = 0."""
 
     @pytest.mark.parametrize("temperature", [0.2, 1e-3])
     @pytest.mark.parametrize("length", [6, 8, 10])
@@ -581,21 +594,83 @@ class TestWorkerProcess:
         assert isinstance(failure.value.__cause__, BrokenProcessPool)
         assert multiprocessing.active_children() == []
 
+    def test_zero_temperature_worker_rules(self, monkeypatch):
+        # the worker's segment at T = 0 keeps the rules: a worker error arrives typed, a
+        # caller error ends the worker at once, a dead worker raises a package error
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
+        times = np.linspace(0.0, 10.0, 5)
+        caller, trajectory = os.getpid(), transfer._trajectory
+
+        def reachable_in_caller(matrix, psi, times, tol):
+            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
+        with pytest.raises(PropagationError, match="Chebyshev jump cannot meet tol") as failure:
+            full_chain_transfer(spec, 0.0, times, 1e-300, gamma=0.3, spectral=sd)
+        assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
+        def failing_in_caller(matrix, psi, times, tol):
+            if os.getpid() == caller:
+                raise PropagationError("caller failed")
+            time.sleep(5.0)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
+        start = time.perf_counter()
+        with pytest.raises(PropagationError, match="caller failed"):
+            full_chain_transfer(spec, 0.0, times, gamma=0.3, spectral=sd)
+        assert time.perf_counter() - start < 2.5
+        assert multiprocessing.active_children() == []
+
+        def exiting_in_worker(matrix, psi, times, tol):
+            if os.getpid() != caller:
+                os._exit(3)
+            return trajectory(matrix, psi, times, tol)
+
+        monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
+        with pytest.raises(SpinChainError, match="worker") as failure:
+            full_chain_transfer(spec, 0.0, times, gamma=0.3, spectral=sd)
+        assert isinstance(failure.value.__cause__, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
     def test_package_errors_survive_pickling(self):
         error = pickle.loads(pickle.dumps(ConvergenceError("no convergence", residuals=[1e-3])))
         assert type(error) is ConvergenceError
         assert error.residuals == [1e-3]
         assert str(error) == "no convergence"
 
-    def test_zero_temperature_starts_no_worker(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was constructed at T = 0")
+    def test_zero_temperature_starts_one_worker(self, monkeypatch):
+        # G's grid is split between the caller and one worker process, which is gone after
+        pools, process_pool = [], concurrent.futures.ProcessPoolExecutor
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        def recorded(max_workers=None, **kwargs):
+            pools.append(max_workers)
+            return process_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
         full_chain_transfer(
             spec, 0.0, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
+        assert pools == [1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("length", [8, 10, 12])
+    def test_split_theta_equals_one_trajectory_in_process(self, length):
+        # the caller's segment is the unsplit trajectory's to the bit; the worker's,
+        # reached by a Chebyshev jump, agrees to 1e-10
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        sd = spectral_data(spec)
+        times = np.linspace(0.0, 1.35 * np.pi / sd.gap, 300)
+        curve = full_chain_transfer(spec, 0.0, times, gamma=sd.gap, spectral=sd)
+        unsplit = transfer._branch_theta(spec, sd.gap, sd.ground, times, transfer.DEFAULT_KRYLOV_TOL)
+        radius = 0.5 * math.fsum([sd.gap] + [c for *_, c in chain_bonds(spec)])
+        split = transfer._split_index(times, radius)
+        assert 0 < split < times.size - 1
+        assert curve.thetas[:split].tobytes() == unsplit[:split].tobytes()
+        np.testing.assert_allclose(curve.thetas, unsplit, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "temperature, times, gamma, match",
@@ -607,8 +682,14 @@ class TestWorkerProcess:
             (0.2, [0.0, 1.0, 2.0, 3.0], -0.1, "gamma must be >= 0 and finite"),
             (0.2, [0.0, 1.0, 2.0, 3.0], float("nan"), "gamma must be >= 0 and finite"),
             (0.2, [0.0, 1.0, 2.0, 3.0], float("inf"), "gamma must be >= 0 and finite"),
+            (0.0, [0.0, 1.0, float("nan"), 3.0], 0.1, "finite"),
+            (0.0, [0.0, 1.0, 2.0, float("inf")], 0.1, "finite"),
+            (0.0, [0.0, 1.0, 2.0, 3.0], -0.1, "gamma must be >= 0 and finite"),
+            (0.0, [0.0, 1.0, 2.0, 3.0], float("nan"), "gamma must be >= 0 and finite"),
+            (0.0, [0.0, 1.0, 2.0, 3.0], float("inf"), "gamma must be >= 0 and finite"),
         ],
-        ids=["T-nan", "T-inf", "t-nan", "t-inf", "gamma-negative", "gamma-nan", "gamma-inf"],
+        ids=["T-nan", "T-inf", "t-nan", "t-inf", "gamma-negative", "gamma-nan", "gamma-inf",
+             "T0-t-nan", "T0-t-inf", "T0-gamma-negative", "T0-gamma-nan", "T0-gamma-inf"],
     )
     def test_non_finite_input_fails_before_any_work(self, monkeypatch, temperature, times, gamma,
                                                     match):
@@ -701,6 +782,24 @@ class TestKrylovStep:
         assert len(recurrences) == 2
         assert matrix.products == 2 * transfer._KRYLOV_DIM
 
+    def test_step_allocates_a_few_vectors_not_a_basis(self, rng):
+        # the trajectory's one (_KRYLOV_DIM, dim) buffer holds the basis; a step itself
+        # allocates the recurrence's product and psi_new, not _KRYLOV_DIM vectors
+        spec = ChainSpec(L=12, J=1.0, Jp=0.5)
+        matrix = build_transfer_hamiltonian(spec, enumerate_sector(13, 1), 0.3).matrix
+        psi = rng.standard_normal(matrix.shape[0]) + 1j * rng.standard_normal(matrix.shape[0])
+        psi /= np.linalg.norm(psi)
+        basis = np.empty((transfer._KRYLOV_DIM, psi.size), dtype=complex)
+        expected, _ = transfer._krylov_step(matrix, psi, 0.5, 1e-10)
+        tracemalloc.start()
+        try:
+            psi_new, _ = transfer._krylov_step(matrix, psi, 0.5, 1e-10, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi_new.tobytes() == expected.tobytes()
+        assert peak < 3 * psi.nbytes
+
     def test_eigenvector_breaks_down_and_takes_full_step(self, rng):
         matrix = self.random_symmetric(rng)
         energies, modes = np.linalg.eigh(matrix)
@@ -740,3 +839,71 @@ class TestKrylovStep:
             t_now += dt_done
             np.testing.assert_allclose(psi, expm(-1j * t_now * dense) @ psi0, atol=1e-10)
         assert halved
+
+
+class TestChebyshevJump:
+    """exp(-i H t0) psi0 of a real start by one Chebyshev series, and the T = 0 split."""
+
+    @staticmethod
+    def real_transfer_matrix(length, gamma=0.3):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+        return build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix.real
+
+    @pytest.mark.parametrize("t0", [0.3, 40.0, 400.0])
+    @pytest.mark.parametrize("length", [6, 8, 10])
+    def test_matches_dense_evolution_within_its_bound(self, rng, length, t0):
+        matrix = self.real_transfer_matrix(length)
+        psi0 = rng.standard_normal(matrix.shape[0])
+        psi0 /= np.linalg.norm(psi0)
+        energies, modes = np.linalg.eigh(matrix.toarray())
+        exact = (modes * np.exp(-1j * energies * t0)) @ (modes.T @ psi0)
+        psi, bound = transfer._chebyshev_jump(matrix, psi0, t0, 1e-10)
+        assert 0.0 <= bound <= 1e-10
+        assert np.linalg.norm(psi - exact) <= bound + 1e-12
+
+    def test_gershgorin_interval(self):
+        # every row's disc reaches up to sum/4 and the Neel row's down to -3 sum/4
+        center, radius = transfer._gershgorin(self.real_transfer_matrix(8))
+        couplings = 0.3 + 2 * 0.5 + 5 * 1.0
+        assert center - radius == pytest.approx(-0.75 * couplings, rel=1e-14)
+        assert center + radius == pytest.approx(0.25 * couplings, rel=1e-14)
+
+    def test_perturbed_bessel_values_raise(self, monkeypatch, rng):
+        import scipy.special
+
+        jv = scipy.special.jv
+        monkeypatch.setattr(scipy.special, "jv", lambda order, z: jv(order, z) * (1.0 + 1e-9))
+        psi0 = rng.standard_normal(126)
+        with pytest.raises(PropagationError, match="J_0\\^2 \\+ 2 sum J_k\\^2 = 1"):
+            transfer._chebyshev_jump(self.real_transfer_matrix(8), psi0 / np.linalg.norm(psi0),
+                                     40.0, 1e-10)
+
+    def test_unreachable_tol_raises(self, rng):
+        psi0 = rng.standard_normal(126)
+        with pytest.raises(PropagationError, match="cannot meet tol = 1e-300"):
+            transfer._chebyshev_jump(self.real_transfer_matrix(8), psi0 / np.linalg.norm(psi0),
+                                     40.0, 1e-300)
+
+    @pytest.mark.parametrize("length, gamma", [(4, 0.0), (8, 0.3), (12, 0.004)])
+    def test_split_radius_is_the_gershgorin_radius(self, monkeypatch, in_process_pool, length,
+                                                   gamma):
+        radii, split_index = [], transfer._split_index
+
+        def recorded(times, radius):
+            radii.append(radius)
+            return split_index(times, radius)
+
+        monkeypatch.setattr(transfer, "_split_index", recorded)
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        full_chain_transfer(spec, 0.0, np.linspace(0.0, 5.0, 4), gamma=gamma,
+                            spectral=spectral_data(spec))
+        matrix = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix
+        assert radii == [pytest.approx(transfer._gershgorin(matrix.real)[1], rel=1e-14)]
+
+    def test_split_balances_the_estimated_work(self):
+        # no jump cost: the midpoint; the jump's cost moves the split later
+        times = np.linspace(0.0, 1.0, 301)
+        assert transfer._split_index(times, 0.0) in (150, 151)
+        splits = [transfer._split_index(times, radius) for radius in (0.0, 1e2, 1e3, 1e4)]
+        assert splits == sorted(splits) and splits[0] < splits[-1] < 300
+        assert transfer._split_index(times[:2], 5.0) == 1
