@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, eigensolve, entangle, scaling, teleport, transfer
+from . import checks, eigensolve, entangle, scaling, teleport, thermal, transfer
 from .chain import ChainSpec
 from .errors import InsufficientDataError, SpinChainError
 
@@ -119,6 +119,7 @@ def _config_flags(path: str) -> list[str]:
 
     A list is joined by commas and a string passes as typed unless its
     setting is numeric; other values pass as JSON, so "8" fails --length.
+    A null is refused: leave the key out for the default.
     """
     try:
         file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -133,6 +134,8 @@ def _config_flags(path: str) -> list[str]:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     flags = []
     for key, value in file_cfg.items():
+        if value is None:
+            raise UsageError(f"config key '{key}' is null; leave it out for the default")
         if isinstance(value, list):
             value = ",".join(map(str, value))
         elif not isinstance(value, str) or key in _NUMERIC:
@@ -183,24 +186,24 @@ def _single_chain(cfg: RunConfig) -> ChainSpec:
     return ChainSpec(L=cfg.length, J=cfg.j, Jp=cfg.jp[0])
 
 
-def _single_temperature(cfg: RunConfig) -> float:
-    if cfg.temp_points != 1 or cfg.temp_max != cfg.temp_min:
-        raise UsageError(f"command '{cfg.command}' needs a single temperature (--temp-min only)")
-    if cfg.temp_min < 0.0:
-        raise UsageError("temperature must be >= 0")
-    return cfg.temp_min
-
-
 def _temperature_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.temp_points < 1:
         raise UsageError("--temp-points must be >= 1")
     if cfg.temp_points == 1 and cfg.temp_max != cfg.temp_min:
         raise UsageError("--temp-points 1 needs --temp-max equal to --temp-min")
+    if cfg.temp_min < 0.0 or cfg.temp_max < 0.0:
+        raise UsageError("temperatures must be >= 0")
     if cfg.temp_scale == "log":
         if cfg.temp_min <= 0.0 or cfg.temp_max <= 0.0:
             raise UsageError("log temperature grid needs positive bounds")
         return np.geomspace(cfg.temp_min, cfg.temp_max, cfg.temp_points)
     return np.linspace(cfg.temp_min, cfg.temp_max, cfg.temp_points)
+
+
+def _single_temperature(cfg: RunConfig) -> float:
+    if cfg.temp_points != 1 or cfg.temp_max != cfg.temp_min:
+        raise UsageError(f"command '{cfg.command}' needs a single temperature (--temp-min only)")
+    return float(_temperature_grid(cfg)[0])
 
 
 def _require_out(cfg: RunConfig) -> Path:
@@ -291,20 +294,9 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 def cmd_teleport(cfg: RunConfig) -> int:
     spec = _single_chain(cfg)
     temps = _temperature_grid(cfg)
-    if np.any(temps <= 0.0):
-        raise UsageError("teleport needs positive temperatures")
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
     curve = teleport.fidelity_curve(sd, temps)
-    warnings = []
-    if float(temps.max()) > sd.gap / 2.0:
-        warnings.append(
-            f"temperatures above gap/2 = {sd.gap / 2.0:.6g}: the four-state "
-            "thermal truncation may miss higher levels there"
-        )
-    rows = [
-        [t, g, -g, f]
-        for t, g, f in zip(curve.temperatures, curve.g_values, curve.fidelities)
-    ]
+    rows = [[t, g, -g, f] for t, g, f in zip(curve.temperatures, curve.g_values, curve.fidelities)]
     derived = {
         "t_star": curve.t_star,
         "gap": sd.gap,
@@ -313,6 +305,7 @@ def cmd_teleport(cfg: RunConfig) -> int:
         "gzz_triplet": sd.gzz_triplet,
         "gxx_triplet": sd.gxx_triplet,
     }
+    warnings = thermal.truncation_warnings(sd, temps)
     _emit(cfg, ["T", "g", "theta", "fidelity"], rows, derived, warnings)
     return EXIT_OK
 
@@ -322,20 +315,21 @@ def cmd_transfer(cfg: RunConfig) -> int:
         return _cmd_transfer_full(cfg)
     lengths = _length_range(cfg)
     temps = _temperature_grid(cfg)
-    if np.any(temps < 0.0):
-        raise UsageError("temperatures must be >= 0")
     rows: list[list] = []
     warnings: list[str] = []
     failures: list[str] = []
     derived: dict = {"points": []}
-    for _, table in _sweep(cfg, lengths, warnings, failures):
-        for row, temperature in itertools.product(table.rows, temps):
-            model = transfer.effective_coupling(row.spectral, gamma=cfg.gamma,
-                                                temperature=temperature)
-            t_star, f_star = transfer.predicted_peak(model)
-            rows.append([row.length, row.jp, temperature, model.g, model.j_eff, t_star, f_star])
-            derived["points"].append({"L": row.length, "jp": row.jp, "T": temperature,
-                                      "gamma": model.gamma})
+    for jp, table in _sweep(cfg, lengths, warnings, failures):
+        for row in table.rows:
+            notes = thermal.truncation_warnings(row.spectral, temps)
+            warnings.extend(f"jp = {jp}, L = {row.length}: {note}" for note in notes)
+            for temperature in temps:
+                model = transfer.effective_coupling(row.spectral, gamma=cfg.gamma,
+                                                    temperature=temperature)
+                t_star, f_star = transfer.predicted_peak(model)
+                rows.append([row.length, row.jp, temperature, model.g, model.j_eff, t_star, f_star])
+                derived["points"].append({"L": row.length, "jp": row.jp, "T": temperature,
+                                          "gamma": model.gamma})
     header = ["L", "jp", "T", "g", "jeff", "tstar", "fstar"]
     return _emit_sweep(cfg, header, rows, derived, warnings, failures)
 
@@ -362,11 +356,6 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
     curve = transfer.full_chain_transfer(
         base, temperature, times, cfg.krylov_tol, gamma=model.gamma, spectral=sd
     )
-    warnings = []
-    if temperature > sd.gap / 2.0:
-        warnings.append(
-            f"temperature above gap/2 = {sd.gap / 2.0:.6g}: thermal truncation suspect"
-        )
     rows = [[t, th, f] for t, th, f in zip(curve.times, curve.thetas, curve.fidelities)]
     derived = {
         "gamma": model.gamma,
@@ -380,6 +369,7 @@ def _cmd_transfer_full(cfg: RunConfig) -> int:
             "tstar_rel": abs(curve.t_star - t_pred) / t_pred if t_pred > 0 else None,
         },
     }
+    warnings = thermal.truncation_warnings(sd, temperature)
     _emit(cfg, ["t", "theta", "fidelity"], rows, derived, warnings)
     return EXIT_OK
 
@@ -394,7 +384,7 @@ def cmd_share(cfg: RunConfig) -> int:
               "enhancement"]
     row = [r.g, r.f_star, r.error_prob, r.concurrence_out, r.concurrence_in, r.enhancement]
     derived = {"gap": model.j_eff, "temperature": temperature}
-    _emit(cfg, header, [row], derived, [])
+    _emit(cfg, header, [row], derived, thermal.truncation_warnings(sd, temperature))
     return EXIT_OK
 
 

@@ -120,8 +120,6 @@ def fidelity_curve(spectral: SpectralData, temperatures) -> FidelityCurve:
     temps = np.asarray(temperatures, dtype=float)
     if temps.size == 0:
         raise ValueError("temperature grid is empty")
-    if np.any(temps <= 0.0):
-        raise ValueError("temperatures must be positive")
     g_values = np.array([thermal_g(spectral, t) for t in temps])
     fidelities = np.array([teleport_fidelity(g) for g in g_values])
     try:

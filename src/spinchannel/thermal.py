@@ -6,9 +6,10 @@ SU(2)-invariant Werner state, fully described by the single scalar
 
     g(T) = [gzz_G + e^{-gap/T} (gzz_T + 2 gxx_T)] / (1 + 3 e^{-gap/T})
 
-with g in [-1, 1/3]; the pair is entangled iff g < -1/3.  The Boltzmann
-factor is evaluated directly and allowed to underflow, which reproduces the
-exact T -> 0 limit g = gzz_ground.
+with g in [-1, 1/3]; the pair is entangled iff g < -1/3.  Every protocol
+takes its temperature rule, 0 <= T < inf, and its truncation warning from
+here.  T = 0 is the case x = e^{-gap/T} = 0, where g = gzz_ground exactly;
+x is allowed to underflow, so a T far below the gap is that case too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ __all__ = [
     "WERNER_MIN",
     "WERNER_MAX",
     "validate_werner_g",
+    "boltzmann_factor",
     "thermal_g",
+    "truncation_warnings",
     "werner_density_matrix",
 ]
 
@@ -54,15 +57,26 @@ def validate_werner_g(g: float, tol: float = 1e-9) -> float:
     return min(max(g, WERNER_MIN), WERNER_MAX)
 
 
+def boltzmann_factor(spectral: SpectralData, temperature: float) -> float:
+    """x = exp(-gap/T), each triplet member's weight against the ground state; 0.0 at T = 0."""
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
+    return math.exp(-spectral.gap / temperature) if temperature > 0.0 else 0.0
+
+
 def thermal_g(spectral: SpectralData, temperature: float) -> float:
-    """Werner parameter of the thermal two-probe state at temperature T > 0."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = math.exp(-spectral.gap / temperature)
-    g = (spectral.gzz_ground + x * (spectral.gzz_triplet + 2.0 * spectral.gxx_triplet)) / (
-        1.0 + 3.0 * x
-    )
-    return validate_werner_g(g)
+    """Werner parameter of the thermal two-probe state at temperature T >= 0."""
+    x = boltzmann_factor(spectral, temperature)
+    g = spectral.gzz_ground + x * (spectral.gzz_triplet + 2.0 * spectral.gxx_triplet)
+    return validate_werner_g(g / (1.0 + 3.0 * x))
+
+
+def truncation_warnings(spectral: SpectralData, temperatures) -> list[str]:
+    """The truncation's warning if a temperature (or one of a grid) exceeds gap/2, else []."""
+    if float(np.max(temperatures)) <= spectral.gap / 2.0:
+        return []
+    return [f"temperatures above gap/2 = {spectral.gap / 2.0:.6g}: the four-state "
+            "thermal truncation may miss higher levels there"]
 
 
 def werner_density_matrix(g: float) -> np.ndarray:

@@ -57,7 +57,8 @@ from .errors import (
     SpinChainError,
     UnsupportedRegimeError,
 )
-from .thermal import SIGMA_DOT_SIGMA, thermal_g, validate_werner_g, werner_density_matrix
+from .thermal import (SIGMA_DOT_SIGMA, boltzmann_factor, thermal_g, validate_werner_g,
+                      werner_density_matrix)
 
 __all__ = [
     "EffectiveModel",
@@ -111,11 +112,7 @@ def effective_coupling(
 
     gamma = "auto" resolves to the commensurate optimum gamma = j_eff.  No solve.
     """
-    j_eff = spectral.gap
-    if temperature == 0.0:
-        g = validate_werner_g(spectral.gzz_ground)
-    else:
-        g = thermal_g(spectral, temperature)
+    j_eff, g = spectral.gap, thermal_g(spectral, temperature)
     return EffectiveModel(j_eff=j_eff, gamma=j_eff if gamma == "auto" else float(gamma), g=g)
 
 
@@ -277,19 +274,17 @@ class TransferCurve:
     f_star: float
 
 
-def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, basis=None):
+def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, basis: np.ndarray):
     """Advance psi by exp(-i H dt) for the largest dt <= dt_req meeting tol.
 
     One Lanczos basis (dimension <= _KRYLOV_DIM) from psi by the eigensolver's
     recurrence, ``_lanczos_vectors``, as in Expokit's Hermitian expv (Sidje,
     ACM TOMS 24, 1998), written into ``basis``, a (_KRYLOV_DIM, dim) complex
-    buffer that a trajectory reuses for every step (allocated if None).
-    dt halves until beta_next * dt * |last coefficient| <= tol, else
-    PropagationError; a breakdown (beta_next = 0) takes the full step.  psi_new
-    is summed over the basis in place by zaxpy.  Returns (psi_new, dt_done).
+    buffer that a trajectory reuses for every step.  dt halves until
+    beta_next * dt * |last coefficient| <= tol, else PropagationError; a
+    breakdown (beta_next = 0) takes the full step.  psi_new is summed over the
+    basis in place by zaxpy.  Returns (psi_new, dt_done).
     """
-    if basis is None:
-        basis = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
     nrm = math.sqrt(np.vdot(psi, psi).real)
     alphas, betas = np.empty(_KRYLOV_DIM), np.empty(_KRYLOV_DIM)
     m = sum(1 for _ in _lanczos_vectors(matrix, psi, alphas, betas, out=basis))
@@ -337,19 +332,21 @@ def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
         yield psi
 
 
-def _gershgorin(matrix) -> tuple[float, float]:
-    """Center and radius of the Gershgorin interval of a real symmetric CSR matrix."""
-    diag = matrix.diagonal()
-    discs = abs(matrix) @ np.ones(matrix.shape[0]) - np.abs(diag)
-    low, high = float(np.min(diag - discs)), float(np.max(diag + discs))
-    return (high + low) / 2.0, (high - low) / 2.0
+def _spectral_interval(spec: ChainSpec, gamma: float) -> tuple[float, float]:
+    """Center and radius (-S/4, S/2) of the transfer Hamiltonian's Gershgorin interval.
+
+    S = gamma + the sum of the chain's couplings: every row's disc reaches up to
+    S/4, and the Neel row's down to -3S/4.
+    """
+    total = math.fsum([gamma] + [c for *_, c in chain_bonds(spec)])
+    return -0.25 * total, 0.5 * total
 
 
-def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float):
+def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float, interval):
     """exp(-i H t0) psi0 for real symmetric CSR H and real unit psi0, by one Chebyshev series.
 
-    With c +- r the Gershgorin interval of H, X = (H - c)/r has its spectrum in
-    [-1, 1] and exp(-i H t0) = exp(-i c t0) [J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X)],
+    With c +- r = ``interval``, which holds H's spectrum, X = (H - c)/r has its
+    spectrum in [-1, 1] and exp(-i H t0) = exp(-i c t0) [J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X)],
     z = r t0 (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The vectors
     T_k(X) psi0 are real, from T_(k+1) = 2 X T_k - T_(k-1) with three vectors, and
     (-i)^k is real for even k and imaginary for odd k, so each term goes into one
@@ -362,7 +359,7 @@ def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float):
     # imported here: scipy.special takes 50-76 ms to import, and only a worker jumps
     from scipy.special import jv
 
-    center, radius = _gershgorin(matrix)
+    center, radius = interval
     z = radius * t0
     # J_k(z) falls like exp(-0.94 m^1.5) at k = z + m z^(1/3): m = 40 is below 1e-100
     bessel = jv(np.arange(math.ceil(z + 40.0 * np.cbrt(z) + 40.0)), z)
@@ -436,7 +433,8 @@ def _branch_theta(spec: ChainSpec, gamma: float, vector: np.ndarray, times: np.n
     chain_basis = enumerate_sector(spec.L, 0).basis
     psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = vector
     if times[0] > 0.0:
-        psi0, _ = _chebyshev_jump(hamiltonian.real, psi0, times[0], _JUMP_TAIL * krylov_tol)
+        psi0, _ = _chebyshev_jump(hamiltonian.real, psi0, times[0], _JUMP_TAIL * krylov_tol,
+                                  _spectral_interval(spec, gamma))
     signs = _pauli_z_signs(sector, spec.L)
     states = _trajectory(hamiltonian, psi0.astype(complex, copy=False), times - times[0],
                          krylov_tol)
@@ -463,9 +461,10 @@ def full_chain_transfer(
 
     The chain starts in the truncated thermal mixture of the eigenstates in
     ``spectral`` (spectral_data of the chain without the sender): ground with
-    weight w0 = 1/(1+3x), each triplet member with w = x/(1+3x), x = exp(-gap/T).
-    The sender (coupled to A by gamma) starts up: a down one only flips theta's
-    sign, by global spin flip.  The 2Sz = +1 sector holds it all:
+    weight w0 = 1/(1+3x), each triplet member with w = x/(1+3x), x from
+    ``boltzmann_factor``.  The sender (coupled to A by gamma) starts up: a down
+    one only flips theta's sign, by global spin flip.  The 2Sz = +1 sector
+    holds it all:
 
         theta(t) = w0 <G|sigma_z(B)|G>
                    + w [3 <T|sigma_z(B)|T> + 2 sqrt(2) Re <P|sigma_z(B)|T>]
@@ -480,11 +479,11 @@ def full_chain_transfer(
     the bracket is <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.
 
     Only G and T are Krylov-propagated, by the caller and one worker process
-    together.  At T > 0 the worker propagates T and the caller G, and theta is
-    the same to the bit as with both in one process.  At T = 0 they split G's
-    grid at the index ``_split_index`` picks from the grid and the Gershgorin
-    radius r = (gamma + sum of the chain's couplings)/2: the caller steps the
-    first part, and the worker jumps to the second part's first time with one
+    together.  At x > 0 the worker propagates T and the caller G, and theta is
+    the same to the bit as with both in one process.  At x = 0 (T = 0, or a T
+    whose factor underflows) they split G's grid at the index ``_split_index``
+    picks from the grid and the radius of ``_spectral_interval``: the caller
+    steps the first part, and the worker jumps to the second part's first time with one
     Chebyshev series of the real start state (``_chebyshev_jump``) and steps on,
     which moves theta there in its last digits only.  Worker errors keep their
     type, a worker that dies without one raises SpinChainError, and a caller
@@ -492,36 +491,32 @@ def full_chain_transfer(
     a script that calls this under the spawn or forkserver start method needs
     the ``if __name__ == "__main__":`` guard.  t* and f* are the vertex of the
     quadratic fit through the grid maximum and its neighbours, if it lies among
-    them.  A negative or non-finite gamma, non-finite T or times raise
+    them.  A negative or non-finite gamma or T, or non-finite times raise
     ValueError, a missing or misfitting ground vector (or triplet vector at
-    T > 0) ConfigError, and at T > 0 |f| != 1 beyond 1e-8 OrderingError, before
+    x > 0) ConfigError, and at x > 0 |f| != 1 beyond 1e-8 OrderingError, before
     any assembly or worker.  Memory and time grow combinatorially with L; the
     CLI caps L at FULL_CHAIN_LENGTH_CAP.
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
-    if not 0.0 <= temperature < math.inf:
-        raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
+    x = boltzmann_factor(spectral, temperature)
     if not 0.0 < krylov_tol < math.inf:
         raise ValueError(f"krylov_tol must be positive and finite, got {krylov_tol}")
     times = np.asarray(times, dtype=float)
     valid = times.size >= 2 and times[0] == 0.0 and np.all(np.isfinite(times))
     if not (valid and np.all(np.diff(times) > 0.0)):
         raise ValueError("time grid must be finite, start at 0 and increase strictly")
-    vectors = (spectral.ground,) if temperature == 0.0 else (spectral.ground, spectral.triplet)
+    vectors = (spectral.ground,) if x == 0.0 else (spectral.ground, spectral.triplet)
     if any(v is None or v.size != math.comb(spec.L, spec.L // 2) for v in vectors):
         raise ConfigError("spectral must be spectral_data of this chain (with state vectors)")
-    if temperature == 0.0:
-        # every row's Gershgorin disc reaches up to sum/4, the Neel row's down to -3 sum/4
-        radius = 0.5 * math.fsum([gamma] + [c for *_, c in chain_bonds(spec)])
-        split = _split_index(times, radius)
+    if x == 0.0:  # no weight on the triplet: split G's grid
+        split = _split_index(times, _spectral_interval(spec, gamma)[1])
         own_times, remote_args = times[:split], (spectral.ground, times[split:], krylov_tol)
     else:
         # F reverses the sorted m = 0 basis: f pairs T0 with its reverse
         parity = float(np.dot(spectral.triplet, spectral.triplet[::-1]))
         if abs(abs(parity) - 1.0) > 1e-8:
             raise OrderingError(f"triplet spin-flip parity <T0|F|T0> = {parity:.6g}, not +-1")
-        x = math.exp(-spectral.gap / temperature)
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
         own_times, remote_args = times, (spectral.triplet, times, krylov_tol, parity)
     # imported here: only full-chain transfer starts a worker, so no other command imports
@@ -542,7 +537,7 @@ def full_chain_transfer(
             other = remote.result()
         except BrokenProcessPool as exc:
             raise SpinChainError("the worker process ended without a result") from exc
-    theta = np.concatenate((own, other)) if temperature == 0.0 else w0 * own + w * other
+    theta = np.concatenate((own, other)) if x == 0.0 else w0 * own + w * other
 
     fidelities = (1.0 + theta) / 2.0
     i = int(np.argmax(fidelities))

@@ -145,12 +145,44 @@ class TestTeleportCommand:
         code = run(["teleport", "--jp", "0.2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_rejects_nonpositive_grid(self, tmp_path):
-        code = run(
-            ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "0",
-             "--temp-points", "3", "--temp-max", "0.1", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 2
+    def test_rejects_nonpositive_grid(self, tmp_path, capsys):
+        # a negative temperature is a usage error; T = 0 is the ground state's row
+        argv = ["teleport", "--length", "8", "--jp", "0.2", "--temp-points", "3",
+                "--temp-max", "0.1", "--out", str(tmp_path / "x.csv")]
+        assert run(argv + ["--temp-min", "-0.1"]) == 2
+        assert "temperatures must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert run(argv + ["--temp-min", "0"]) == 0
+        sidecar = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))
+        first = sidecar["results"]["rows"][0]
+        assert first[:2] == [0.0, sidecar["derived"]["gzz_ground"]]
+
+
+class TestTruncationWarning:
+    """teleport, share and both transfer modes carry the one library warning."""
+
+    COMMANDS = {
+        "teleport": ["teleport", "--length", "8"],
+        "share": ["share", "--length", "8"],
+        "effective": ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "8"],
+        "full": ["transfer", "--mode", "full", "--length", "8", "--t-points", "20"],
+    }
+
+    @pytest.mark.parametrize("temperature, warned", [("0.05", True), ("1e-3", False)])
+    def test_every_thermal_command_carries_it(self, tmp_path, temperature, warned):
+        texts = {}
+        for name, command in self.COMMANDS.items():
+            out = tmp_path / f"{name}.csv"
+            argv = command + ["--jp", "0.2", "--temp-min", temperature, "--out", str(out)]
+            assert run(argv) == 0
+            texts[name] = json.loads(out.with_suffix(".json").read_text())["warnings"]
+        if not warned:
+            assert texts == {name: [] for name in self.COMMANDS}
+            return
+        (library,) = texts.pop("teleport")
+        assert library.startswith("temperatures above gap/2 = ")
+        assert texts.pop("effective") == [f"jp = 0.2, L = 8: {library}"]
+        assert texts == {"share": [library], "full": [library]}
 
 
 class TestTransferCommand:
@@ -563,6 +595,17 @@ class TestConfigFile:
             assert run(["share"] + argv) == 0
         for out in ("s.csv", "s.json"):
             assert (tmp_path / "file" / out).read_bytes() == (tmp_path / "flags" / out).read_bytes()
+
+    @pytest.mark.parametrize("key", ["out", "temp_max", "gamma", "length"])
+    def test_null_value_is_a_usage_error(self, monkeypatch, tmp_path, capsys, key):
+        # null is no setting's value: the key names the error, before any solve or write
+        self._forbid_solves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"length": 8, "jp": 0.2, key: None}))
+        argv = ["share", "--config", "cfg.json"] + ([] if key == "out" else ["--out", "s.csv"])
+        assert run(argv) == 2
+        assert f"config key '{key}' is null" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("content", ["8", "[8]", '"x"'])
     def test_config_must_be_an_object(self, tmp_path, content):

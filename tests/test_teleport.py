@@ -155,5 +155,9 @@ class TestFidelityCurve:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             fidelity_curve(TWO_SPIN, [])
-        with pytest.raises(ValueError):
-            fidelity_curve(TWO_SPIN, [0.0, 0.1])
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            fidelity_curve(TWO_SPIN, [-0.1, 0.1])
+        # T = 0 is on the grid: the ground state's value
+        curve = fidelity_curve(TWO_SPIN, [0.0, 0.1])
+        assert curve.g_values[0] == TWO_SPIN.gzz_ground
+        assert curve.fidelities[0] == teleport_fidelity(TWO_SPIN.gzz_ground)

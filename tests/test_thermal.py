@@ -1,13 +1,20 @@
-"""Thermal Werner parameter and the Werner density matrix."""
+"""Thermal Werner parameter, its temperature rule and the Werner density matrix."""
+
+import concurrent.futures
 
 import numpy as np
 import pytest
 
-from spinchannel.eigensolve import SpectralData
+from spinchannel import transfer
+from spinchannel.chain import ChainSpec
+from spinchannel.eigensolve import SpectralData, spectral_data
+from spinchannel.teleport import fidelity_curve
 from spinchannel.thermal import (
     WERNER_MAX,
     WERNER_MIN,
+    boltzmann_factor,
     thermal_g,
+    truncation_warnings,
     validate_werner_g,
     werner_density_matrix,
 )
@@ -52,10 +59,66 @@ class TestThermalG:
             assert min(lo, hi) - 1e-12 <= g <= max(lo, hi) + 1e-12
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_g(TWO_SPIN, 0.0)
+        # T = 0 is the x = 0 case of the thermal state; only T < 0 is refused
+        assert thermal_g(TWO_SPIN, 0.0) == TWO_SPIN.gzz_ground
         with pytest.raises(ValueError):
             thermal_g(TWO_SPIN, -1.0)
+
+    @pytest.mark.parametrize("length, jp", [(4, 0.5), (8, 0.2), (12, 0.1)])
+    def test_zero_temperature_is_the_ground_value_to_the_bit(self, length, jp):
+        sd = spectral_data(ChainSpec(L=length, J=1.0, Jp=jp))
+        expected = validate_werner_g(sd.gzz_ground)
+        assert boltzmann_factor(sd, 0.0) == 0.0
+        assert thermal_g(sd, 0.0).hex() == expected.hex()
+        assert transfer.effective_coupling(sd, temperature=0.0).g.hex() == expected.hex()
+        # a T whose factor underflows is the same state
+        assert boltzmann_factor(sd, sd.gap / 800.0) == 0.0
+        assert thermal_g(sd, sd.gap / 800.0).hex() == expected.hex()
+
+
+class TestTemperatureRule:
+    """0 <= T < inf everywhere: every protocol takes its temperature rule from thermal."""
+
+    MESSAGE = "temperature must be >= 0 and finite, got {}"
+
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
+    def test_same_error_in_every_protocol(self, monkeypatch, temperature):
+        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the temperature is invalid")
+
+        monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        calls = {
+            "thermal_g": lambda: thermal_g(sd, temperature),
+            "fidelity_curve": lambda: fidelity_curve(sd, [temperature]),
+            "effective_coupling": lambda: transfer.effective_coupling(sd, temperature=temperature),
+            "full_chain_transfer": lambda: transfer.full_chain_transfer(
+                spec, temperature, np.linspace(0.0, 1.0, 5), gamma=0.1, spectral=sd),
+        }
+        messages = {}
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages[name] = str(exc.value)
+        assert set(messages.values()) == {self.MESSAGE.format(temperature)}
+
+    def test_boltzmann_factor(self):
+        assert boltzmann_factor(TWO_SPIN, 0.0) == 0.0
+        assert boltzmann_factor(TWO_SPIN, -0.0) == 0.0
+        assert boltzmann_factor(TWO_SPIN, 1.0) == np.exp(-1.0)
+        assert boltzmann_factor(TWO_SPIN, 1e-3) == 0.0  # underflows
+
+    def test_truncation_warning_above_half_the_gap(self):
+        assert truncation_warnings(TWO_SPIN, 0.0) == []
+        assert truncation_warnings(TWO_SPIN, 0.5) == []
+        assert truncation_warnings(TWO_SPIN, np.array([0.1, 0.5])) == []
+        (warning,) = truncation_warnings(TWO_SPIN, np.array([0.1, 0.5000001]))
+        assert warning == ("temperatures above gap/2 = 0.5: the four-state thermal "
+                           "truncation may miss higher levels there")
+        assert truncation_warnings(TWO_SPIN, 0.6) == [warning]
 
 
 class TestValidateWernerG:

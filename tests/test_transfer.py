@@ -36,6 +36,7 @@ from spinchannel.errors import (
     SpinChainError,
     UnsupportedRegimeError,
 )
+from spinchannel.thermal import boltzmann_factor
 from spinchannel.transfer import (
     EffectiveModel,
     closed_form_fidelity,
@@ -343,7 +344,7 @@ class TestFullChainTransfer:
         steps = []
         krylov_step = transfer._krylov_step
 
-        def recorded(matrix, psi, dt_req, tol, basis=None):
+        def recorded(matrix, psi, dt_req, tol, basis):
             psi_new, dt_done = krylov_step(matrix, psi, dt_req, tol, basis)
             steps.append((psi.size, dt_done < dt_req))
             return psi_new, dt_done
@@ -657,6 +658,25 @@ class TestWorkerProcess:
         assert pools == [1]
         assert multiprocessing.active_children() == []
 
+    def test_underflowing_temperature_runs_the_zero_temperature_plan(self, monkeypatch):
+        # at T = 1e-9 the triplet's factor exp(-gap/T) is 0.0: no weightless T0 trajectory,
+        # but the split of G's grid, with the bits of T = 0
+        splits, split_index = [], transfer._split_index
+
+        def recorded(times, radius):
+            splits.append(times.size)
+            return split_index(times, radius)
+
+        monkeypatch.setattr(transfer, "_split_index", recorded)
+        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
+        times = np.linspace(0.0, 10.0, 9)
+        assert boltzmann_factor(sd, 1e-9) == 0.0
+        cold, tiny = (full_chain_transfer(spec, temperature, times, gamma=0.3, spectral=sd)
+                      for temperature in (0.0, 1e-9))
+        assert splits == [9, 9]
+        assert tiny.thetas.tobytes() == cold.thetas.tobytes()
+
     @pytest.mark.parametrize("length", [8, 10, 12])
     def test_split_theta_equals_one_trajectory_in_process(self, length):
         # the caller's segment is the unsplit trajectory's to the bit; the worker's,
@@ -666,8 +686,7 @@ class TestWorkerProcess:
         times = np.linspace(0.0, 1.35 * np.pi / sd.gap, 300)
         curve = full_chain_transfer(spec, 0.0, times, gamma=sd.gap, spectral=sd)
         unsplit = transfer._branch_theta(spec, sd.gap, sd.ground, times, transfer.DEFAULT_KRYLOV_TOL)
-        radius = 0.5 * math.fsum([sd.gap] + [c for *_, c in chain_bonds(spec)])
-        split = transfer._split_index(times, radius)
+        split = transfer._split_index(times, transfer._spectral_interval(spec, sd.gap)[1])
         assert 0 < split < times.size - 1
         assert curve.thetas[:split].tobytes() == unsplit[:split].tobytes()
         np.testing.assert_allclose(curve.thetas, unsplit, rtol=0, atol=1e-10)
@@ -741,6 +760,11 @@ class TestCouplingScale:
         np.testing.assert_allclose(curve_scaled.thetas, curve.thetas, rtol=0, atol=1e-10)
 
 
+def krylov_basis(psi):
+    """A trajectory's reusable (_KRYLOV_DIM, dim) basis buffer for psi's sector."""
+    return np.empty((transfer._KRYLOV_DIM, psi.size), dtype=complex)
+
+
 class TestKrylovStep:
     @staticmethod
     def random_symmetric(rng, dim=40):
@@ -751,7 +775,7 @@ class TestKrylovStep:
         matrix = self.random_symmetric(rng)
         psi = rng.standard_normal(matrix.shape[0]).astype(complex)
         with pytest.raises(PropagationError):
-            transfer._krylov_step(matrix, psi, 1.0, tol=0.0)
+            transfer._krylov_step(matrix, psi, 1.0, 0.0, krylov_basis(psi))
 
     def test_one_recurrence_of_full_dimension_per_step(self, monkeypatch, rng):
         class CountingMatrix:
@@ -777,7 +801,7 @@ class TestKrylovStep:
         psi = rng.standard_normal(126) + 1j * rng.standard_normal(126)
         psi /= np.linalg.norm(psi)
         for dt_req in (0.7, 40.0):
-            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, tol=1e-12)
+            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, 1e-12, krylov_basis(psi))
         assert dt_done < 40.0  # halving dt reuses the step's one basis
         assert len(recurrences) == 2
         assert matrix.products == 2 * transfer._KRYLOV_DIM
@@ -789,8 +813,8 @@ class TestKrylovStep:
         matrix = build_transfer_hamiltonian(spec, enumerate_sector(13, 1), 0.3).matrix
         psi = rng.standard_normal(matrix.shape[0]) + 1j * rng.standard_normal(matrix.shape[0])
         psi /= np.linalg.norm(psi)
-        basis = np.empty((transfer._KRYLOV_DIM, psi.size), dtype=complex)
-        expected, _ = transfer._krylov_step(matrix, psi, 0.5, 1e-10)
+        basis = krylov_basis(psi)
+        expected, _ = transfer._krylov_step(matrix, psi, 0.5, 1e-10, krylov_basis(psi))
         tracemalloc.start()
         try:
             psi_new, _ = transfer._krylov_step(matrix, psi, 0.5, 1e-10, basis)
@@ -804,7 +828,7 @@ class TestKrylovStep:
         matrix = self.random_symmetric(rng)
         energies, modes = np.linalg.eigh(matrix)
         psi = modes[:, 3].astype(complex)
-        psi_new, dt_done = transfer._krylov_step(matrix, psi, 2.5, tol=1e-12)
+        psi_new, dt_done = transfer._krylov_step(matrix, psi, 2.5, 1e-12, krylov_basis(psi))
         assert dt_done == 2.5
         np.testing.assert_allclose(psi_new, np.exp(-2.5j * energies[3]) * psi, atol=1e-12)
 
@@ -832,13 +856,22 @@ class TestKrylovStep:
         rng = np.random.default_rng(8)
         psi0 = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
         psi0 /= np.linalg.norm(psi0)
-        psi, t_now, halved = psi0, 0.0, False
+        psi, t_now, halved, basis = psi0, 0.0, False, krylov_basis(psi0)
         for dt_req in (0.7, 2.0, 40.0, 1.3):
-            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, tol=1e-12)
+            psi, dt_done = transfer._krylov_step(matrix, psi, dt_req, 1e-12, basis)
             halved |= dt_done < dt_req
             t_now += dt_done
             np.testing.assert_allclose(psi, expm(-1j * t_now * dense) @ psi0, atol=1e-10)
         assert halved
+
+
+def gershgorin(matrix):
+    """Center and radius of the Gershgorin interval of a real symmetric matrix."""
+    matrix = np.asarray(matrix.toarray())
+    diag = np.diag(matrix)
+    discs = np.abs(matrix).sum(axis=1) - np.abs(diag)
+    low, high = np.min(diag - discs), np.max(diag + discs)
+    return (high + low) / 2.0, (high - low) / 2.0
 
 
 class TestChebyshevJump:
@@ -849,6 +882,10 @@ class TestChebyshevJump:
         spec = ChainSpec(L=length, J=1.0, Jp=0.5)
         return build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix.real
 
+    @staticmethod
+    def interval(length, gamma=0.3):
+        return transfer._spectral_interval(ChainSpec(L=length, J=1.0, Jp=0.5), gamma)
+
     @pytest.mark.parametrize("t0", [0.3, 40.0, 400.0])
     @pytest.mark.parametrize("length", [6, 8, 10])
     def test_matches_dense_evolution_within_its_bound(self, rng, length, t0):
@@ -857,16 +894,25 @@ class TestChebyshevJump:
         psi0 /= np.linalg.norm(psi0)
         energies, modes = np.linalg.eigh(matrix.toarray())
         exact = (modes * np.exp(-1j * energies * t0)) @ (modes.T @ psi0)
-        psi, bound = transfer._chebyshev_jump(matrix, psi0, t0, 1e-10)
+        psi, bound = transfer._chebyshev_jump(matrix, psi0, t0, 1e-10, self.interval(length))
         assert 0.0 <= bound <= 1e-10
         assert np.linalg.norm(psi - exact) <= bound + 1e-12
 
     def test_gershgorin_interval(self):
-        # every row's disc reaches up to sum/4 and the Neel row's down to -3 sum/4
-        center, radius = transfer._gershgorin(self.real_transfer_matrix(8))
-        couplings = 0.3 + 2 * 0.5 + 5 * 1.0
-        assert center - radius == pytest.approx(-0.75 * couplings, rel=1e-14)
-        assert center + radius == pytest.approx(0.25 * couplings, rel=1e-14)
+        # every row's disc reaches up to S/4 and the Neel row's down to -3 S/4, S the
+        # sum of the couplings: the matrix's own Gershgorin interval, which holds its spectrum
+        for length in (6, 8, 10):
+            center, radius = self.interval(length)
+            couplings = 0.3 + 2 * 0.5 + (length - 3) * 1.0
+            assert (center, radius) == (-0.25 * couplings, 0.5 * couplings)
+            matrix = self.real_transfer_matrix(length)
+            expected = gershgorin(matrix)
+            assert center == pytest.approx(expected[0], rel=1e-14, abs=0)
+            assert radius == pytest.approx(expected[1], rel=1e-14, abs=0)
+            # the top edge is the S = (L + 1)/2 level itself, so allow eigvalsh's round-off
+            energies = np.linalg.eigvalsh(matrix.toarray())
+            assert energies[-1] == pytest.approx(center + radius, rel=1e-14)
+            assert center - radius < energies[0] and energies[-1] <= center + radius + 1e-14
 
     def test_perturbed_bessel_values_raise(self, monkeypatch, rng):
         import scipy.special
@@ -876,13 +922,13 @@ class TestChebyshevJump:
         psi0 = rng.standard_normal(126)
         with pytest.raises(PropagationError, match="J_0\\^2 \\+ 2 sum J_k\\^2 = 1"):
             transfer._chebyshev_jump(self.real_transfer_matrix(8), psi0 / np.linalg.norm(psi0),
-                                     40.0, 1e-10)
+                                     40.0, 1e-10, self.interval(8))
 
     def test_unreachable_tol_raises(self, rng):
         psi0 = rng.standard_normal(126)
         with pytest.raises(PropagationError, match="cannot meet tol = 1e-300"):
             transfer._chebyshev_jump(self.real_transfer_matrix(8), psi0 / np.linalg.norm(psi0),
-                                     40.0, 1e-300)
+                                     40.0, 1e-300, self.interval(8))
 
     @pytest.mark.parametrize("length, gamma", [(4, 0.0), (8, 0.3), (12, 0.004)])
     def test_split_radius_is_the_gershgorin_radius(self, monkeypatch, in_process_pool, length,
@@ -898,7 +944,7 @@ class TestChebyshevJump:
         full_chain_transfer(spec, 0.0, np.linspace(0.0, 5.0, 4), gamma=gamma,
                             spectral=spectral_data(spec))
         matrix = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix
-        assert radii == [pytest.approx(transfer._gershgorin(matrix.real)[1], rel=1e-14)]
+        assert radii == [pytest.approx(gershgorin(matrix.real)[1], rel=1e-14)]
 
     def test_split_balances_the_estimated_work(self):
         # no jump cost: the midpoint; the jump's cost moves the split later
