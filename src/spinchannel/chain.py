@@ -209,14 +209,17 @@ def _survives(diff: np.ndarray, full: np.uint64, signs: tuple[int, int]) -> np.n
     return ~(((diff == 0) & (signs[1] < 0)) | ((diff == full) & (signs[0] * signs[1] < 0)))
 
 
-def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int], mirrored=None):
+def _orbit_rep(patterns: np.ndarray, mirrored: np.ndarray, full: np.uint64) -> np.ndarray:
+    """min(p, ~p, Rp, ~Rp) of each pattern p, given its mirror image Rp."""
+    return np.minimum(np.minimum(patterns, patterns ^ full), np.minimum(mirrored, mirrored ^ full))
+
+
+def _orbits(patterns: np.ndarray, n_sites: int, signs: tuple[int, int], mirrored: np.ndarray):
     """Representative, chi(g_p), orbit size and survival of each orbit; mirrored holds the Rp."""
     full = np.uint64((1 << n_sites) - 1)
-    flipped = patterns ^ full
-    mirrored = _reverse_bits(patterns, n_sites) if mirrored is None else mirrored
-    rep = np.minimum(np.minimum(patterns, flipped), np.minimum(mirrored, mirrored ^ full))
+    rep = _orbit_rep(patterns, mirrored, full)
     f, r = signs
-    chi = np.select([rep == patterns, rep == flipped, rep == mirrored], [1.0, f, r], f * r)
+    chi = np.select([rep == patterns, rep == patterns ^ full, rep == mirrored], [1.0, f, r], f * r)
     size = _orbit_sizes(patterns, mirrored, n_sites)
     return rep, chi, size, _survives(patterns ^ mirrored, full, signs)
 
@@ -226,8 +229,9 @@ def symmetry_block(n_sites: int, flip: int, reflect: int) -> Sector:
     if n_sites < 2 or n_sites % 2 or {flip, reflect} - {1, -1}:
         raise SectorError("symmetry blocks need an even n_sites >= 2 and signs +-1")
     half = _patterns(n_sites - 1, n_sites // 2)  # site n_sites - 1 down: p < ~p
-    rep, _, _, alive = _orbits(half, n_sites, (flip, reflect))
-    basis = half[(rep == half) & alive]
+    full, mirrored = np.uint64((1 << n_sites) - 1), _reverse_bits(half, n_sites)
+    alive = _survives(half ^ mirrored, full, (flip, reflect))
+    basis = half[(_orbit_rep(half, mirrored, full) == half) & alive]
     basis.setflags(write=False)
     return Sector(n_sites, 0, basis, (flip, reflect))
 
@@ -322,6 +326,13 @@ def _anti_aligned(patterns: np.ndarray, mask: np.uint64) -> np.ndarray:
     return (both != 0) & (both != mask)
 
 
+# Rows per assembly chunk.  Both passes' per-row temporaries (mirror images,
+# partners, orbits, ranks: ~60 bytes a row) span one chunk, ~0.25 MB here, so
+# from L = 18 on a block's assembly peaks below the solve that follows it.
+# 1 << 14 rows saved ~0.1 s per L = 22 block pair, but not that memory.
+_ASSEMBLY_CHUNK = 1 << 12
+
+
 def _bond_multiset(bonds) -> Counter:
     return Counter((min(i, j), max(i, j), c) for i, j, c in bonds)
 
@@ -338,15 +349,18 @@ def build_bond_hamiltonian(
     orbit's representative or is dropped with it; the bond multiset must be
     mirror symmetric (i -> n_sites-1-i, same coupling), else ValueError.
 
-    Two passes over the bonds fill the CSR arrays, keeping no bond's entries
-    in between.  Pass 1 sums the diagonal and counts each row's entries,
-    dropping by bit operations on Rq = Rp ^ R(mask) each partner q = p ^ mask
-    whose orbit dies.  Pass 2 writes each row's diagonal, then the bonds'
-    entries in bond order; ``sum_duplicates`` sorts each row and sums partners
-    folded onto one representative.  A partner's column is its rank in the
-    plain sector, which a block maps to its own index by one int32 table: a
-    representative has site n_sites - 1 down, so its m = 0 rank is below
-    half that sector's dim.  Index dtype: scipy's ``get_index_dtype``.
+    Two passes over the bonds, in chunks of ``_ASSEMBLY_CHUNK`` rows, fill
+    the CSR arrays; only the diagonal, the row counts (then indptr), the fill
+    pointers and a block's index table span the sector.  Pass 1 sums the
+    diagonal and counts each row's entries, dropping by bit operations on
+    Rq = Rp ^ R(mask) each partner q = p ^ mask whose orbit dies.  Pass 2
+    writes each row's diagonal, then the bonds' entries in bond order, so no
+    array depends on the chunk size; ``sum_duplicates`` sorts each row and
+    sums partners folded onto one representative.  A partner's column is its
+    rank in the plain sector, which a block maps to its own index by one
+    int32 table: a representative has site n_sites - 1 down, so its m = 0
+    rank is below half that sector's dim.  Index dtype: scipy's
+    ``get_index_dtype``.
     """
     if sector.n_sites != n_sites:
         raise DimensionError(
@@ -366,45 +380,56 @@ def build_bond_hamiltonian(
         (c, np.uint64((1 << i) | (1 << j)), np.uint64((1 << (last - i)) | (1 << (last - j))))
         for i, j, c in bonds
     ]
+    chunks = [slice(lo, lo + _ASSEMBLY_CHUNK) for lo in range(0, dim, _ASSEMBLY_CHUNK)]
     if signs is not None:
         full = np.uint64((1 << n_sites) - 1)
-        mirrored = _reverse_bits(basis, n_sites)
-        row_size = _orbit_sizes(basis, mirrored, n_sites)
         block_index = np.empty(comb(n_sites, n_up) // 2, dtype=np.int32)  # read at reps only
         block_index[_rank(basis, n_sites, n_up)] = np.arange(dim, dtype=np.int32)
 
     diag = np.zeros(dim)
     counts = np.ones(dim, dtype=np.int32)
-    for c, mask, rmask in flips:
-        anti = _anti_aligned(basis, mask)
-        diag += np.where(anti, -0.25 * c, 0.25 * c)
-        if c == 0.0:
-            continue
-        if signs is not None:  # q ^ Rq = (p ^ Rp) ^ (mask ^ R(mask))
-            anti &= _survives(basis ^ mirrored ^ (mask ^ rmask), full, signs)
-        counts += anti  # a row is anti-aligned at most once per bond
+    for rows in chunks:
+        patterns = basis[rows]
+        if signs is not None:
+            diff = patterns ^ _reverse_bits(patterns, n_sites)
+        for c, mask, rmask in flips:
+            anti = _anti_aligned(patterns, mask)
+            diag[rows] += np.where(anti, -0.25 * c, 0.25 * c)
+            if c == 0.0:
+                continue
+            if signs is not None:  # q ^ Rq = (p ^ Rp) ^ (mask ^ R(mask))
+                anti &= _survives(diff ^ (mask ^ rmask), full, signs)
+            counts[rows] += anti  # a row is anti-aligned at most once per bond
     index_dtype = get_index_dtype(maxval=int(counts.sum()))
     indptr = np.zeros(dim + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
+    del counts
     indices = np.empty(indptr[-1], dtype=index_dtype)
     data = np.empty(indptr[-1])
     fill = indptr[:-1].copy()  # next free slot of each row
-    indices[fill], data[fill] = np.arange(dim), diag
+    indices[fill], data[fill] = np.arange(dim, dtype=index_dtype), diag
+    del diag
     fill += 1
-    for c, mask, rmask in flips:
-        if c == 0.0:
-            continue
-        anti = np.nonzero(_anti_aligned(basis, mask))[0]
-        partners = basis[anti] ^ mask
-        vals = np.full(anti.size, 0.5 * c)
+    for rows in chunks:
+        patterns = basis[rows]
         if signs is not None:
-            reps, chi, size, alive = _orbits(partners, n_sites, signs, mirrored[anti] ^ rmask)
-            anti, partners = anti[alive], reps[alive]
-            vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
-        columns = _rank(partners, n_sites, n_up)
-        slots = fill[anti]
-        indices[slots], data[slots] = columns if signs is None else block_index[columns], vals
-        fill[anti] += 1
+            mirrored = _reverse_bits(patterns, n_sites)
+            row_size = _orbit_sizes(patterns, mirrored, n_sites)
+        for c, mask, rmask in flips:
+            if c == 0.0:
+                continue
+            anti = np.nonzero(_anti_aligned(patterns, mask))[0]
+            partners = patterns[anti] ^ mask
+            vals = np.full(anti.size, 0.5 * c)
+            if signs is not None:
+                reps, chi, size, alive = _orbits(partners, n_sites, signs, mirrored[anti] ^ rmask)
+                anti, partners = anti[alive], reps[alive]
+                vals = 0.5 * c * chi[alive] * np.sqrt(row_size[anti] / size[alive])
+            columns = _rank(partners, n_sites, n_up)
+            anti += rows.start
+            slots = fill[anti]
+            indices[slots], data[slots] = columns if signs is None else block_index[columns], vals
+            fill[anti] += 1
     matrix = csr_matrix((data, indices, indptr), shape=(dim, dim))
     matrix.sum_duplicates()
     return SparseOperator(matrix)

@@ -119,7 +119,7 @@ def _config_flags(path: str) -> list[str]:
 
     A list is joined by commas and a string passes as typed unless its
     setting is numeric; other values pass as JSON, so "8" fails --length.
-    A null is refused: leave the key out for the default.
+    A null, or a null or nested item in a list, is refused by its key.
     """
     try:
         file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -137,6 +137,8 @@ def _config_flags(path: str) -> list[str]:
         if value is None:
             raise UsageError(f"config key '{key}' is null; leave it out for the default")
         if isinstance(value, list):
+            if any(item is None or isinstance(item, (list, dict)) for item in value):
+                raise UsageError(f"config key '{key}' lists a null or non-scalar item")
             value = ",".join(map(str, value))
         elif not isinstance(value, str) or key in _NUMERIC:
             value = json.dumps(value)

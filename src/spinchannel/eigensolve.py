@@ -311,7 +311,9 @@ def spectral_data(
     spins of their blocks by Lieb-Mattis.  Both starts are built, and
     ``grow_from`` dropped, before any assembly (one without vectors raises
     ConfigError, one of another length DimensionError).  The plain m = 0
-    basis is enumerated once, after both solves.
+    basis is enumerated once, after both solves; |T0> is expanded, checked
+    and measured before |G> is expanded, so the m = 1 image of the <S^2>
+    check never lives next to two plain m = 0 vectors.
     """
     if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
         raise ConfigError("grow_from needs the vectors of a spectral_data result")
@@ -326,14 +328,8 @@ def spectral_data(
     for block, start in zip(blocks, starts):
         _check_start(start, block.dim)
     del grow_from, start  # no L - 2 vector lives through a solve, no start past its own
-    solves = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed,
-                                v0=starts.pop(0)) for block in blocks]
-    sector0 = enumerate_sector(spec.L, 0)
-    ground, triplet = [  # expanded after both solves: no plain m = 0 vector lives through one
-        replace(pair, vector=expand_to_sector(block, pair.vector))
-        for block, (pair,) in zip(blocks, solves)
-    ]
-
+    (ground,), (triplet,) = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol,
+                                               seed=seed, v0=starts.pop(0)) for block in blocks]
     if triplet.energy - ground.energy <= 10.0 * tol:
         raise OrderingError(
             f"singlet and triplet degenerate within 10*tol "
@@ -341,8 +337,11 @@ def spectral_data(
             "the thermal truncation assumes a unique singlet"
         )
 
-    _, raised = apply_total_spin_ladder(sector0, triplet.vector, raising=True)
+    sector0 = enumerate_sector(spec.L, 0)
+    triplet = replace(triplet, vector=expand_to_sector(blocks[1], triplet.vector))
+    raised = apply_total_spin_ladder(sector0, triplet.vector, raising=True)[1]
     s2 = float(np.dot(raised, raised))  # <S^2> = |S+ v|^2 at m = 0
+    del raised
     if abs(s2 - 2.0) > _TRIPLET_S2_TOL:
         raise OrderingError(
             f"lowest state of T0's block has <S^2> = {s2:.6g}, not 2; the first "
@@ -351,6 +350,7 @@ def spectral_data(
 
     zz0 = pauli_zz_expectation(sector0, triplet.vector, a, b)
     xx0 = pauli_xx_expectation(sector0, triplet.vector, a, b)
+    ground = replace(ground, vector=expand_to_sector(blocks[0], ground.vector))
     return SpectralData(
         e0=ground.energy,
         e_triplet=triplet.energy,

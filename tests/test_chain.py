@@ -337,21 +337,40 @@ class TestAssemblyAgainstBinarySearch:
             matrix = build_transfer_hamiltonian(spec, sector, 0.05).matrix
             self.assert_bitwise_equal(matrix, real.astype(np.complex128))
 
+    @pytest.mark.parametrize("length", [12, 14, 16])
+    def test_many_chunks_with_a_ragged_last_one(self, monkeypatch, length):
+        # 97 rows per chunk: every sector spans several chunks, the last one short
+        monkeypatch.setattr(spinchannel.chain, "_ASSEMBLY_CHUNK", 97)
+        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        bonds = chain_bonds(spec)
+        sectors = [enumerate_sector(length, 0)]
+        sectors += [symmetry_block(length, f, r) for f in (1, -1) for r in (1, -1)]
+        for sector in sectors:
+            assert sector.dim > 97 and sector.dim % 97
+            matrix = build_chain_hamiltonian(spec, sector).matrix
+            self.assert_bitwise_equal(matrix, self.searchsorted_assembly(length, bonds, sector))
+        sector = enumerate_sector(length + 1, 1)
+        assert sector.dim % 97
+        real = self.searchsorted_assembly(length + 1, [(0, 1, 0.05)] + chain_bonds(spec, 1), sector)
+        matrix = build_transfer_hamiltonian(spec, sector, 0.05).matrix
+        self.assert_bitwise_equal(matrix, real.astype(np.complex128))
+
 
 class TestAssemblyMemory:
     def test_block_assembly_peak_per_stored_entry(self):
-        # the finished int32 CSR holds 12 bytes per entry; the two-pass fill
-        # adds per-row arrays and one bond's temporaries at a time, never all
-        # bonds' entries at once (another 16 bytes per entry)
-        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
-        block = symmetry_block(18, -1, -1)  # (s, s), s = (-1)^9
+        # L = 20 spans 12 chunks.  The finished int32 CSR holds 12 bytes per
+        # entry; indptr, the fill pointers, the diagonal and its columns add
+        # ~2 more, the block's index table ~0.7 and one chunk's temporaries ~0.5
+        spec = ChainSpec(L=20, J=1.0, Jp=0.1)
+        block = symmetry_block(20, 1, 1)  # (s, s), s = (-1)^10
         tracemalloc.start()
         try:
             op = build_chain_hamiltonian(spec, block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * op.matrix.nnz
+        assert block.dim > 8 * spinchannel.chain._ASSEMBLY_CHUNK
+        assert peak <= 16 * op.matrix.nnz
 
 
 class TestTotalSpinLadder:

@@ -607,6 +607,18 @@ class TestConfigFile:
         assert f"config key '{key}' is null" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("jp", [[0.2, None], [0.2, [0.3]], [{"jp": 0.2}]],
+                             ids=["null", "list", "object"])
+    def test_null_or_nested_list_item_is_a_usage_error(self, monkeypatch, tmp_path, capsys, jp):
+        # a list item reached argparse as str(item), so a null read '0.2,None'
+        # under the flag's name; the key names the error, before any solve or write
+        self._forbid_solves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"length": 8, "jp": jp, "out": "s.csv"}))
+        assert run(["share", "--config", "cfg.json"]) == 2
+        assert "config key 'jp' lists a null or non-scalar item" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("content", ["8", "[8]", '"x"'])
     def test_config_must_be_an_object(self, tmp_path, content):
         config = tmp_path / "cfg.json"

@@ -472,7 +472,9 @@ class TestSpectralData:
 
     def test_both_block_solves_precede_the_expansions(self, monkeypatch):
         # a plain m = 0 vector holds four block vectors' worth of entries; none
-        # may be alive while the second block is assembled and solved
+        # may be alive while the second block is assembled and solved.  T0's
+        # block (solved second) is expanded first: the S^2 guard and T0's
+        # correlators run before G's vector exists
         solve = spinchannel.eigensolve.lowest_eigenpairs
         expand = spinchannel.eigensolve.expand_to_sector
         calls = []
@@ -489,7 +491,24 @@ class TestSpectralData:
         monkeypatch.setattr(spinchannel.eigensolve, "expand_to_sector", recorded_expand)
         spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
         assert [name for name, _ in calls] == ["solve", "solve", "expand", "expand"]
-        assert [dim for _, dim in calls[2:]] == [dim for _, dim in calls[:2]]
+        assert [dim for _, dim in calls[2:]] == [dim for _, dim in calls[1::-1]]
+
+    def test_memory_peak_is_one_block_csr_and_a_few_vectors(self):
+        # every phase stays near the solve's floor, one block's CSR and its
+        # Lanczos vectors.  At L = 20 the last correlator, zz of |G>, tops it by
+        # 0.3 MB: the m = 0 basis, |T0> and |G> are four block vectors each
+        spec = ChainSpec(L=20, J=1.0, Jp=0.1)
+        block = symmetry_block(20, 1, 1)  # (s, s), s = (-1)^10, the larger block
+        csr = build_chain_hamiltonian(spec, block).matrix
+        csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        del csr
+        tracemalloc.start()
+        try:
+            spectral_data(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= csr_bytes + 10 * 8 * block.dim
 
     @pytest.mark.parametrize("grown", [False, True])
     def test_one_m0_enumeration_per_call(self, monkeypatch, grown):
