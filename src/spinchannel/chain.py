@@ -337,12 +337,11 @@ def _bond_multiset(bonds) -> Counter:
     return Counter((min(i, j), max(i, j), c) for i, j, c in bonds)
 
 
-def build_bond_hamiltonian(
-    n_sites: int, bonds: list[tuple[int, int, float]], sector: Sector
-) -> SparseOperator:
-    """Assemble sum of Heisenberg bond terms in the given sector basis.
+def build_bond_hamiltonian(bonds: list[tuple[int, int, float]], sector: Sector) -> SparseOperator:
+    """Assemble sum of Heisenberg bond terms in the basis of sector, on its n_sites sites.
 
-    Each bond (i, j, c) adds c * S_i . S_j: a diagonal SzSz part of +-c/4
+    A bond (i, j, c) with i = j or a site outside 0..n_sites-1 raises ValueError;
+    each other adds c * S_i . S_j: a diagonal SzSz part of +-c/4
     and a spin-flip part of c/2 connecting anti-aligned configurations.
     Both (row, col) orderings of each flip are generated, so the matrix is
     symmetric entry for entry.  In a symmetry block a partner folds onto its
@@ -362,10 +361,7 @@ def build_bond_hamiltonian(
     rank is below half that sector's dim.  Index dtype: scipy's
     ``get_index_dtype``.
     """
-    if sector.n_sites != n_sites:
-        raise DimensionError(
-            f"sector has {sector.n_sites} sites, expected {n_sites}"
-        )
+    n_sites = sector.n_sites
     for i, j, _ in bonds:
         if i == j or not (0 <= i < n_sites) or not (0 <= j < n_sites):
             raise ValueError(f"invalid bond ({i}, {j}) for {n_sites} sites")
@@ -439,7 +435,7 @@ def build_chain_hamiltonian(spec: ChainSpec, sector: Sector) -> SparseOperator:
     """Chain Hamiltonian (no sender): Jp on the two end bonds, J inside."""
     if sector.n_sites != spec.L:
         raise DimensionError(f"sector has {sector.n_sites} sites, chain has {spec.L}")
-    return build_bond_hamiltonian(spec.L, chain_bonds(spec), sector)
+    return build_bond_hamiltonian(chain_bonds(spec), sector)
 
 
 def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector, gamma: float) -> SparseOperator:
@@ -457,24 +453,20 @@ def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector, gamma: float) ->
             f"sector has {sector.n_sites} sites, transfer system has {spec.L + 1}"
         )
     bonds = [(0, 1, gamma)] + chain_bonds(spec, offset=1)
-    real = build_bond_hamiltonian(spec.L + 1, bonds, sector).matrix
+    real = build_bond_hamiltonian(bonds, sector).matrix
     return SparseOperator(real.astype(np.complex128))
-
-
-def _pauli_z_signs(sector: Sector, site: int) -> np.ndarray:
-    bits = (sector.basis >> np.uint64(site)) & np.uint64(1)
-    return 2.0 * bits.astype(np.float64) - 1.0
 
 
 def pauli_z_expectation(sector: Sector, vec: np.ndarray, site: int) -> float:
     """<sigma_z(site)> of a sector-basis state vector."""
-    return float(np.dot(np.abs(vec) ** 2, _pauli_z_signs(sector, site)))
+    up = (sector.basis & np.uint64(1 << site)) != 0
+    return float(np.dot(np.abs(vec) ** 2, np.where(up, 1.0, -1.0)))
 
 
 def pauli_zz_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: int) -> float:
     """<sigma_z(i) sigma_z(j)>: +1 per aligned configuration, -1 per anti-aligned."""
-    signs = _pauli_z_signs(sector, site_i) * _pauli_z_signs(sector, site_j)
-    return float(np.dot(np.abs(vec) ** 2, signs))
+    anti = _anti_aligned(sector.basis, np.uint64((1 << site_i) | (1 << site_j)))
+    return float(np.dot(np.abs(vec) ** 2, np.where(anti, -1.0, 1.0)))
 
 
 def pauli_xx_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: int) -> float:

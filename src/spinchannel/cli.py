@@ -281,12 +281,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         rows.extend([r.length, r.jp, r.gap, r.e0] for r in table.rows)
         try:
             fit = scaling.fit_power_law(table)
-            derived["fits"][_fmt(jp)] = {
-                "c": fit.c,
-                "alpha": fit.alpha,
-                "r_squared": fit.r_squared,
-                "n_points": fit.n_points,
-            }
+            derived["fits"][_fmt(jp)] = asdict(fit)
         except InsufficientDataError as exc:
             warnings.append(f"jp = {jp}: no fit ({exc})")
             derived["fits"][_fmt(jp)] = None
@@ -380,12 +375,11 @@ def cmd_share(cfg: RunConfig) -> int:
     spec = _single_chain(cfg)
     temperature = _single_temperature(cfg)
     sd = eigensolve.spectral_data(spec, cfg.tol, seed=cfg.seed)
-    model = transfer.effective_coupling(sd, temperature=temperature)
-    r = entangle.sharing_report(model.g)
+    r = entangle.sharing_report(thermal.thermal_g(sd, temperature))
     header = ["g", "f_star", "error_probability", "concurrence_out", "concurrence_in",
               "enhancement"]
     row = [r.g, r.f_star, r.error_prob, r.concurrence_out, r.concurrence_in, r.enhancement]
-    derived = {"gap": model.j_eff, "temperature": temperature}
+    derived = {"gap": sd.gap, "temperature": temperature}
     _emit(cfg, header, [row], derived, thermal.truncation_warnings(sd, temperature))
     return EXIT_OK
 

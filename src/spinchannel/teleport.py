@@ -54,15 +54,15 @@ def shrink_factor(g: float) -> DepolarizingChannel:
     return DepolarizingChannel(theta=-validate_werner_g(g))
 
 
-def _check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=tol):
+    if not np.allclose(rho, rho.conj().T, atol=1e-9):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

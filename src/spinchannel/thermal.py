@@ -45,14 +45,14 @@ SIGMA_DOT_SIGMA = np.array(
 )
 
 
-def validate_werner_g(g: float, tol: float = 1e-9) -> float:
+def validate_werner_g(g: float) -> float:
     """Check g against the Werner range [-1, 1/3], forgiving float dust.
 
-    Values within ``tol`` outside the range are clamped; anything further
+    Values within 1e-9 outside the range are clamped; anything further
     out raises ValueError.
     """
     g = float(g)
-    if not WERNER_MIN - tol <= g <= WERNER_MAX + tol:
+    if not WERNER_MIN - 1e-9 <= g <= WERNER_MAX + 1e-9:
         raise ValueError(f"Werner parameter g = {g} outside [{WERNER_MIN}, {WERNER_MAX:.6g}]")
     return min(max(g, WERNER_MIN), WERNER_MAX)
 

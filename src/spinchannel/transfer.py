@@ -41,13 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy, dscal, zaxpy
 from scipy.sparse import identity
 
-from .chain import (
-    ChainSpec,
-    _pauli_z_signs,
-    build_transfer_hamiltonian,
-    chain_bonds,
-    enumerate_sector,
-)
+from .chain import ChainSpec, build_transfer_hamiltonian, chain_bonds, enumerate_sector
 from .eigensolve import SpectralData, _lanczos_vectors
 from .errors import (
     ConfigError,
@@ -424,18 +418,19 @@ def _branch_theta(spec: ChainSpec, gamma: float, vector: np.ndarray, times: np.n
     """<sigma_z(B)> on the grid of m = 0 chain state ``vector`` with the sender up; with T0's
     parity f, the bracket <T|sigma_z(B)|T> + 2 f Re <S+ F T|sigma_z(B)|T>.  A grid that
     starts at t0 > 0 is reached by one Chebyshev jump of the real start state, then
-    Krylov-stepped.  Builds its own bases, matrix and flip ladder, so a worker process needs
-    only these arguments.
+    Krylov-stepped.  Builds its one sector, the (L+1)-site 2Sz = +1, its matrix and flip
+    ladder, so a worker process needs only these arguments.  The sector's rows with the
+    sender (bit 0) up are the sorted m = 0 chain patterns shifted up one bit, in order, so
+    ``vector`` fills them as it stands; B is the top bit.
     """
     sector = enumerate_sector(spec.L + 1, 1)
     hamiltonian = build_transfer_hamiltonian(spec, sector, gamma).matrix
     psi0 = np.zeros(sector.dim)
-    chain_basis = enumerate_sector(spec.L, 0).basis
-    psi0[sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = vector
+    psi0[(sector.basis & np.uint64(1)) != 0] = vector
     if times[0] > 0.0:
         psi0, _ = _chebyshev_jump(hamiltonian.real, psi0, times[0], _JUMP_TAIL * krylov_tol,
                                   _spectral_interval(spec, gamma))
-    signs = _pauli_z_signs(sector, spec.L)
+    signs = np.where(sector.basis >> np.uint64(spec.L), 1.0, -1.0)
     states = _trajectory(hamiltonian, psi0.astype(complex, copy=False), times - times[0],
                          krylov_tol)
     if parity is None:

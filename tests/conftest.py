@@ -55,6 +55,11 @@ def chain_length(spectral) -> int:
     return next(L for L in range(2, 64, 2) if comb(L, L // 2) == spectral.ground.size)
 
 
+def z_signs(sector, site: int) -> np.ndarray:
+    """+-1.0 of sigma_z(site) on each basis pattern, as 2 * float(bit) - 1."""
+    return 2.0 * ((sector.basis >> np.uint64(site)) & np.uint64(1)).astype(np.float64) - 1.0
+
+
 def random_pure_qubit(rng) -> np.ndarray:
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return psi / np.linalg.norm(psi)

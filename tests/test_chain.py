@@ -34,6 +34,7 @@ from conftest import (
     dense_chain_hamiltonian,
     dense_transfer_hamiltonian,
     site_operator,
+    z_signs,
 )
 
 
@@ -135,23 +136,23 @@ class TestTwoSpinBond:
 
     def test_m0_spectrum(self):
         sector = enumerate_sector(2, 0)
-        op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+        op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
         np.testing.assert_allclose(dense_spectrum(op), [-0.75, 0.25], atol=1e-14)
 
     def test_polarized_spectrum(self):
         for twice_sz in (2, -2):
             sector = enumerate_sector(2, twice_sz)
-            op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+            op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
             np.testing.assert_allclose(dense_spectrum(op), [0.25], atol=1e-14)
 
     def test_scales_with_coupling(self):
         sector = enumerate_sector(2, 0)
-        op = build_bond_hamiltonian(2, [(0, 1, 2.5)], sector)
+        op = build_bond_hamiltonian([(0, 1, 2.5)], sector)
         np.testing.assert_allclose(dense_spectrum(op), [-1.875, 0.625], atol=1e-14)
 
     def test_singlet_correlators(self):
         sector = enumerate_sector(2, 0)
-        op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+        op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
         energies, vectors = np.linalg.eigh(op.matrix.toarray())
         singlet = vectors[:, 0]
         assert pauli_zz_expectation(sector, singlet, 0, 1) == pytest.approx(-1.0)
@@ -373,6 +374,33 @@ class TestAssemblyMemory:
         assert peak <= 16 * op.matrix.nnz
 
 
+class TestCorrelators:
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_z_and_zz_bitwise_equal_float_bit_form(self, rng, length):
+        sector = enumerate_sector(length, 0)
+        vec = rng.standard_normal(sector.dim)
+        weights = np.abs(vec) ** 2
+        for i in range(length):
+            assert pauli_z_expectation(sector, vec, i) == float(
+                np.dot(weights, z_signs(sector, i)))
+            for j in range(length):
+                signs = z_signs(sector, i) * z_signs(sector, j)
+                assert pauli_zz_expectation(sector, vec, i, j) == float(np.dot(weights, signs))
+
+    def test_zz_peak_in_plain_vectors(self):
+        # the squared weights, the masked patterns, bool temporaries and the signs: 2.1
+        # plain vectors measured; two float sign arrays and their product took 3.0
+        sector = enumerate_sector(20, 0)
+        vec = np.random.default_rng(20).standard_normal(sector.dim)
+        tracemalloc.start()
+        try:
+            pauli_zz_expectation(sector, vec, 0, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * vec.nbytes
+
+
 class TestTotalSpinLadder:
     """Total S+- against the kron-product total spin and the binary-search form."""
 
@@ -553,17 +581,17 @@ class TestGuards:
     def test_block_needs_mirror_symmetric_bonds(self):
         block = symmetry_block(6, 1, 1)
         with pytest.raises(ValueError, match="mirror"):
-            build_bond_hamiltonian(6, [(0, 1, 0.3), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.7)], block)
+            build_bond_hamiltonian([(0, 1, 0.3), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.7)], block)
         with pytest.raises(ValueError, match="mirror"):
-            build_bond_hamiltonian(6, [(0, 1, 1.0), (1, 2, 1.0)], block)
+            build_bond_hamiltonian([(0, 1, 1.0), (1, 2, 1.0)], block)
         # the same multiset in another order and orientation is accepted;
         # the diagonal sums in another order, hence the 1e-14
         bonds = [(5, 4, 0.3), (2, 3, 1.0), (1, 0, 0.3), (4, 3, 1.0), (1, 2, 1.0)]
-        matrix = build_bond_hamiltonian(6, bonds, block).matrix
+        matrix = build_bond_hamiltonian(bonds, block).matrix
         reference = build_chain_hamiltonian(ChainSpec(L=6, J=1.0, Jp=0.3), block).matrix
         np.testing.assert_allclose(matrix.toarray(), reference.toarray(), rtol=0, atol=1e-14)
         # plain sectors take any bond list
-        build_bond_hamiltonian(6, bonds[:2], enumerate_sector(6, 0))
+        build_bond_hamiltonian(bonds[:2], enumerate_sector(6, 0))
 
     @pytest.mark.parametrize("n_sites, flip, reflect", [(7, 1, 1), (0, 1, 1), (8, 0, 1), (8, 1, 2)])
     def test_symmetry_block_needs_even_sites_and_unit_signs(self, n_sites, flip, reflect):

@@ -29,7 +29,7 @@ from conftest import dense_chain_hamiltonian
 class TestLowestEigenpairs:
     def test_two_spin_singlet(self):
         sector = enumerate_sector(2, 0)
-        op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+        op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
         (pair,) = lowest_eigenpairs(op, 1)
         assert pair.energy == pytest.approx(-0.75, abs=1e-12)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
@@ -37,7 +37,7 @@ class TestLowestEigenpairs:
 
     def test_dim_one_sector(self):
         sector = enumerate_sector(2, 2)
-        op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+        op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
         (pair,) = lowest_eigenpairs(op, 1)
         assert pair.energy == pytest.approx(0.25, abs=1e-15)
         assert pair.residual == 0.0
@@ -181,7 +181,7 @@ class TestLowestEigenpairs:
 
     def test_bad_arguments(self):
         sector = enumerate_sector(2, 0)
-        op = build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)
+        op = build_bond_hamiltonian([(0, 1, 1.0)], sector)
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, 0)
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestDenseSpectrum:
         eigs = []
         for twice_sz in (-2, 0, 2):
             sector = enumerate_sector(2, twice_sz)
-            eigs.append(dense_spectrum(build_bond_hamiltonian(2, [(0, 1, 1.0)], sector)))
+            eigs.append(dense_spectrum(build_bond_hamiltonian([(0, 1, 1.0)], sector)))
         pooled = np.sort(np.concatenate(eigs))
         np.testing.assert_allclose(pooled, [-0.75, 0.25, 0.25, 0.25], atol=1e-14)
 

@@ -18,7 +18,6 @@ import spinchannel.eigensolve
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
-    _pauli_z_signs,
     apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
@@ -49,7 +48,7 @@ from spinchannel.transfer import (
     three_site_oracle,
 )
 
-from conftest import dense_transfer_hamiltonian, random_pure_qubit
+from conftest import dense_transfer_hamiltonian, random_pure_qubit, z_signs
 
 G_VALUES = (-1.0, -0.5, 0.0, 1.0 / 3.0)
 
@@ -309,8 +308,7 @@ def dense_mixture_theta(spec, gamma, temperature, times):
         h = build_transfer_hamiltonian(spec, full_sector, gamma).matrix.toarray()
         psi0 = np.zeros(full_sector.dim, dtype=complex)
         psi0[full_sector.index_of((sector.basis << np.uint64(1)) | np.uint64(1))] = vec
-        bits = (full_sector.basis >> np.uint64(spec.L)) & np.uint64(1)
-        signs = 2.0 * bits.astype(float) - 1.0
+        signs = z_signs(full_sector, spec.L)
         w, v = np.linalg.eigh(h)
         for k, t in enumerate(times):
             psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ psi0)
@@ -385,6 +383,35 @@ class TestFullChainTransfer:
             spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
         assert built == [1, 1]
+
+    def test_enumerates_only_its_own_sector(self, monkeypatch, in_process_pool):
+        # the chain state is placed by a bit mask, not ranked from an L-site enumeration
+        enumerated = []
+        enumerate_own = transfer.enumerate_sector
+
+        def recorded(n_sites, twice_sz):
+            enumerated.append((n_sites, twice_sz))
+            return enumerate_own(n_sites, twice_sz)
+
+        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        sd = spectral_data(spec)
+        monkeypatch.setattr(transfer, "enumerate_sector", recorded)
+        for temperature in (0.0, 0.2):
+            full_chain_transfer(spec, temperature, np.linspace(0.0, 10.0, 5), gamma=0.3,
+                                spectral=sd)
+        assert enumerated and set(enumerated) == {(9, 1)}
+
+    @pytest.mark.parametrize("length", range(4, 20, 2))
+    def test_sender_up_rows_are_the_ranked_chain_basis(self, length):
+        # the sorted 2Sz = +1 sector of L + 1 sites lists the patterns with the sender
+        # (bit 0) up in the order of the L-site m = 0 basis shifted up one bit, and
+        # holds no bit above B = bit L
+        sector = enumerate_sector(length + 1, 1)
+        chain_basis = enumerate_sector(length, 0).basis
+        ranked = sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))
+        np.testing.assert_array_equal(np.flatnonzero(sector.basis & np.uint64(1)), ranked)
+        top = np.where(sector.basis >> np.uint64(length), 1.0, -1.0)
+        np.testing.assert_array_equal(top, z_signs(sector, length))
 
     @pytest.mark.parametrize("temperature, trajectories", [(0.0, 2), (0.2, 2)])
     def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories):
@@ -512,7 +539,7 @@ def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
     psi0 = np.zeros((2, sector.dim), dtype=complex)
     chain_basis = enumerate_sector(spec.L, 0).basis
     psi0[:, sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = sd.ground, sd.triplet
-    signs = _pauli_z_signs(sector, spec.L)
+    signs = z_signs(sector, spec.L)
     ladder = transfer._flip_ladder(sector)
     parity = float(np.dot(sd.triplet, sd.triplet[::-1]))
     x = math.exp(-sd.gap / temperature)
@@ -837,7 +864,7 @@ class TestKrylovStep:
         sector = enumerate_sector(9, 1)
         matrix = build_transfer_hamiltonian(spec, sector, 0.3).matrix
         bonds = [(0, 1, 0.3)] + chain_bonds(spec, offset=1)
-        real = build_bond_hamiltonian(9, bonds, sector).matrix
+        real = build_bond_hamiltonian(bonds, sector).matrix
         assert matrix.dtype == np.complex128
         assert np.all(matrix.data.imag == 0.0)
         np.testing.assert_array_equal(matrix.indptr, real.indptr)
