@@ -59,7 +59,6 @@ __all__ = [
     "pauli_z_expectation",
     "pauli_zz_expectation",
     "pauli_xx_expectation",
-    "apply_total_spin_ladder",
 ]
 
 
@@ -483,19 +482,3 @@ def pauli_xx_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: i
     partners = sector.index_of(sector.basis[anti] ^ mask)
     return float(np.real(np.dot(np.conj(vec[anti]), vec[partners])))
 
-
-def apply_total_spin_ladder(
-    sector: Sector, vec: np.ndarray, raising: bool
-) -> tuple[Sector, np.ndarray]:
-    """Total S+ (raising) or S- of a sector vector: (adjacent sector, image).
-
-    One pass per site, matrix elements 1.  Flipping bit i adds one constant to
-    every source pattern that can flip, so the sources map in order onto the
-    target patterns with bit i flipped: two masks pair them, no index search.
-    """
-    target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
-    image = np.zeros(target.dim, dtype=np.result_type(vec, np.float64))
-    for site in range(sector.n_sites):
-        bit = np.uint64(1 << site)
-        image[((target.basis & bit) != 0) == raising] += vec[((sector.basis & bit) == 0) == raising]
-    return target, image

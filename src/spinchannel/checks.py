@@ -33,6 +33,25 @@ def lanczos_vs_dense(tol: float, seed: int):
     return worst <= 1e-9, f"max energy deviation {worst:.3e} (tol 1e-9)"
 
 
+def triplet_ordering(tol: float, seed: int):
+    """spectral_data's e_triplet, the lowest level of T0's block, against the dense
+    spectra at L = 8..12: it equals the lowest 2S_z = 2 level (lowest S >= 1) and lies
+    strictly below the lowest 2S_z = 4 level (lowest S >= 2), so it is the lowest S = 1
+    level and E_min(1) < E_min(2), as Marshall and Lieb-Mattis have it for J, Jp > 0."""
+    worst, margin = 0.0, math.inf
+    for jp in (0.1, 0.5, 1.0):
+        for length in (8, 10, 12):
+            spec = chain.ChainSpec(length, 1.0, jp)
+            e_triplet = eigensolve.spectral_data(spec, tol, seed=seed).e_triplet
+            m1, m2 = [eigensolve.dense_spectrum(chain.build_chain_hamiltonian(
+                spec, chain.enumerate_sector(length, twice_sz)))[0] for twice_sz in (2, 4)]
+            worst, margin = max(worst, abs(e_triplet - m1)), min(margin, m2 - e_triplet)
+    return worst <= 1e-9 and margin > 1e-9, (
+        f"max |e_triplet - lowest 2S_z = 2 level| {worst:.3e} (tol 1e-9), "
+        f"min margin to the lowest 2S_z = 4 level {margin:.3f} (> 1e-9)"
+    )
+
+
 def closed_form_vs_three_site(tol: float, seed: int):
     """Closed-form transfer fidelity against 8-dimensional unitary evolution."""
     rng = np.random.default_rng(seed)
@@ -120,6 +139,7 @@ def werner_concurrence_oracle(tol: float, seed: int):
 
 CHECKS = [
     ("lanczos-vs-dense", lanczos_vs_dense),
+    ("triplet-ordering", triplet_ordering),
     ("closed-form-vs-three-site", closed_form_vs_three_site),
     ("threshold-bisection", threshold_bisection),
     ("channel-state-independence", channel_state_independence),

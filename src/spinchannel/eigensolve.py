@@ -15,8 +15,9 @@ blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
 triplet, from two symmetry blocks of the m = 0 sector; SU(2) fixes
-the other triplet members.  It checks that the lowest state of the triplet's
-block really is a spin-1 triplet, <S^2> = 2, and fails loudly otherwise.
+the other triplet members.  That the lowest state of the triplet's block is
+the triplet is a theorem for J, Jp > 0 (Marshall's sign rule and Lieb-Mattis,
+see ``spectral_data``); ``validate`` checks it against dense spectra once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from scipy.linalg.blas import daxpy, get_blas_funcs
 from .chain import (
     ChainSpec,
     SparseOperator,
-    apply_total_spin_ladder,
     build_chain_hamiltonian,
     enumerate_sector,
     expand_to_sector,
@@ -65,11 +65,6 @@ _LANCZOS_MAX_STEPS = 5_000  # k = 1: steps of one Lanczos run (<= 80 in the comm
 _LANCZOS_RESTARTS = 2       # k = 1: reruns from the Ritz vector of a pair above tol
 _ARPACK_NCV = 12            # k >= 2: Lanczos vectors ARPACK keeps for k <= 5 (2k + 1 above)
 _ARPACK_MAXITER = 50_000    # k >= 2: ARPACK's maxiter, implicit restarts allowed
-
-# |<S^2> - 2| allowed for the triplet: a Ritz vector's error in <S^2> is of
-# second order, ~L^2 (tol/level spacing)^2, while an admixture of weight p
-# of T0's block's next spin, S = 3, moves it by 10p.
-_TRIPLET_S2_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,11 @@ def spectral_data(
 
     With s = (-1)^(L/2) the singlet |G> is lowest in the (inversion,
     reflection) block (s, s) of the m = 0 sector and the triplet member |T0>
-    in (-s, -s) (see the chain module).  ``expand_to_sector`` returns both in
+    in (-s, -s) (see the chain module): for J, Jp > 0 the chain is a bipartite
+    antiferromagnet, whose E_min(S) increases with S (Marshall's sign rule and
+    Lieb and Mattis, J. Math. Phys. 3, 749 (1962)), and block (-s, -s) holds
+    only odd S.  ``validate`` checks that ordering once against dense spectra
+    (``checks.triplet_ordering``).  ``expand_to_sector`` returns both in
     the plain m = 0 basis, with the block solve's residual.  By Wigner-Eckart
     zz(T+1) = xx(T0), xx(T+1) = (zz(T0) + xx(T0))/2.
 
@@ -311,9 +310,9 @@ def spectral_data(
     spins of their blocks by Lieb-Mattis.  Both starts are built, and
     ``grow_from`` dropped, before any assembly (one without vectors raises
     ConfigError, one of another length DimensionError).  The plain m = 0
-    basis is enumerated once, after both solves; |T0> is expanded, checked
-    and measured before |G> is expanded, so the m = 1 image of the <S^2>
-    check never lives next to two plain m = 0 vectors.
+    basis is enumerated once, after both solves; |T0> is expanded and
+    measured before |G> is expanded, so the index arrays of its xx
+    correlator never live next to two plain m = 0 vectors.
     """
     if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
         raise ConfigError("grow_from needs the vectors of a spectral_data result")
@@ -339,15 +338,6 @@ def spectral_data(
 
     sector0 = enumerate_sector(spec.L, 0)
     triplet = replace(triplet, vector=expand_to_sector(blocks[1], triplet.vector))
-    raised = apply_total_spin_ladder(sector0, triplet.vector, raising=True)[1]
-    s2 = float(np.dot(raised, raised))  # <S^2> = |S+ v|^2 at m = 0
-    del raised
-    if abs(s2 - 2.0) > _TRIPLET_S2_TOL:
-        raise OrderingError(
-            f"lowest state of T0's block has <S^2> = {s2:.6g}, not 2; the first "
-            "excitation is not the expected triplet (Jp too large?)"
-        )
-
     zz0 = pauli_zz_expectation(sector0, triplet.vector, a, b)
     xx0 = pauli_xx_expectation(sector0, triplet.vector, a, b)
     ground = replace(ground, vector=expand_to_sector(blocks[0], ground.vector))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from spinchannel.chain import ChainSpec, chain_bonds
+from spinchannel.chain import ChainSpec, chain_bonds, enumerate_sector
 
 # single-site operators in basis order {down, up} so that bit i of the
 # composite index (site 0 least significant) encodes the state of site i
@@ -58,6 +58,18 @@ def chain_length(spectral) -> int:
 def z_signs(sector, site: int) -> np.ndarray:
     """+-1.0 of sigma_z(site) on each basis pattern, as 2 * float(bit) - 1."""
     return 2.0 * ((sector.basis >> np.uint64(site)) & np.uint64(1)).astype(np.float64) - 1.0
+
+
+def total_spin_ladder(sector, vec: np.ndarray, raising: bool):
+    """Total S+ (raising) or S- of a sector vector: (adjacent sector, image), each
+    flipped pattern found by binary search in the target basis."""
+    target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
+    image = np.zeros(target.dim)
+    for site in range(sector.n_sites):
+        bit = np.uint64(1 << site)
+        src = np.nonzero(((sector.basis & bit) == 0) == raising)[0]
+        image[np.searchsorted(target.basis, sector.basis[src] ^ bit)] += vec[src]
+    return target, image
 
 
 def random_pure_qubit(rng) -> np.ndarray:

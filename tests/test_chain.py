@@ -11,7 +11,6 @@ import spinchannel.chain
 from spinchannel.chain import (
     ChainSpec,
     SparseOperator,
-    apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
@@ -34,6 +33,7 @@ from conftest import (
     dense_chain_hamiltonian,
     dense_transfer_hamiltonian,
     site_operator,
+    total_spin_ladder,
     z_signs,
 )
 
@@ -402,7 +402,7 @@ class TestCorrelators:
 
 
 class TestTotalSpinLadder:
-    """Total S+- against the kron-product total spin and the binary-search form."""
+    """The test oracle's total S+- (conftest) against the kron-product total spin."""
 
     @staticmethod
     def total_spin(n_sites):
@@ -423,7 +423,7 @@ class TestTotalSpinLadder:
             full[sector.basis] = v
             s2 = full @ s_squared @ full
             for raising, dense_op in ((True, s_plus), (False, s_minus)):
-                target, image = apply_total_spin_ladder(sector, v, raising)
+                target, image = total_spin_ladder(sector, v, raising)
                 dense_image = dense_op @ full
                 assert target.twice_sz == (2 if raising else -2)
                 # every entry is a sum of at most L unit-vector entries and
@@ -447,36 +447,12 @@ class TestTotalSpinLadder:
             vec = rng.standard_normal(sector.dim)
             full = np.zeros(2**length)
             full[sector.basis] = vec
-            target, image = apply_total_spin_ladder(sector, vec, raising)
+            target, image = total_spin_ladder(sector, vec, raising)
             dense_image = dense_op @ full
             assert target.twice_sz == twice_sz + step
             # the image lies inside the target sector and matches it there
             assert dense_image @ dense_image == pytest.approx(image @ image, rel=1e-13)
             np.testing.assert_allclose(image, dense_image[target.basis], rtol=0, atol=1e-12)
-
-    @staticmethod
-    def searchsorted_ladder(sector, vec, raising):
-        """The ladder by binary search of each flipped pattern in the target basis."""
-        target = enumerate_sector(sector.n_sites, sector.twice_sz + (2 if raising else -2))
-        image = np.zeros(target.dim)
-        for site in range(sector.n_sites):
-            bit = np.uint64(1 << site)
-            src = np.nonzero(((sector.basis & bit) == 0) == raising)[0]
-            image[np.searchsorted(target.basis, sector.basis[src] ^ bit)] += vec[src]
-        return image
-
-    @pytest.mark.parametrize("length", [12, 14])
-    def test_bit_identical_to_searchsorted_form(self, length):
-        rng = np.random.default_rng(length)
-        for twice_sz in range(-length, length + 1, 2):
-            sector = enumerate_sector(length, twice_sz)
-            vec = rng.standard_normal(sector.dim)
-            for raising in (True, False):
-                if abs(twice_sz + (2 if raising else -2)) > length:
-                    continue
-                _, image = apply_total_spin_ladder(sector, vec, raising)
-                expected = self.searchsorted_ladder(sector, vec, raising)
-                assert image.tobytes() == expected.tobytes()
 
 
 class TestBlockMaps:

@@ -14,14 +14,15 @@ from spinchannel.eigensolve import DEFAULT_SEED, DEFAULT_TOL
     "check, module, name, shift",
     [
         (checks.lanczos_vs_dense, spinchannel.eigensolve, "dense_spectrum", 1e-8),
+        (checks.triplet_ordering, spinchannel.eigensolve, "dense_spectrum", 1e-8),
         (checks.threshold_bisection, spinchannel.teleport, "threshold_temperature", 1e-8),
         (checks.channel_state_independence, spinchannel.teleport, "apply_channel", 1e-10),
         # f*(-1) = 1 - 1e-9 makes the singlet margin -3e-9
         (checks.enhancement_inequality, spinchannel.transfer, "max_fidelity", -1e-9),
         (checks.werner_concurrence_oracle, spinchannel.entangle, "werner_concurrence", 1e-8),
     ],
-    ids=["lanczos-vs-dense", "threshold-bisection", "channel-state-independence",
-         "enhancement-inequality", "werner-concurrence-oracle"],
+    ids=["lanczos-vs-dense", "triplet-ordering", "threshold-bisection",
+         "channel-state-independence", "enhancement-inequality", "werner-concurrence-oracle"],
 )
 def test_injected_fault_fails_the_check(monkeypatch, check, module, name, shift):
     true_fn = getattr(module, name)

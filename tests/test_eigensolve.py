@@ -11,11 +11,10 @@ from scipy.sparse import csr_matrix, diags
 import spinchannel.chain
 import spinchannel.eigensolve
 from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
-from spinchannel.chain import apply_total_spin_ladder, expand_to_sector, grow_into_block
+from spinchannel.chain import expand_to_sector, grow_into_block
 from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation, symmetry_block
 from spinchannel.eigensolve import (
     DEFAULT_TOL,
-    EigenPair,
     SpectralData,
     dense_spectrum,
     lowest_eigenpairs,
@@ -23,7 +22,7 @@ from spinchannel.eigensolve import (
 )
 from spinchannel.errors import ConfigError, ConvergenceError, DimensionError, OrderingError
 
-from conftest import dense_chain_hamiltonian
+from conftest import dense_chain_hamiltonian, total_spin_ladder
 
 
 class TestLowestEigenpairs:
@@ -443,38 +442,11 @@ class TestSpectralData:
         with pytest.raises(OrderingError):
             spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2), tol=1.0)
 
-    def test_non_triplet_second_state_trips_guard(self, monkeypatch):
-        # L = 6 septet member at m = 0: the uniform superposition of the 20
-        # configurations, <S^2> = 12, energy (Jp + 3J + Jp)/4.  It is even
-        # under inversion and reflection, so it lives in block (1, 1), which
-        # is T0's block (-s, -s) at L = 6; the fake solver replaces that
-        # block's lowest state by it.  Its block vector is the uniform state
-        # projected through the transposed expansion, sqrt(|O_r| / 20) on
-        # representative r.  (At L = 4 that block holds only triplets.)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
-        energy = (0.5 + 3.0 + 0.5) / 4.0
-        sector0 = enumerate_sector(6, 0)
-        expansion = _block_expansion(symmetry_block(6, 1, 1), sector0)
-        septet = expansion.T @ np.full(sector0.dim, 1.0 / np.sqrt(sector0.dim))
-        true_solve = spinchannel.eigensolve.lowest_eigenpairs
-        replaced = []
-
-        def septet_in_its_block(op, k, *args, **kwargs):
-            if op.dim == septet.size and np.linalg.norm(op.matrix @ septet - energy * septet) < 1e-12:
-                replaced.append(op.dim)
-                return [EigenPair(energy, septet, 0.0)]
-            return true_solve(op, k, *args, **kwargs)
-
-        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", septet_in_its_block)
-        with pytest.raises(OrderingError, match=r"<S\^2> = 12,"):
-            spectral_data(spec)
-        assert replaced == [7]
-
     def test_both_block_solves_precede_the_expansions(self, monkeypatch):
         # a plain m = 0 vector holds four block vectors' worth of entries; none
         # may be alive while the second block is assembled and solved.  T0's
-        # block (solved second) is expanded first: the S^2 guard and T0's
-        # correlators run before G's vector exists
+        # block (solved second) is expanded first: T0's correlators run before
+        # G's vector exists
         solve = spinchannel.eigensolve.lowest_eigenpairs
         expand = spinchannel.eigensolve.expand_to_sector
         calls = []
@@ -513,7 +485,8 @@ class TestSpectralData:
     @pytest.mark.parametrize("grown", [False, True])
     def test_one_m0_enumeration_per_call(self, monkeypatch, grown):
         # the blocks list their own representatives, so the plain m = 0 basis is
-        # enumerated once, for the correlators after both solves
+        # enumerated once, for the correlators after both solves, and no other
+        # sector is listed: the triplet's spin is a theorem, not a run-time check
         short = spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1)) if grown else None
         enumerate_m, patterns = spinchannel.eigensolve.enumerate_sector, spinchannel.chain._patterns
         sectors, listed = [], []
@@ -531,18 +504,24 @@ class TestSpectralData:
         spectral_data(ChainSpec(L=14, J=1.0, Jp=0.1), grow_from=short)
         assert sectors == [(14, 0)]
         assert listed.count((14, 7)) == 1
+        assert (14, 8) not in listed
 
-    @pytest.mark.parametrize("length", [8, 10, 12])
-    @pytest.mark.parametrize("jp", [0.1, 0.2])
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
+    @pytest.mark.parametrize("jp", [0.01, 0.1, 0.2, 1.0, 5.0, 100.0])
     def test_triplet_matches_m1_solve(self, length, jp):
-        # the m = 1 route that spectral_data no longer takes, kept as an oracle
-        # for the Wigner-Eckart correlators
+        # the lowest state of T0's block is the triplet (Marshall and Lieb-Mattis):
+        # its energy is the lowest m = 1 level, and the lowest m = 2 level lies
+        # above it, which an S = 3 state would not.  The m = 1 route that
+        # spectral_data does not take is the oracle of the Wigner-Eckart correlators
         spec = ChainSpec(L=length, J=1.0, Jp=jp)
         sd = spectral_data(spec)
         sector1 = enumerate_sector(length, 2)
         (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, sector1), 1, tol=1e-12)
+        (lowest_m2,) = lowest_eigenpairs(
+            build_chain_hamiltonian(spec, enumerate_sector(length, 4)), 1, tol=1e-12)
         a, b = spec.site_a, spec.site_b
         assert sd.e_triplet == pytest.approx(pair.energy, abs=1e-10)
+        assert lowest_m2.energy - sd.e_triplet > 1e-9
         assert sd.gzz_triplet == pytest.approx(
             pauli_zz_expectation(sector1, pair.vector, a, b), abs=1e-10
         )
@@ -594,7 +573,7 @@ class TestGrownStarts:
         for sign, vec, s2 in ((s, short.ground, 0.0), (-s, short.triplet, 2.0)):
             block = symmetry_block(length, sign, sign)
             start = expand_to_sector(block, grow_into_block(block, vec))
-            _, raised = apply_total_spin_ladder(sector, start, raising=True)
+            _, raised = total_spin_ladder(sector, start, raising=True)
             assert start @ start == pytest.approx(1.0, abs=1e-12)
             assert raised @ raised == pytest.approx(s2, abs=1e-12)
 

@@ -140,18 +140,20 @@ class TestGrownSweep:
         assert grown_from == [(6, None), (8, 6), (12, None), (14, None), (16, 14), (20, None)]
 
     def test_l_minus_2_is_freed_before_the_next_solve(self):
-        # the L = 16 vectors must die before the L = 18 solves, so
-        # the sweep's peak is that of the L = 18 solve, plus at most the second
-        # start vector built before the first assembly
+        # the L = 16 vectors must die before the L = 18 solves, so the sweep
+        # peaks where one L = 18 call grown from an L = 16 result does, within
+        # half an L = 18 block vector (49 KB); a live L = 16 plain vector is 103 KB
+        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
         block_dim = symmetry_block(18, -1, -1).dim
+        short = spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
         gap_sweep([16, 18], 0.1)  # warm caches and imports
         tracemalloc.start()
         try:
-            spectral_data(ChainSpec(L=18, J=1.0, Jp=0.1))
-            _, alone = tracemalloc.get_traced_memory()
+            spectral_data(spec, grow_from=short)
+            _, grown = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             gap_sweep([16, 18], 0.1)
             _, sweep = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sweep <= alone + 8 * block_dim
+        assert sweep <= grown + 4 * block_dim

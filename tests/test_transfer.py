@@ -18,7 +18,6 @@ import spinchannel.eigensolve
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
-    apply_total_spin_ladder,
     build_bond_hamiltonian,
     build_chain_hamiltonian,
     build_transfer_hamiltonian,
@@ -48,7 +47,7 @@ from spinchannel.transfer import (
     three_site_oracle,
 )
 
-from conftest import dense_transfer_hamiltonian, random_pure_qubit, z_signs
+from conftest import dense_transfer_hamiltonian, random_pure_qubit, total_spin_ladder, z_signs
 
 G_VALUES = (-1.0, -0.5, 0.0, 1.0 / 3.0)
 
@@ -444,21 +443,25 @@ class TestFullChainTransfer:
 
     def test_triplet_without_flip_parity_raises_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
-            raise AssertionError("transfer Hamiltonian assembled for a triplet of mixed parity")
+            raise AssertionError("transfer Hamiltonian assembled for a triplet of wrong parity")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
-        sd = spectral_data(spec)
-        # G and T0 have opposite spin-flip parities, so their sum has <F> = 0
-        mixed = replace(sd, triplet=(sd.ground + sd.triplet) / np.sqrt(2.0))
-        with pytest.raises(OrderingError, match="parity"):
-            full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=mixed)
+        for length in (6, 8):
+            spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+            sd = spectral_data(spec)
+            block_sign = -((-1) ** (length // 2))
+            # G and T0 have spin-flip parities s and -s: their sum has <F> = 0, and G
+            # in T0's slot has |<F>| = 1 with the wrong sign, which a +-1 check passed
+            for triplet in ((sd.ground + sd.triplet) / np.sqrt(2.0), sd.ground):
+                with pytest.raises(OrderingError, match=f"not its block's -s = {block_sign}$"):
+                    full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3,
+                                        spectral=replace(sd, triplet=triplet))
 
     def test_flip_ladder_is_ladder_after_reversal(self, rng):
         # F maps the 2Sz = +1 sector onto -1 by reversing the sorted basis
         sector = enumerate_sector(7, 1)
         vec = rng.standard_normal(sector.dim)
-        target, image = apply_total_spin_ladder(enumerate_sector(7, -1), vec[::-1], raising=True)
+        target, image = total_spin_ladder(enumerate_sector(7, -1), vec[::-1], raising=True)
         assert target.twice_sz == 1
         np.testing.assert_allclose(
             vec[transfer._flip_ladder(sector)].sum(axis=0), image, rtol=0.0, atol=1e-14
@@ -913,7 +916,9 @@ class TestChebyshevJump:
     def interval(length, gamma=0.3):
         return transfer._spectral_interval(ChainSpec(L=length, J=1.0, Jp=0.5), gamma)
 
-    @pytest.mark.parametrize("t0", [0.3, 40.0, 400.0])
+    # t0 = 4000 puts z = radius * t0 at 8.6e3-1.7e4, where jv's rounding in the
+    # Bessel check reaches 1e-12 (L = 8 and 10 exceed it)
+    @pytest.mark.parametrize("t0", [0.3, 40.0, 400.0, 4000.0])
     @pytest.mark.parametrize("length", [6, 8, 10])
     def test_matches_dense_evolution_within_its_bound(self, rng, length, t0):
         matrix = self.real_transfer_matrix(length)
