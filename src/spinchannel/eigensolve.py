@@ -14,7 +14,8 @@ shorter, so runs are bit-reproducible.  Blocks up to dim 256 (all m = 0
 blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
-triplet, from two symmetry blocks of the m = 0 sector; SU(2) fixes
+triplet, from two symmetry blocks of the m = 0 sector, solved side by side
+in the caller and a forked worker once they are large; SU(2) fixes
 the other triplet members.  That the lowest state of the triplet's block is
 the triplet is a theorem for J, Jp > 0 (Marshall's sign rule and Lieb-Mattis,
 see ``spectral_data``); ``validate`` checks it against dense spectra once.
@@ -65,6 +66,10 @@ _LANCZOS_MAX_STEPS = 5_000  # k = 1: steps of one Lanczos run (<= 80 in the comm
 _LANCZOS_RESTARTS = 2       # k = 1: reruns from the Ritz vector of a pair above tol
 _ARPACK_NCV = 12            # k >= 2: Lanczos vectors ARPACK keeps for k <= 5 (2k + 1 above)
 _ARPACK_MAXITER = 50_000    # k >= 2: ARPACK's maxiter, implicit restarts allowed
+# spectral_data forks a worker for T0's block from this dim on.  Medians of 11 calls, grown
+# and random starts: L = 14 (dim 890) took 15-19 ms in one process and 19-23 ms with a
+# worker, L = 16 (dim 3,264) 19-34 ms and 21-27 ms, L = 18 74-122 ms and 55-61 ms
+_WORKER_MIN_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -285,6 +290,11 @@ def dense_spectrum(op: SparseOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.matrix.toarray())
 
 
+def _lowest_in_block(spec: ChainSpec, block, tol: float, seed: int, start) -> EigenPair:
+    (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol, seed=seed, v0=start)
+    return pair
+
+
 def spectral_data(
     spec: ChainSpec,
     tol: float = DEFAULT_TOL,
@@ -309,7 +319,11 @@ def spectral_data(
     singlet inserted (``grow_into_block``): pure S = 0 and S = 1, the lowest
     spins of their blocks by Lieb-Mattis.  Both starts are built, and
     ``grow_from`` dropped, before any assembly (one without vectors raises
-    ConfigError, one of another length DimensionError).  The plain m = 0
+    ConfigError, one of another length DimensionError).  From T0's block dim
+    ``_WORKER_MIN_DIM`` on, a forked worker (``worker.call_both``) assembles and
+    solves it while the caller does G's; its errors arrive with their type
+    (ConvergenceError with its residuals), and the bytes are those of one
+    process.  The caller alone expands and measures.  The plain m = 0
     basis is enumerated once, after both solves; |T0> is expanded and
     measured before |G> is expanded, so the index arrays of its xx
     correlator never live next to two plain m = 0 vectors.
@@ -326,9 +340,15 @@ def spectral_data(
         for block, vec in zip(blocks, (grow_from.ground, grow_from.triplet))]
     for block, start in zip(blocks, starts):
         _check_start(start, block.dim)
-    del grow_from, start  # no L - 2 vector lives through a solve, no start past its own
-    (ground,), (triplet,) = [lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, tol,
-                                               seed=seed, v0=starts.pop(0)) for block in blocks]
+    calls = [(spec, block, tol, seed, start) for block, start in zip(blocks, starts)]
+    # no L - 2 vector lives through a solve, and popped calls free each start with its solve
+    del grow_from, starts, start
+    if blocks[1].dim < _WORKER_MIN_DIM:
+        ground, triplet = [_lowest_in_block(*calls.pop(0)) for _ in blocks]
+    else:
+        from .worker import call_both  # imported here: only a large block forks
+
+        ground, triplet = call_both(_lowest_in_block, calls.pop(0), calls.pop(0))
     if triplet.energy - ground.energy <= 10.0 * tol:
         raise OrderingError(
             f"singlet and triplet degenerate within 10*tol "

@@ -32,8 +32,6 @@ jump.
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +46,6 @@ from .errors import (
     FlatCurveError,
     OrderingError,
     PropagationError,
-    SpinChainError,
     UnsupportedRegimeError,
 )
 from .thermal import (SIGMA_DOT_SIGMA, boltzmann_factor, thermal_g, validate_werner_g,
@@ -70,6 +67,7 @@ __all__ = [
 
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
+_KRYLOV_REACH = 28.0  # radius * dt that one Krylov step covers (see _grid_step_products)
 _JUMP_TERM_COST = 0.33  # one real Chebyshev term in complex Lanczos steps (measured, L = 14)
 # a jump's Bessel tail bound as a fraction of krylov_tol: a Krylov step's error estimate
 # overstates its error by orders of magnitude, the tail does not; at 1e-3 the jump's error
@@ -384,18 +382,30 @@ def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float, interval):
     return psi, float(tails[terms])
 
 
+def _grid_step_products(rho: np.ndarray) -> np.ndarray:
+    """Krylov products of grid steps whose radius * spacing is rho, a pure function of rho.
+
+    Measured at L = 8..14 and tol 1e-10: one _KRYLOV_DIM step covers rho up to
+    25.7-30 (_KRYLOV_REACH); past that the step control's halving averages
+    max(2.75, rho / 20) steps (2.75 at rho = 32, 4.7 at 94, 7.1-9.3 at 150).
+    """
+    steps = np.where(rho <= _KRYLOV_REACH, 1.0, np.maximum(2.75, rho / 20.0))
+    return _KRYLOV_DIM * steps
+
+
 def _split_index(times: np.ndarray, radius: float) -> int:
     """Grid index where the worker's segment of a T = 0 trajectory starts.
 
-    The caller takes one Krylov step (_KRYLOV_DIM products) per grid step to
-    times[k - 1]; the worker jumps to times[k] with ~radius * times[k] Chebyshev
-    terms at _JUMP_TERM_COST steps each and steps on to the end.  k balances
-    the two estimates; a pure function of the grid and the radius, so the
-    bytes never depend on timing.
+    The caller Krylov-steps to times[k - 1]; the worker jumps to times[k] with
+    ~radius * times[k] Chebyshev terms at _JUMP_TERM_COST products each and
+    steps on to the end.  Each grid step is priced by ``_grid_step_products``,
+    and k balances the two estimates; a pure function of the grid and the
+    radius, so the bytes never depend on timing.
     """
+    reached = np.concatenate(([0.0], np.cumsum(_grid_step_products(radius * np.diff(times)))))
     ks = np.arange(1, times.size)
-    caller = _KRYLOV_DIM * (ks - 1.0)
-    worker = _JUMP_TERM_COST * radius * times[ks] + _KRYLOV_DIM * (times.size - 1.0 - ks)
+    caller = reached[ks - 1]
+    worker = _JUMP_TERM_COST * radius * times[ks] + (reached[-1] - reached[ks])
     return int(ks[np.argmin(np.maximum(caller, worker))])
 
 
@@ -482,16 +492,16 @@ def full_chain_transfer(
     picks from the grid and the radius of ``_spectral_interval``: the caller
     steps the first part, and the worker jumps to the second part's first time with one
     Chebyshev series of the real start state (``_chebyshev_jump``) and steps on,
-    which moves theta there in its last digits only.  Worker errors keep their
-    type, a worker that dies without one raises SpinChainError, and a caller
-    error ends the worker at once (SIGTERM); no process outlives the call, and
-    a script that calls this under the spawn or forkserver start method needs
-    the ``if __name__ == "__main__":`` guard.  t* and f* are the vertex of the
-    quadratic fit through the grid maximum and its neighbours, if it lies among
-    them.  A negative or non-finite gamma or T, or non-finite times raise
-    ValueError, a missing or misfitting ground vector (or triplet vector at
-    x > 0) ConfigError, and at x > 0 an f off T0's block sign -s = -(-1)^(L/2)
-    by more than 1e-8 OrderingError, before any assembly or worker.  Memory
+    which moves theta there in its last digits only.  The worker is forked
+    (``worker.call_both``) under any start method: its errors keep their type,
+    a worker that dies without one raises SpinChainError, and a caller error
+    ends the worker at once (SIGTERM); no process outlives the call.  t* and
+    f* are the vertex of the quadratic fit through the grid maximum and its
+    neighbours, if it lies among them.  A negative or non-finite gamma or T,
+    or non-finite times raise ValueError, a missing or misfitting ground
+    vector (or triplet vector at x > 0) ConfigError, and at x > 0 an f off
+    T0's block sign -s = -(-1)^(L/2) by more than 1e-8 OrderingError, before
+    any assembly or worker.  Memory
     and time grow combinatorially with L; the CLI caps L at
     FULL_CHAIN_LENGTH_CAP.
     """
@@ -519,24 +529,10 @@ def full_chain_transfer(
                                 f"not its block's -s = {block_sign}")
         w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
         own_times, remote_args = times, (spectral.triplet, times, krylov_tol, parity)
-    # imported here: only full-chain transfer starts a worker, so no other command imports
-    # the process machinery
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from .worker import call_both  # imported here: no other command forks a worker
 
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(os.getpid)
-        remote = pool.submit(_branch_theta, spec, gamma, *remote_args)
-        try:
-            own = _branch_theta(spec, gamma, spectral.ground, own_times, krylov_tol)
-        except BaseException:
-            if not remote.done():  # end the worker's trajectory rather than join it
-                os.kill(worker.result(), signal.SIGTERM)
-            raise
-        try:
-            other = remote.result()
-        except BrokenProcessPool as exc:
-            raise SpinChainError("the worker process ended without a result") from exc
+    own, other = call_both(_branch_theta, (spec, gamma, spectral.ground, own_times, krylov_tol),
+                           (spec, gamma, *remote_args))
     theta = np.concatenate((own, other)) if x == 0.0 else w0 * own + w * other
 
     fidelities = (1.0 + theta) / 2.0

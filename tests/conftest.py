@@ -6,13 +6,14 @@ products, independently of the bit-twiddling sector machinery under test.
 
 from __future__ import annotations
 
-import concurrent.futures
 from functools import reduce
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+
+import spinchannel.worker
 
 from spinchannel.chain import ChainSpec, chain_bonds, enumerate_sector
 
@@ -102,28 +103,12 @@ def arpack_dims(monkeypatch):
     return dims
 
 
-class InProcessPool:
-    """Stand-in for ProcessPoolExecutor: each submitted call runs at once, in this process."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+def in_process_call_both(fn, own_args, worker_args):
+    """Stand-in for worker.call_both: both calls run in this process, the worker's second."""
+    return fn(*own_args), fn(*worker_args)
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Run full_chain_transfer's worker calls in-process, where monkeypatches see them."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def in_process_worker(monkeypatch):
+    """Run the worker's call in-process, where monkeypatches and counters see it."""
+    monkeypatch.setattr(spinchannel.worker, "call_both", in_process_call_both)

@@ -413,8 +413,8 @@ class TestWorkerProcess:
     ARGV = ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--out", "o.csv"]
 
     def test_bytes_do_not_depend_on_the_start_method(self, monkeypatch, tmp_path):
-        # spawn is the default on macOS (forkserver on Linux from Python 3.14): the
-        # worker's function and arguments are pickled into a fresh interpreter there.
+        # spawn is the default on macOS (forkserver on Linux from Python 3.14); the
+        # worker is forked whatever the default, so a script needs no __main__ guard.
         # At T = 0 the worker jumps to the second segment of G's grid, at T > 0 it
         # propagates T0.
         for temperature in ("0", "0.01"):
@@ -434,14 +434,15 @@ class TestWorkerProcess:
             for name in ("o.csv", "o.json"):
                 assert (spawn / name).read_bytes() == (default / name).read_bytes()
 
-    def test_process_pool_and_bessel_functions_stay_unloaded(self, tmp_path):
-        # only full mode starts a worker, and only a worker jumps (scipy.special's jv):
-        # the other commands load neither module, a T = 0 full-mode caller no jv
+    def test_worker_and_bessel_functions_stay_unloaded(self, tmp_path):
+        # only full mode and blocks from _WORKER_MIN_DIM on fork a worker, and only a
+        # worker jumps (scipy.special's jv): the other commands load neither module, a
+        # T = 0 full-mode caller no jv
         commands = [
-            ["gap-scan", "--l-min", "8", "--l-max", "12", "--jp", "0.2"],
+            ["gap-scan", "--l-min", "8", "--l-max", "14", "--jp", "0.2"],
             ["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "1e-3", "--temp-max",
              "1e-1", "--temp-points", "5"],
-            ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "12", "--jp", "0.2"],
+            ["transfer", "--mode", "effective", "--l-min", "8", "--l-max", "14", "--jp", "0.2"],
             ["transfer", "--mode", "full", "--length", "8", "--jp", "0.2"],
         ]
         loaded = run_in_subprocess(
@@ -449,11 +450,12 @@ class TestWorkerProcess:
             "from spinchannel.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv + ['--out', 'o.csv']) == 0\n"
-            "    print(sorted(m for m in ('concurrent.futures.process', 'scipy.special')\n"
-            "                 if m in sys.modules))\n",
+            "    print(sorted(m for m in ('multiprocessing', 'scipy.special',\n"
+            "                             'spinchannel.worker') if m in sys.modules))\n",
             [json.dumps(commands)], tmp_path,
         )
-        assert loaded.split("\n")[:4] == ["[]", "[]", "[]", "['concurrent.futures.process']"]
+        assert loaded.split("\n")[:4] == [
+            "[]", "[]", "[]", "['multiprocessing', 'spinchannel.worker']"]
 
 
 def test_gap_scan_leaves_arpack_unloaded(tmp_path):

@@ -1,5 +1,8 @@
 """Lanczos eigensolver against the dense oracle, plus spectral_data checks."""
 
+import multiprocessing
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +13,7 @@ from scipy.sparse import csr_matrix, diags
 
 import spinchannel.chain
 import spinchannel.eigensolve
+import spinchannel.worker
 from spinchannel.chain import ChainSpec, SparseOperator, build_bond_hamiltonian, build_chain_hamiltonian, enumerate_sector
 from spinchannel.chain import expand_to_sector, grow_into_block
 from spinchannel.chain import pauli_xx_expectation, pauli_zz_expectation, symmetry_block
@@ -20,7 +24,9 @@ from spinchannel.eigensolve import (
     lowest_eigenpairs,
     spectral_data,
 )
-from spinchannel.errors import ConfigError, ConvergenceError, DimensionError, OrderingError
+from spinchannel.errors import (ConfigError, ConvergenceError, DimensionError, OrderingError,
+                                SpinChainError)
+from spinchannel.scaling import gap_sweep
 
 from conftest import dense_chain_hamiltonian, total_spin_ladder
 
@@ -587,7 +593,8 @@ class TestGrownStarts:
             assert getattr(grown, name) == pytest.approx(getattr(fresh, name), abs=1e-10)
 
     @pytest.mark.parametrize("length", [16, 18])
-    def test_grown_start_saves_products(self, monkeypatch, length):
+    def test_grown_start_saves_products(self, monkeypatch, in_process_worker, length):
+        # the worker's block is solved in process here, so both blocks' products count
         spec = ChainSpec(L=length, J=1.0, Jp=0.1)
         short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
         counts = _counting_products(monkeypatch)
@@ -672,3 +679,112 @@ class TestGrownStarts:
         monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", no_assembly)
         with pytest.raises(error, match=message):
             spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1), grow_from=grow_from)
+
+
+def in_process_spectral_data(spec, grow_from=None):
+    """spectral_data's result from both block solves in this process, by lowest_eigenpairs."""
+    s = (-1) ** (spec.L // 2)
+    starts = (None, None) if grow_from is None else (grow_from.ground, grow_from.triplet)
+    solved = []
+    for sign, short in zip((s, -s), starts):
+        block = symmetry_block(spec.L, sign, sign)
+        v0 = None if short is None else grow_into_block(block, short)
+        (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, v0=v0)
+        solved.append((pair.energy, expand_to_sector(block, pair.vector)))
+    (e0, ground), (e_triplet, triplet) = solved
+    sector = enumerate_sector(spec.L, 0)
+    a, b = spec.site_a, spec.site_b
+    zz0, xx0 = (f(sector, triplet, a, b) for f in (pauli_zz_expectation, pauli_xx_expectation))
+    return SpectralData(e0=e0, e_triplet=e_triplet, gap=e_triplet - e0,
+                        gzz_ground=pauli_zz_expectation(sector, ground, a, b),
+                        gzz_triplet=xx0, gxx_triplet=0.5 * (zz0 + xx0),
+                        ground=ground, triplet=triplet)
+
+
+def _solve_by_process(monkeypatch, in_caller, in_worker):
+    """Patch lowest_eigenpairs to run in_caller in this process and in_worker in any other."""
+    caller, solve = os.getpid(), spinchannel.eigensolve.lowest_eigenpairs
+
+    def split(op, k, tol, **kwargs):
+        return (in_caller if os.getpid() == caller else in_worker)(solve, op, k, tol, **kwargs)
+
+    monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", split)
+
+
+class TestWorkerBlock:
+    """From _WORKER_MIN_DIM on, T0's block is solved in a forked worker process."""
+
+    def test_crossover_lies_between_the_measured_blocks(self):
+        # L = 14 (dim 890) is faster in one process, L = 16 (dim 3,264) with a worker
+        dims = [symmetry_block(L, -s, -s).dim for L, s in ((14, -1), (16, 1))]
+        assert dims[0] < spinchannel.eigensolve._WORKER_MIN_DIM <= dims[1]
+
+    @pytest.mark.parametrize("length", [16, 18, 20])
+    def test_bytes_equal_both_blocks_in_process(self, length):
+        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1)) if length == 18 else None
+        forked, oracle = spectral_data(spec, grow_from=short), in_process_spectral_data(spec, short)
+        for name in ("e0", "e_triplet", "gap", "gzz_ground", "gzz_triplet", "gxx_triplet"):
+            assert getattr(forked, name).hex() == getattr(oracle, name).hex()
+        assert forked.ground.tobytes() == oracle.ground.tobytes()
+        assert forked.triplet.tobytes() == oracle.triplet.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_convergence_error_arrives_typed(self, monkeypatch):
+        # T0's block (dim 3,264 at L = 16) fails at a tol below round-off, wherever it is
+        # solved: forked, the error keeps its type and residuals, and gap_sweep skips the
+        # length with the warning it writes when both blocks are solved in process.  The
+        # step cap, above the <= 80 steps the other solves take, keeps the failure quick
+        monkeypatch.setattr(spinchannel.eigensolve, "_LANCZOS_MAX_STEPS", 100)
+        t0_dim, solve = symmetry_block(16, -1, -1).dim, spinchannel.eigensolve.lowest_eigenpairs
+
+        def failing_t0(op, k, tol, **kwargs):
+            return solve(op, k, 1e-300 if op.dim == t0_dim else tol, **kwargs)
+
+        monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", failing_t0)
+        with pytest.raises(ConvergenceError, match=f"dim = {t0_dim}") as failure:
+            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+        assert len(failure.value.residuals) == 1 and failure.value.residuals[0] > 1e-300
+        assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
+        forked = gap_sweep([14, 16, 18], 0.1)
+        monkeypatch.setattr(spinchannel.eigensolve, "_WORKER_MIN_DIM", 10**9)
+        in_process = gap_sweep([14, 16, 18], 0.1)
+        assert forked.skipped == in_process.skipped == (16,)
+        assert forked.warnings == in_process.warnings
+        assert forked.warnings[0].startswith("L = 16 skipped: Lanczos residual")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_a_package_error(self, monkeypatch):
+        def in_caller(solve, *args, **kwargs):
+            return solve(*args, **kwargs)
+
+        def exiting(solve, *args, **kwargs):
+            os._exit(3)
+
+        _solve_by_process(monkeypatch, in_caller, exiting)
+        with pytest.raises(SpinChainError, match="worker process ended without a result"):
+            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_does_not_wait_for_the_worker(self, monkeypatch):
+        def failing(solve, *args, **kwargs):
+            raise ConvergenceError("caller failed", residuals=[1.0])
+
+        def sleeping(solve, *args, **kwargs):
+            time.sleep(5.0)
+            return solve(*args, **kwargs)
+
+        _solve_by_process(monkeypatch, failing, sleeping)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="caller failed"):
+            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+        assert time.perf_counter() - start < 2.5
+        assert multiprocessing.active_children() == []
+
+    def test_small_blocks_fork_nothing(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("a worker was forked for a block below _WORKER_MIN_DIM")
+
+        monkeypatch.setattr(spinchannel.worker, "call_both", no_fork)
+        for length in (10, 12, 14):
+            spectral_data(ChainSpec(L=length, J=1.0, Jp=0.1))

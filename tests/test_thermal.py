@@ -1,10 +1,9 @@
 """Thermal Werner parameter, its temperature rule and the Werner density matrix."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
+import spinchannel.worker
 from spinchannel import transfer
 from spinchannel.chain import ChainSpec
 from spinchannel.eigensolve import SpectralData, spectral_data
@@ -90,7 +89,7 @@ class TestTemperatureRule:
             raise AssertionError("work started although the temperature is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_work)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(spinchannel.worker, "call_both", no_work)
         calls = {
             "thermal_g": lambda: thermal_g(sd, temperature),
             "fidelity_curve": lambda: fidelity_curve(sd, [temperature]),

@@ -1,13 +1,11 @@
 """Transfer closed forms vs the three-site oracle, and full-chain dynamics."""
 
-import concurrent.futures
 import math
 import multiprocessing
 import os
 import pickle
 import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 import spinchannel.eigensolve
+import spinchannel.worker
 from spinchannel import transfer
 from spinchannel.chain import (
     ChainSpec,
@@ -366,7 +365,7 @@ class TestFullChainTransfer:
         assert np.max(np.abs(curve.thetas - curve.thetas[0])) <= 1e-10
         assert curve.fidelities[0] == pytest.approx(0.5, abs=1e-10)
 
-    def test_one_transfer_sector_per_run(self, monkeypatch, in_process_pool):
+    def test_one_transfer_sector_per_run(self, monkeypatch, in_process_worker):
         # the whole T > 0 mixture lives in the up sender's 2Sz = +1 sector; the
         # caller (G) and the worker (T0) each build that sector's matrix
         built = []
@@ -383,7 +382,7 @@ class TestFullChainTransfer:
         )
         assert built == [1, 1]
 
-    def test_enumerates_only_its_own_sector(self, monkeypatch, in_process_pool):
+    def test_enumerates_only_its_own_sector(self, monkeypatch, in_process_worker):
         # the chain state is placed by a bit mask, not ranked from an L-site enumeration
         enumerated = []
         enumerate_own = transfer.enumerate_sector
@@ -413,7 +412,7 @@ class TestFullChainTransfer:
         np.testing.assert_array_equal(top, z_signs(sector, length))
 
     @pytest.mark.parametrize("temperature, trajectories", [(0.0, 2), (0.2, 2)])
-    def test_trajectories_per_run(self, monkeypatch, in_process_pool, temperature, trajectories):
+    def test_trajectories_per_run(self, monkeypatch, in_process_worker, temperature, trajectories):
         # at T = 0 two segments of G's grid that cover it exactly once, the second
         # reached by a jump; at T > 0 ground and T0 whole, the S+ branch follows from
         # T0's.  The in-process pool keeps the worker's trajectory where the count can see it.
@@ -473,7 +472,7 @@ class TestFullChainTransfer:
             raise AssertionError("work started although krylov_tol is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_solve)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_solve)
+        monkeypatch.setattr(spinchannel.worker, "call_both", no_solve)
         spec = ChainSpec(L=4, Jp=0.5)
         sd = spectral_data(spec)
         with pytest.raises(ValueError, match="krylov_tol"):
@@ -609,7 +608,7 @@ class TestWorkerProcess:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_a_package_error(self, monkeypatch):
-        # a worker that exits without a Python exception breaks the pool
+        # a worker that exits without a Python exception closes the pipe unwritten
         caller, trajectory = os.getpid(), transfer._trajectory
 
         def exiting_in_worker(matrix, psi, times, tol):
@@ -622,7 +621,7 @@ class TestWorkerProcess:
         sd = spectral_data(spec)
         with pytest.raises(SpinChainError, match="worker") as failure:
             full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=sd)
-        assert isinstance(failure.value.__cause__, BrokenProcessPool)
+        assert isinstance(failure.value.__cause__, EOFError)
         assert multiprocessing.active_children() == []
 
     def test_zero_temperature_worker_rules(self, monkeypatch):
@@ -663,7 +662,7 @@ class TestWorkerProcess:
         monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
         with pytest.raises(SpinChainError, match="worker") as failure:
             full_chain_transfer(spec, 0.0, times, gamma=0.3, spectral=sd)
-        assert isinstance(failure.value.__cause__, BrokenProcessPool)
+        assert isinstance(failure.value.__cause__, EOFError)
         assert multiprocessing.active_children() == []
 
     def test_package_errors_survive_pickling(self):
@@ -673,19 +672,19 @@ class TestWorkerProcess:
         assert str(error) == "no convergence"
 
     def test_zero_temperature_starts_one_worker(self, monkeypatch):
-        # G's grid is split between the caller and one worker process, which is gone after
-        pools, process_pool = [], concurrent.futures.ProcessPoolExecutor
+        # G's grid is split between the caller and one forked worker, which is gone after
+        forks, fork = [], multiprocessing.context.ForkProcess.start
 
-        def recorded(max_workers=None, **kwargs):
-            pools.append(max_workers)
-            return process_pool(max_workers, **kwargs)
+        def recorded(process):
+            forks.append(process)
+            return fork(process)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
         full_chain_transfer(
             spec, 0.0, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
-        assert pools == [1]
+        assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
     def test_underflowing_temperature_runs_the_zero_temperature_plan(self, monkeypatch):
@@ -707,13 +706,16 @@ class TestWorkerProcess:
         assert splits == [9, 9]
         assert tiny.thetas.tobytes() == cold.thetas.tobytes()
 
-    @pytest.mark.parametrize("length", [8, 10, 12])
-    def test_split_theta_equals_one_trajectory_in_process(self, length):
+    @pytest.mark.parametrize("length, jp, points", [(8, 0.1, 300), (10, 0.1, 300), (12, 0.1, 300),
+                                                    (10, 0.03, 600)],
+                             ids=["8", "10", "12", "10-jp0.03"])
+    def test_split_theta_equals_one_trajectory_in_process(self, length, jp, points):
         # the caller's segment is the unsplit trajectory's to the bit; the worker's,
-        # reached by a Chebyshev jump, agrees to 1e-10
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        # reached by a Chebyshev jump, agrees to 1e-10.  At Jp = 0.03 a grid step takes
+        # ~4.7 Krylov steps, and the jump has z ~ 3e4
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
         sd = spectral_data(spec)
-        times = np.linspace(0.0, 1.35 * np.pi / sd.gap, 300)
+        times = np.linspace(0.0, 1.35 * np.pi / sd.gap, points)
         curve = full_chain_transfer(spec, 0.0, times, gamma=sd.gap, spectral=sd)
         unsplit = transfer._branch_theta(spec, sd.gap, sd.ground, times, transfer.DEFAULT_KRYLOV_TOL)
         split = transfer._split_index(times, transfer._spectral_interval(spec, sd.gap)[1])
@@ -746,7 +748,7 @@ class TestWorkerProcess:
             raise AssertionError("work started although an input is invalid")
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_work)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(spinchannel.worker, "call_both", no_work)
         spec = ChainSpec(L=4, Jp=0.5)
         with pytest.raises(ValueError, match=match):
             full_chain_transfer(spec, temperature, times, gamma=gamma, spectral=spectral_data(spec))
@@ -963,7 +965,7 @@ class TestChebyshevJump:
                                      40.0, 1e-300, self.interval(8))
 
     @pytest.mark.parametrize("length, gamma", [(4, 0.0), (8, 0.3), (12, 0.004)])
-    def test_split_radius_is_the_gershgorin_radius(self, monkeypatch, in_process_pool, length,
+    def test_split_radius_is_the_gershgorin_radius(self, monkeypatch, in_process_worker, length,
                                                    gamma):
         radii, split_index = [], transfer._split_index
 
@@ -977,6 +979,31 @@ class TestChebyshevJump:
                             spectral=spectral_data(spec))
         matrix = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix
         assert radii == [pytest.approx(gershgorin(matrix.real)[1], rel=1e-14)]
+
+    @pytest.mark.parametrize("length, jp, points, temperature, split", [
+        (14, 0.1, 300, 0.0, 175), (14, 0.1, 300, 1e-3, 176),  # the benchmark's argvs
+        (10, 0.05, 600, 0.0, 320),  # 2.75 Krylov steps per grid step: 364 when priced at 1
+        (10, 0.03, 600, 0.0, 337),  # 4.7 steps per grid step: 1 when priced at 1
+    ])
+    def test_split_of_the_command_grids(self, length, jp, points, temperature, split):
+        # the transfer command's grid: 1.35 times the predicted peak time
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        model = transfer.effective_coupling(spectral_data(spec), temperature=temperature)
+        times = np.linspace(0.0, 1.35 * transfer.predicted_peak(model)[0], points)
+        radius = transfer._spectral_interval(spec, model.gamma)[1]
+        assert transfer._split_index(times, radius) == split
+
+    @pytest.mark.parametrize("points", [8, 60, 300, 600])
+    def test_split_is_unchanged_where_one_step_covers_a_grid_step(self, points):
+        # oracle: every grid step priced at one Krylov step, _KRYLOV_DIM products
+        times = np.linspace(0.0, 1000.0, points)
+        for radius in np.linspace(0.1, 0.99, 10) * transfer._KRYLOV_REACH / times[1]:
+            ks = np.arange(1, times.size)
+            caller = transfer._KRYLOV_DIM * (ks - 1.0)
+            worker = (transfer._JUMP_TERM_COST * radius * times[ks]
+                      + transfer._KRYLOV_DIM * (times.size - 1.0 - ks))
+            oracle = int(ks[np.argmin(np.maximum(caller, worker))])
+            assert transfer._split_index(times, radius) == oracle
 
     def test_split_balances_the_estimated_work(self):
         # no jump cost: the midpoint; the jump's cost moves the split later
