@@ -12,11 +12,12 @@ validate   run the oracle cross-checks of ``spinchannel.checks``, the same
 
 An optional JSON config file (``--config``) is read as flags that the typed
 flags override; environment variables are never consulted.  Identical
-configuration and seed produce byte-identical output files.  gap-scan and
-effective-mode transfer read one ``scaling.gap_sweep`` per --jp value: with
---l-step 2 every length but the first starts its solves from the one before,
-and --seed seeds all other solves.  A length whose solve fails is skipped; the
-others are written and the run exits 1.
+configuration and seed produce byte-identical output files at a fixed BLAS
+thread count.  gap-scan and effective-mode transfer read one
+``scaling.gap_sweep`` per --jp value: with --l-step 2 every length but the
+first starts its solves from the one before, and --seed seeds all other
+solves.  A length whose solve fails is skipped; the others are written and
+the run exits 1.
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
 

@@ -67,7 +67,7 @@ __all__ = [
 
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
-_KRYLOV_REACH = 28.0  # radius * dt that one Krylov step covers (see _grid_step_products)
+_KRYLOV_REACH = 28.0  # radius * dt of _grid_steps' longest Krylov step (no halving at tol 1e-10)
 _JUMP_TERM_COST = 0.33  # one real Chebyshev term in complex Lanczos steps (measured, L = 14)
 # a jump's Bessel tail bound as a fraction of krylov_tol: a Krylov step's error estimate
 # overstates its error by orders of magnitude, the tail does not; at 1e-3 the jump's error
@@ -132,12 +132,9 @@ def closed_form_fidelity(model: EffectiveModel, t):
     return float(f) if f.ndim == 0 else f
 
 
-def _require_commensurate(model: EffectiveModel):
-    if not math.isclose(model.gamma, model.j_eff, rel_tol=1e-9, abs_tol=0.0):
-        raise UnsupportedRegimeError(
-            f"closed-form peak requires gamma = j_eff (got gamma = {model.gamma}, "
-            f"j_eff = {model.j_eff}); use numeric_peak for general gamma"
-        )
+def _commensurate(model: EffectiveModel) -> bool:
+    """gamma = j_eff to 1e-9 relative: where the closed-form peak holds."""
+    return math.isclose(model.gamma, model.j_eff, rel_tol=1e-9)
 
 
 def optimal_time(model: EffectiveModel) -> float:
@@ -150,7 +147,11 @@ def optimal_time(model: EffectiveModel) -> float:
     which is free of that cancellation and exact at the singlet,
     t* = pi/j_eff.
     """
-    _require_commensurate(model)
+    if not _commensurate(model):
+        raise UnsupportedRegimeError(
+            f"closed-form peak requires gamma = j_eff (got gamma = {model.gamma}, "
+            f"j_eff = {model.j_eff}); use numeric_peak for general gamma"
+        )
     g = validate_werner_g(model.g)
     j = model.j_eff
     u = g + 1.0
@@ -213,7 +214,7 @@ def predicted_peak(model: EffectiveModel) -> tuple[float, float]:
     Elsewhere the first maximum is found by numeric_peak on
     [0, 8 pi / min(j_eff, gamma)], with j_eff alone when gamma = 0.
     """
-    if math.isclose(model.gamma, model.j_eff, rel_tol=1e-9):
+    if _commensurate(model):
         return optimal_time(model), max_fidelity(model.g)
     scale = min(model.j_eff, model.gamma) if model.gamma > 0 else model.j_eff
     return numeric_peak(model, 8.0 * math.pi / scale)
@@ -301,23 +302,27 @@ def _krylov_step(matrix, psi: np.ndarray, dt_req: float, tol: float, basis: np.n
     return psi_new, dt
 
 
-def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float):
+def _grid_steps(spans: np.ndarray, radius: float) -> np.ndarray:
+    """Krylov steps of each grid span: ceil(radius * span / _KRYLOV_REACH), at least one."""
+    return np.maximum(1, np.ceil(radius * spans / _KRYLOV_REACH)).astype(int)
+
+
+def _trajectory(matrix, psi: np.ndarray, times: np.ndarray, tol: float, radius: float):
     """Yield psi(t) at each time of a grid that starts at 0, by Krylov steps.
 
-    Each step re-expands from a fresh Krylov space, so the error is at most
-    tol per step; a norm drift above 1e-10 at a grid point raises
-    PropagationError.
+    The span to each grid time is cut into the ``_grid_steps`` count of equal
+    steps for ``radius``, that of the matrix's spectral interval; a step that
+    halves leaves its rest to the next.  Each step re-expands from a fresh
+    Krylov space, so the error is at most tol per step; a norm drift above
+    1e-10 at a grid point raises PropagationError.
     """
-    t_now, dt_hint = 0.0, None
+    t_now = 0.0
     basis = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
-    for t_target in times:
+    for t_target, n_left in zip(times, _grid_steps(np.diff(times, prepend=0.0), radius)):
         while t_target - t_now > 1e-14 * max(1.0, t_target):
-            dt_req = t_target - t_now
-            if dt_hint is not None:
-                dt_req = min(dt_req, dt_hint)
-            psi, dt_done = _krylov_step(matrix, psi, dt_req, tol, basis)
+            psi, dt_done = _krylov_step(matrix, psi, (t_target - t_now) / n_left, tol, basis)
             t_now += dt_done
-            dt_hint = dt_done * 1.5 if dt_done == dt_req else dt_done
+            n_left = max(n_left - 1, 1)
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-10:
             raise PropagationError(f"norm drift {drift:.3e} at t = {t_now}")
@@ -382,27 +387,17 @@ def _chebyshev_jump(matrix, psi0: np.ndarray, t0: float, tol: float, interval):
     return psi, float(tails[terms])
 
 
-def _grid_step_products(rho: np.ndarray) -> np.ndarray:
-    """Krylov products of grid steps whose radius * spacing is rho, a pure function of rho.
-
-    Measured at L = 8..14 and tol 1e-10: one _KRYLOV_DIM step covers rho up to
-    25.7-30 (_KRYLOV_REACH); past that the step control's halving averages
-    max(2.75, rho / 20) steps (2.75 at rho = 32, 4.7 at 94, 7.1-9.3 at 150).
-    """
-    steps = np.where(rho <= _KRYLOV_REACH, 1.0, np.maximum(2.75, rho / 20.0))
-    return _KRYLOV_DIM * steps
-
-
 def _split_index(times: np.ndarray, radius: float) -> int:
     """Grid index where the worker's segment of a T = 0 trajectory starts.
 
     The caller Krylov-steps to times[k - 1]; the worker jumps to times[k] with
     ~radius * times[k] Chebyshev terms at _JUMP_TERM_COST products each and
-    steps on to the end.  Each grid step is priced by ``_grid_step_products``,
-    and k balances the two estimates; a pure function of the grid and the
-    radius, so the bytes never depend on timing.
+    steps on to the end.  Each grid step costs _KRYLOV_DIM products per step of
+    ``_grid_steps``, the count the trajectory takes, and k balances the two
+    estimates; a pure function of the grid and the radius, so the bytes never
+    depend on timing.
     """
-    reached = np.concatenate(([0.0], np.cumsum(_grid_step_products(radius * np.diff(times)))))
+    reached = np.concatenate(([0], np.cumsum(_KRYLOV_DIM * _grid_steps(np.diff(times), radius))))
     ks = np.arange(1, times.size)
     caller = reached[ks - 1]
     worker = _JUMP_TERM_COST * radius * times[ks] + (reached[-1] - reached[ks])
@@ -437,14 +432,15 @@ def _branch_theta(spec: ChainSpec, gamma: float, vector: np.ndarray, times: np.n
     """
     sector = enumerate_sector(spec.L + 1, 1)
     hamiltonian = build_transfer_hamiltonian(spec, sector, gamma).matrix
+    interval = _spectral_interval(spec, gamma)
     psi0 = np.zeros(sector.dim)
     psi0[(sector.basis & np.uint64(1)) != 0] = vector
     if times[0] > 0.0:
         psi0, _ = _chebyshev_jump(hamiltonian.real, psi0, times[0], _JUMP_TAIL * krylov_tol,
-                                  _spectral_interval(spec, gamma))
+                                  interval)
     signs = np.where(sector.basis >> np.uint64(spec.L), 1.0, -1.0)
     states = _trajectory(hamiltonian, psi0.astype(complex, copy=False), times - times[0],
-                         krylov_tol)
+                         krylov_tol, interval[1])
     if parity is None:
         forms = (np.vdot(s, signs * s).real for s in states)
     else:

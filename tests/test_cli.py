@@ -367,8 +367,9 @@ class TestTransferCommand:
         # the caller propagates G at a reachable tol, so only T0's worker fails
         caller, trajectory = os.getpid(), spinchannel.transfer._trajectory
 
-        def reachable_in_caller(matrix, psi, times, tol):
-            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+        def reachable_in_caller(matrix, psi, times, tol, radius):
+            own_tol = 1e-10 if os.getpid() == caller else tol
+            return trajectory(matrix, psi, times, own_tol, radius)
 
         monkeypatch.setattr(spinchannel.transfer, "_trajectory", reachable_in_caller)
         code = run(
@@ -384,10 +385,10 @@ class TestTransferCommand:
         # a worker that exits without a Python exception: no traceback, one record
         caller, trajectory = os.getpid(), spinchannel.transfer._trajectory
 
-        def exiting_in_worker(matrix, psi, times, tol):
+        def exiting_in_worker(matrix, psi, times, tol, radius):
             if os.getpid() != caller:
                 os._exit(3)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(spinchannel.transfer, "_trajectory", exiting_in_worker)
         code = run(

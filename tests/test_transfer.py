@@ -336,7 +336,9 @@ class TestFullChainTransfer:
     @pytest.mark.parametrize("temperature", [0.0, 0.2])
     def test_truncated_krylov_matches_dense(self, monkeypatch, temperature):
         # L = 8: the sector dim 126 exceeds _KRYLOV_DIM = 30, so the Lanczos basis is
-        # truncated; the coarse grid (dt = 10) makes the error estimate halve dt
+        # truncated; each grid step (r dt = 31.5) is tried whole, with no reach to cut it
+        # in two, so the error estimate halves dt
+        monkeypatch.setattr(transfer, "_KRYLOV_REACH", math.inf)
         steps = []
         krylov_step = transfer._krylov_step
 
@@ -419,9 +421,9 @@ class TestFullChainTransfer:
         started, segments = [], []
         trajectory, branch_theta = transfer._trajectory, transfer._branch_theta
 
-        def recorded(matrix, psi, times, tol):
+        def recorded(matrix, psi, times, tol, radius):
             started.append(psi.size)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         def recorded_branch(spec, gamma, vector, times, *args):
             segments.append(times)
@@ -546,8 +548,9 @@ def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
     parity = float(np.dot(sd.triplet, sd.triplet[::-1]))
     x = math.exp(-sd.gap / temperature)
     w0, w = 1.0 / (1.0 + 3.0 * x), x / (1.0 + 3.0 * x)
-    pairs = zip(transfer._trajectory(matrix, psi0[0], times, tol),
-                transfer._trajectory(matrix, psi0[1], times, tol))
+    radius = transfer._spectral_interval(spec, gamma)[1]
+    pairs = zip(transfer._trajectory(matrix, psi0[0], times, tol, radius),
+                transfer._trajectory(matrix, psi0[1], times, tol, radius))
     return np.array([
         w0 * np.vdot(g, signs * g).real
         + w * np.vdot(t + 2.0 * parity * t[ladder].sum(axis=0), signs * t).real
@@ -573,8 +576,9 @@ class TestWorkerProcess:
         # the caller propagates G at a reachable tol, so only T0's worker can fail
         caller, trajectory = os.getpid(), transfer._trajectory
 
-        def reachable_in_caller(matrix, psi, times, tol):
-            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+        def reachable_in_caller(matrix, psi, times, tol, radius):
+            own_tol = 1e-10 if os.getpid() == caller else tol
+            return trajectory(matrix, psi, times, own_tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
@@ -592,11 +596,11 @@ class TestWorkerProcess:
         # the error must not wait for the worker, and the worker must be gone
         caller, trajectory = os.getpid(), transfer._trajectory
 
-        def failing_in_caller(matrix, psi, times, tol):
+        def failing_in_caller(matrix, psi, times, tol, radius):
             if os.getpid() == caller:
                 raise PropagationError("caller failed")
             time.sleep(5.0)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
@@ -611,10 +615,10 @@ class TestWorkerProcess:
         # a worker that exits without a Python exception closes the pipe unwritten
         caller, trajectory = os.getpid(), transfer._trajectory
 
-        def exiting_in_worker(matrix, psi, times, tol):
+        def exiting_in_worker(matrix, psi, times, tol, radius):
             if os.getpid() != caller:
                 os._exit(3)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
         spec = ChainSpec(L=6, J=1.0, Jp=0.5)
@@ -632,8 +636,9 @@ class TestWorkerProcess:
         times = np.linspace(0.0, 10.0, 5)
         caller, trajectory = os.getpid(), transfer._trajectory
 
-        def reachable_in_caller(matrix, psi, times, tol):
-            return trajectory(matrix, psi, times, 1e-10 if os.getpid() == caller else tol)
+        def reachable_in_caller(matrix, psi, times, tol, radius):
+            own_tol = 1e-10 if os.getpid() == caller else tol
+            return trajectory(matrix, psi, times, own_tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
         with pytest.raises(PropagationError, match="Chebyshev jump cannot meet tol") as failure:
@@ -641,11 +646,11 @@ class TestWorkerProcess:
         assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
 
-        def failing_in_caller(matrix, psi, times, tol):
+        def failing_in_caller(matrix, psi, times, tol, radius):
             if os.getpid() == caller:
                 raise PropagationError("caller failed")
             time.sleep(5.0)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
         start = time.perf_counter()
@@ -654,10 +659,10 @@ class TestWorkerProcess:
         assert time.perf_counter() - start < 2.5
         assert multiprocessing.active_children() == []
 
-        def exiting_in_worker(matrix, psi, times, tol):
+        def exiting_in_worker(matrix, psi, times, tol, radius):
             if os.getpid() != caller:
                 os._exit(3)
-            return trajectory(matrix, psi, times, tol)
+            return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
         with pytest.raises(SpinChainError, match="worker") as failure:
@@ -712,7 +717,7 @@ class TestWorkerProcess:
     def test_split_theta_equals_one_trajectory_in_process(self, length, jp, points):
         # the caller's segment is the unsplit trajectory's to the bit; the worker's,
         # reached by a Chebyshev jump, agrees to 1e-10.  At Jp = 0.03 a grid step takes
-        # ~4.7 Krylov steps, and the jump has z ~ 3e4
+        # 4 Krylov steps, and the jump has z ~ 3.2e4
         spec = ChainSpec(L=length, J=1.0, Jp=jp)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 1.35 * np.pi / sd.gap, points)
@@ -982,8 +987,8 @@ class TestChebyshevJump:
 
     @pytest.mark.parametrize("length, jp, points, temperature, split", [
         (14, 0.1, 300, 0.0, 175), (14, 0.1, 300, 1e-3, 176),  # the benchmark's argvs
-        (10, 0.05, 600, 0.0, 320),  # 2.75 Krylov steps per grid step: 364 when priced at 1
-        (10, 0.03, 600, 0.0, 337),  # 4.7 steps per grid step: 1 when priced at 1
+        (10, 0.05, 600, 0.0, 329),  # 2 Krylov steps per grid step: 364 when priced at 1
+        (10, 0.03, 600, 0.0, 344),  # 4 steps per grid step: 1 when priced at 1
     ])
     def test_split_of_the_command_grids(self, length, jp, points, temperature, split):
         # the transfer command's grid: 1.35 times the predicted peak time
@@ -992,6 +997,40 @@ class TestChebyshevJump:
         times = np.linspace(0.0, 1.35 * transfer.predicted_peak(model)[0], points)
         radius = transfer._spectral_interval(spec, model.gamma)[1]
         assert transfer._split_index(times, radius) == split
+
+    @pytest.mark.parametrize("length, jp, points, temperature", [
+        (8, 0.2, 86, 0.0),  # r h = 6.9
+        (14, 0.1, 300, 0.0),  # 25.7, the benchmark's T = 0 argv
+        (12, 0.1, 200, 1e-3),  # 30.4
+        (10, 0.05, 600, 0.0),  # 32: 2 steps per grid step
+        (10, 0.03, 600, 0.0),  # 94: 4 steps per grid step
+        (10, 0.2, 8, 0.0),  # 125: 5 steps per grid step
+    ])
+    def test_trajectories_take_the_priced_krylov_steps(self, monkeypatch, in_process_worker,
+                                                        length, jp, points, temperature):
+        # at the default krylov tol each grid span takes its _grid_steps count of Krylov
+        # steps and none halves: caller and worker together take what _split_index
+        # prices at T = 0 (the jump covers the span into times[split]), two grids at T > 0
+        halved, krylov_step = [], transfer._krylov_step
+
+        def recorded(matrix, psi, dt_req, tol, basis):
+            psi_new, dt_done = krylov_step(matrix, psi, dt_req, tol, basis)
+            halved.append(dt_done < dt_req)
+            return psi_new, dt_done
+
+        monkeypatch.setattr(transfer, "_krylov_step", recorded)
+        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        sd = spectral_data(spec)
+        model = transfer.effective_coupling(sd, temperature=temperature)
+        times = np.linspace(0.0, 1.35 * transfer.predicted_peak(model)[0], points)
+        full_chain_transfer(spec, temperature, times, gamma=model.gamma, spectral=sd)
+        radius = transfer._spectral_interval(spec, model.gamma)[1]
+        steps = transfer._grid_steps(np.diff(times), radius)
+        if temperature == 0.0:
+            priced = steps.sum() - steps[transfer._split_index(times, radius) - 1]
+        else:
+            priced = 2 * steps.sum()
+        assert len(halved) == priced and not any(halved)
 
     @pytest.mark.parametrize("points", [8, 60, 300, 600])
     def test_split_is_unchanged_where_one_step_covers_a_grid_step(self, points):
