@@ -97,8 +97,8 @@ class Sector:
     """Fixed-magnetization basis: all n_sites-bit patterns with 2*Sz = twice_sz.
 
     signs = (F, R) makes it a symmetry block of 2*Sz = 0 (``symmetry_block``):
-    the basis then holds orbit representatives (module docstring), and
-    ``index_of`` is left to the plain sector.
+    the basis then holds orbit representatives (module docstring).  A
+    pattern's position in a plain sector is its rank, ``_rank``.
     """
 
     n_sites: int
@@ -109,16 +109,6 @@ class Sector:
     @property
     def dim(self) -> int:
         return int(self.basis.size)
-
-    def index_of(self, patterns):
-        """Positions of patterns of this plain sector in its basis, by combinatorial rank.
-
-        Patterns outside the sector get meaningless positions; a symmetry
-        block raises SectorError.
-        """
-        if self.signs is not None:
-            raise SectorError("index_of needs a plain sector; index the block's 2Sz = 0 sector")
-        return _rank(patterns, self.n_sites, (self.n_sites + self.twice_sz) // 2)
 
 
 @lru_cache(maxsize=64)
@@ -463,22 +453,30 @@ def pauli_z_expectation(sector: Sector, vec: np.ndarray, site: int) -> float:
 
 
 def pauli_zz_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: int) -> float:
-    """<sigma_z(i) sigma_z(j)>: +1 per aligned configuration, -1 per anti-aligned."""
+    """<sigma_z(i) sigma_z(j)>: +1 per aligned configuration, -1 per anti-aligned.
+
+    A site outside 0..n_sites-1 raises ValueError.  In a symmetry block only a
+    mirror pair, i + j = n_sites - 1, is constant on each orbit; another pair
+    raises SectorError.
+    """
+    n_sites = sector.n_sites
+    if not (0 <= site_i < n_sites and 0 <= site_j < n_sites):
+        raise ValueError(f"sites ({site_i}, {site_j}) outside 0..{n_sites - 1}")
+    if sector.signs is not None and site_i + site_j != n_sites - 1:
+        raise SectorError(f"a symmetry block needs a mirror pair, got ({site_i}, {site_j})")
     anti = _anti_aligned(sector.basis, np.uint64((1 << site_i) | (1 << site_j)))
     return float(np.dot(np.abs(vec) ** 2, np.where(anti, -1.0, 1.0)))
 
 
 def pauli_xx_expectation(sector: Sector, vec: np.ndarray, site_i: int, site_j: int) -> float:
-    """<sigma_x(i) sigma_x(j)> evaluated inside a fixed-magnetization sector.
+    """<sigma_x(i) sigma_x(j)> of a sector state, read on the bond S_i . S_j.
 
-    Only the flip-flop part sigma+_i sigma-_j + sigma-_i sigma+_j conserves
-    magnetization; the double-raising/lowering parts leave the sector and
-    contribute zero to the expectation value.
+    Magnetization is conserved, so <sigma_x sigma_x> = <sigma_y sigma_y> and
+    4 <S_i . S_j> = zz + 2 xx, with the bond from ``build_bond_hamiltonian``:
+    in a symmetry block it folds the flip partners onto their orbits, for a
+    mirror pair only.  i = j, a site outside 0..n_sites-1 or, in a block, a
+    pair with i + j != n_sites - 1 raises ValueError.
     """
-    mask = np.uint64((1 << site_i) | (1 << site_j))
-    anti = np.nonzero(_anti_aligned(sector.basis, mask))[0]
-    if anti.size == 0:
-        return 0.0
-    partners = sector.index_of(sector.basis[anti] ^ mask)
-    return float(np.real(np.dot(np.conj(vec[anti]), vec[partners])))
-
+    bond = build_bond_hamiltonian([(site_i, site_j, 1.0)], sector).matrix
+    zz = pauli_zz_expectation(sector, vec, site_i, site_j)
+    return 2.0 * float(np.vdot(vec, bond @ vec).real) - 0.5 * zz

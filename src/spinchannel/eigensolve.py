@@ -14,11 +14,12 @@ shorter, so runs are bit-reproducible.  Blocks up to dim 256 (all m = 0
 blocks to L = 12) get an exact dense ``eigh``.
 
 ``spectral_data`` packages the low-energy manifold, singlet ground state and
-triplet, from two symmetry blocks of the m = 0 sector, solved side by side
-in the caller and a forked worker once they are large; SU(2) fixes
-the other triplet members.  That the lowest state of the triplet's block is
-the triplet is a theorem for J, Jp > 0 (Marshall's sign rule and Lieb-Mattis,
-see ``spectral_data``); ``validate`` checks it against dense spectra once.
+triplet, from two symmetry blocks of the m = 0 sector, solved side by side in
+the caller and a forked worker once they are large; SU(2) fixes the other
+triplet members, and T0's xx correlator is read in its block.  That the
+lowest state of the triplet's block is the triplet is a theorem for J, Jp > 0
+(Marshall's sign rule and Lieb-Mattis, see ``spectral_data``); ``validate``
+checks it against dense spectra once.
 """
 
 from __future__ import annotations
@@ -323,10 +324,10 @@ def spectral_data(
     ``_WORKER_MIN_DIM`` on, a forked worker (``worker.call_both``) assembles and
     solves it while the caller does G's; its errors arrive with their type
     (ConvergenceError with its residuals), and the bytes are those of one
-    process.  The caller alone expands and measures.  The plain m = 0
-    basis is enumerated once, after both solves; |T0> is expanded and
-    measured before |G> is expanded, so the index arrays of its xx
-    correlator never live next to two plain m = 0 vectors.
+    process.  The caller alone expands and measures.  xx(T0) is read on
+    T0's block vector, as the A-B bond of ``build_bond_hamiltonian``, before
+    any plain vector exists; the plain m = 0 basis is then enumerated once,
+    and the two zz correlators read the expanded vectors.
     """
     if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
         raise ConfigError("grow_from needs the vectors of a spectral_data result")
@@ -356,10 +357,10 @@ def spectral_data(
             "the thermal truncation assumes a unique singlet"
         )
 
+    xx0 = pauli_xx_expectation(blocks[1], triplet.vector, a, b)
     sector0 = enumerate_sector(spec.L, 0)
     triplet = replace(triplet, vector=expand_to_sector(blocks[1], triplet.vector))
     zz0 = pauli_zz_expectation(sector0, triplet.vector, a, b)
-    xx0 = pauli_xx_expectation(sector0, triplet.vector, a, b)
     ground = replace(ground, vector=expand_to_sector(blocks[0], ground.vector))
     return SpectralData(
         e0=ground.energy,

@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 
 import spinchannel.worker
 
-from spinchannel.chain import ChainSpec, chain_bonds, enumerate_sector
+from spinchannel.chain import ChainSpec, _rank, chain_bonds, enumerate_sector
 
 # single-site operators in basis order {down, up} so that bit i of the
 # composite index (site 0 least significant) encodes the state of site i
@@ -54,6 +54,11 @@ def dense_transfer_hamiltonian(spec: ChainSpec, gamma: float) -> np.ndarray:
 def chain_length(spectral) -> int:
     """Length L of the chain whose m = 0 sector, of dim C(L, L/2), holds spectral's vectors."""
     return next(L for L in range(2, 64, 2) if comb(L, L // 2) == spectral.ground.size)
+
+
+def rank(sector, patterns):
+    """Positions of patterns in a plain sector's sorted basis, by the package's one rule."""
+    return _rank(patterns, sector.n_sites, (sector.n_sites + sector.twice_sz) // 2)
 
 
 def z_signs(sector, site: int) -> np.ndarray:

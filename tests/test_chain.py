@@ -32,6 +32,7 @@ from conftest import (
     S_Z,
     dense_chain_hamiltonian,
     dense_transfer_hamiltonian,
+    rank,
     site_operator,
     total_spin_ladder,
     z_signs,
@@ -68,16 +69,16 @@ class TestEnumerateSector:
 
     def test_index_of_roundtrip(self):
         sector = enumerate_sector(8, 2)
-        idx = sector.index_of(sector.basis[17])
+        idx = rank(sector, sector.basis[17])
         assert idx == 17
 
 
 class TestRank:
-    """Sector.index_of, a combinatorial rank, against the binary search of the sorted basis."""
+    """The combinatorial rank against the binary search of the sorted basis."""
 
     @staticmethod
     def assert_is_the_binary_search(sector):
-        ranks = sector.index_of(sector.basis)
+        ranks = rank(sector, sector.basis)
         assert ranks.tobytes() == np.searchsorted(sector.basis, sector.basis).tobytes()
 
     @pytest.mark.parametrize("n_sites", range(1, 17))
@@ -97,13 +98,8 @@ class TestRank:
     def test_scalar_gives_an_integer(self):
         sector = enumerate_sector(9, 1)
         for pattern in (sector.basis[41], int(sector.basis[41])):
-            idx = sector.index_of(pattern)
+            idx = rank(sector, pattern)
             assert isinstance(idx, np.integer) and idx == 41
-
-    def test_block_refuses(self):
-        block = symmetry_block(8, 1, 1)
-        with pytest.raises(SectorError, match="plain sector"):
-            block.index_of(block.basis)
 
 
 class TestChainSpec:
@@ -400,6 +396,72 @@ class TestCorrelators:
             tracemalloc.stop()
         assert peak <= 2.5 * vec.nbytes
 
+    @pytest.mark.parametrize("correlator, sector, sites, error", [
+        (pauli_xx_expectation, (8, 0), (3, 3), ValueError),  # sigma_x^2 = 1, not 0
+        (pauli_xx_expectation, (8, 0), (0, 9), ValueError),
+        (pauli_zz_expectation, (8, 0), (0, 9), ValueError),
+        (pauli_zz_expectation, (8, 1, 1), (0, 1), SectorError),  # not constant on orbits
+    ])
+    def test_bad_sites_raise(self, correlator, sector, sites, error):
+        sector = enumerate_sector(*sector) if len(sector) == 2 else symmetry_block(*sector)
+        vec = np.random.default_rng(8).standard_normal(sector.dim)
+        with pytest.raises(error):
+            correlator(sector, vec, *sites)
+
+
+def full_space_xx(sector, vec, site_i, site_j) -> float:
+    """<sigma_x(i) sigma_x(j)> of vec embedded in the 2^n space, where the pair flips bits i, j."""
+    psi = np.zeros(1 << sector.n_sites, dtype=np.result_type(vec, float))
+    psi[sector.basis.astype(np.int64)] = vec
+    flipped = np.arange(psi.size) ^ ((1 << site_i) | (1 << site_j))
+    return float(np.vdot(psi, psi[flipped]).real)
+
+
+class TestFlipCorrelator:
+    """pauli_xx_expectation, read on the assembled bond, against bit flips in the full space."""
+
+    @pytest.mark.parametrize("length", [4, 8, 12])
+    @pytest.mark.parametrize("twice_sz", [0, 2, -2])
+    def test_plain_sector_matches_full_space(self, length, twice_sz):
+        sector = enumerate_sector(length, twice_sz)
+        rng = np.random.default_rng(100 * length + twice_sz)
+        vec = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+        vec /= np.linalg.norm(vec)
+        for i in range(length):
+            for j in range(length):
+                if i != j:
+                    assert pauli_xx_expectation(sector, vec, i, j) == pytest.approx(
+                        full_space_xx(sector, vec, i, j), abs=1e-13)
+
+    @pytest.mark.parametrize("length", [4, 8, 12])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_block_matches_full_space(self, length, signs):
+        block = symmetry_block(length, *signs)
+        vec = np.random.default_rng(length).standard_normal(block.dim)
+        vec /= np.linalg.norm(vec)
+        plain = enumerate_sector(length, 0)
+        for i in range(length):
+            assert pauli_xx_expectation(block, vec, i, length - 1 - i) == pytest.approx(
+                full_space_xx(plain, expand_to_sector(block, vec), i, length - 1 - i),
+                abs=1e-13)
+
+    @pytest.mark.parametrize("length", range(4, 17, 2))
+    def test_block_equals_its_expansion(self, length):
+        plain = enumerate_sector(length, 0)
+        s = (-1) ** (length // 2)
+        for sign in (s, -s):  # the blocks of |G> and |T0>
+            block = symmetry_block(length, sign, sign)
+            vec = np.random.default_rng(length).standard_normal(block.dim)
+            vec /= np.linalg.norm(vec)
+            wide = expand_to_sector(block, vec)
+            for i in range(length // 2):
+                j = length - 1 - i
+                for correlator in (pauli_xx_expectation, pauli_zz_expectation):
+                    assert correlator(block, vec, i, j) == pytest.approx(
+                        correlator(plain, wide, i, j), abs=1e-13)
+            with pytest.raises(ValueError, match="mirror"):
+                pauli_xx_expectation(block, vec, 0, length - 2)
+
 
 class TestTotalSpinLadder:
     """The test oracle's total S+- (conftest) against the kron-product total spin."""
@@ -502,7 +564,7 @@ class TestBlockMaps:
         for up_left in (True, False):
             kept = (short.basis & np.uint64((1 << low) - 1)) | ((short.basis >> np.uint64(low)) << np.uint64(high))
             pattern = kept | np.uint64(1 << (low if up_left else low + 1))
-            grown[sector.index_of(pattern)] = (1.0 if up_left else -1.0) * x / np.sqrt(2.0)
+            grown[rank(sector, pattern)] = (1.0 if up_left else -1.0) * x / np.sqrt(2.0)
         for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             block = symmetry_block(length, *signs)
             images = np.array([expand_to_sector(block, e) for e in np.eye(block.dim)])

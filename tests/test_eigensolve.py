@@ -28,7 +28,7 @@ from spinchannel.errors import (ConfigError, ConvergenceError, DimensionError, O
                                 SpinChainError)
 from spinchannel.scaling import gap_sweep
 
-from conftest import dense_chain_hamiltonian, total_spin_ladder
+from conftest import dense_chain_hamiltonian, rank, total_spin_ladder
 
 
 class TestLowestEigenpairs:
@@ -377,7 +377,7 @@ class TestSpinInversionBlocks:
         op = build_chain_hamiltonian(ChainSpec(L=length, J=1.0, Jp=jp), sector0)
         ground, triplet = np.linalg.eigh(op.matrix.toarray())[1][:, :2].T
         mirrored = [int(format(int(p), f"0{length}b")[::-1], 2) for p in sector0.basis]
-        mirror = sector0.index_of(np.array(mirrored, dtype=np.uint64))
+        mirror = rank(sector0, np.array(mirrored, dtype=np.uint64))
         s = (-1) ** (length // 2)
         for vector, sign in ((ground, s), (triplet, -s)):
             np.testing.assert_allclose(vector[::-1], sign * vector, rtol=0, atol=1e-10)
@@ -685,16 +685,18 @@ def in_process_spectral_data(spec, grow_from=None):
     """spectral_data's result from both block solves in this process, by lowest_eigenpairs."""
     s = (-1) ** (spec.L // 2)
     starts = (None, None) if grow_from is None else (grow_from.ground, grow_from.triplet)
+    a, b = spec.site_a, spec.site_b
     solved = []
     for sign, short in zip((s, -s), starts):
         block = symmetry_block(spec.L, sign, sign)
         v0 = None if short is None else grow_into_block(block, short)
         (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, block), 1, v0=v0)
-        solved.append((pair.energy, expand_to_sector(block, pair.vector)))
-    (e0, ground), (e_triplet, triplet) = solved
+        solved.append((pair.energy, block, pair.vector))
+    (e0, g_block, ground), (e_triplet, t_block, triplet) = solved
+    xx0 = pauli_xx_expectation(t_block, triplet, a, b)
+    ground, triplet = expand_to_sector(g_block, ground), expand_to_sector(t_block, triplet)
     sector = enumerate_sector(spec.L, 0)
-    a, b = spec.site_a, spec.site_b
-    zz0, xx0 = (f(sector, triplet, a, b) for f in (pauli_zz_expectation, pauli_xx_expectation))
+    zz0 = pauli_zz_expectation(sector, triplet, a, b)
     return SpectralData(e0=e0, e_triplet=e_triplet, gap=e_triplet - e0,
                         gzz_ground=pauli_zz_expectation(sector, ground, a, b),
                         gzz_triplet=xx0, gxx_triplet=0.5 * (zz0 + xx0),

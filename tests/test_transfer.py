@@ -46,7 +46,13 @@ from spinchannel.transfer import (
     three_site_oracle,
 )
 
-from conftest import dense_transfer_hamiltonian, random_pure_qubit, total_spin_ladder, z_signs
+from conftest import (
+    dense_transfer_hamiltonian,
+    random_pure_qubit,
+    rank,
+    total_spin_ladder,
+    z_signs,
+)
 
 G_VALUES = (-1.0, -0.5, 0.0, 1.0 / 3.0)
 
@@ -305,7 +311,7 @@ def dense_mixture_theta(spec, gamma, temperature, times):
         full_sector = enumerate_sector(spec.L + 1, sector.twice_sz + 1)
         h = build_transfer_hamiltonian(spec, full_sector, gamma).matrix.toarray()
         psi0 = np.zeros(full_sector.dim, dtype=complex)
-        psi0[full_sector.index_of((sector.basis << np.uint64(1)) | np.uint64(1))] = vec
+        psi0[rank(full_sector, (sector.basis << np.uint64(1)) | np.uint64(1))] = vec
         signs = z_signs(full_sector, spec.L)
         w, v = np.linalg.eigh(h)
         for k, t in enumerate(times):
@@ -408,7 +414,7 @@ class TestFullChainTransfer:
         # holds no bit above B = bit L
         sector = enumerate_sector(length + 1, 1)
         chain_basis = enumerate_sector(length, 0).basis
-        ranked = sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))
+        ranked = rank(sector, (chain_basis << np.uint64(1)) | np.uint64(1))
         np.testing.assert_array_equal(np.flatnonzero(sector.basis & np.uint64(1)), ranked)
         top = np.where(sector.basis >> np.uint64(length), 1.0, -1.0)
         np.testing.assert_array_equal(top, z_signs(sector, length))
@@ -542,7 +548,7 @@ def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
     matrix = build_transfer_hamiltonian(spec, sector, gamma).matrix
     psi0 = np.zeros((2, sector.dim), dtype=complex)
     chain_basis = enumerate_sector(spec.L, 0).basis
-    psi0[:, sector.index_of((chain_basis << np.uint64(1)) | np.uint64(1))] = sd.ground, sd.triplet
+    psi0[:, rank(sector, (chain_basis << np.uint64(1)) | np.uint64(1))] = sd.ground, sd.triplet
     signs = z_signs(sector, spec.L)
     ladder = transfer._flip_ladder(sector)
     parity = float(np.dot(sd.triplet, sd.triplet[::-1]))
