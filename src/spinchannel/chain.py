@@ -2,7 +2,7 @@
 
 Geometry: an open chain of ``L`` spin-1/2 sites, indexed 0..L-1.  The probe
 spins A and B are the end sites (0 and L-1); they couple to the interior with
-``Jp`` while all interior bonds carry the bulk coupling ``J``:
+``Jp`` while all interior bonds carry the bulk coupling J = 1, the energy unit:
 
     A --Jp-- o --J-- o ... o --J-- o --Jp-- B
 
@@ -62,34 +62,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChainSpec:
-    """Geometry and couplings of a probed chain, without the transfer's sender.
+    """Geometry and probe coupling of a probed chain, without the transfer's sender.
 
-    L      -- number of chain sites including the probes (even, >= 4)
-    J      -- bulk exchange coupling; sets the energy unit
-    Jp     -- probe coupling on the two end bonds
+    L      -- number of chain sites including the probes A = 0, B = L - 1 (even, >= 4)
+    Jp     -- probe coupling on the two end bonds, in units of the bulk J = 1
     """
 
     L: int
-    J: float = 1.0
     Jp: float = 1.0
 
     def __post_init__(self):
         if self.L < 4 or self.L % 2 != 0:
             raise ValueError(f"L must be even and >= 4 for a singlet ground state, got {self.L}")
-        if not 0.0 < self.J < inf:
-            raise ValueError(f"J must be positive (antiferromagnetic) and finite, got {self.J}")
         if not 0.0 < self.Jp < inf:
             raise ValueError(f"Jp must be positive (antiferromagnetic) and finite, got {self.Jp}")
-
-    @property
-    def site_a(self) -> int:
-        return 0
-
-    @property
-    def site_b(self) -> int:
-        return self.L - 1
 
 
 @dataclass(frozen=True)
@@ -302,11 +290,8 @@ class SparseOperator:
 
 def chain_bonds(spec: ChainSpec, offset: int = 0) -> list[tuple[int, int, float]]:
     """Bond list (i, j, coupling) of the probed chain, site indices shifted by offset."""
-    L = spec.L
-    bonds = [(offset, offset + 1, spec.Jp)]
-    bonds += [(offset + i, offset + i + 1, spec.J) for i in range(1, L - 2)]
-    bonds += [(offset + L - 2, offset + L - 1, spec.Jp)]
-    return bonds
+    couplings = [spec.Jp] + [1.0] * (spec.L - 3) + [spec.Jp]
+    return [(offset + i, offset + i + 1, c) for i, c in enumerate(couplings)]
 
 
 def _anti_aligned(patterns: np.ndarray, mask: np.uint64) -> np.ndarray:
@@ -447,7 +432,12 @@ def build_transfer_hamiltonian(spec: ChainSpec, sector: Sector, gamma: float) ->
 
 
 def pauli_z_expectation(sector: Sector, vec: np.ndarray, site: int) -> float:
-    """<sigma_z(site)> of a sector-basis state vector."""
+    """<sigma_z(site)> of a plain-sector state.  A site outside 0..n_sites-1 raises ValueError;
+    a symmetry block, on whose orbits F flips sigma_z(site), raises SectorError."""
+    if not 0 <= site < sector.n_sites:
+        raise ValueError(f"site {site} outside 0..{sector.n_sites - 1}")
+    if sector.signs is not None:
+        raise SectorError("sigma_z of one site is not constant on a symmetry block's orbits")
     up = (sector.basis & np.uint64(1 << site)) != 0
     return float(np.dot(np.abs(vec) ** 2, np.where(up, 1.0, -1.0)))
 

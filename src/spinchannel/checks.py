@@ -25,7 +25,7 @@ def lanczos_vs_dense(tol: float, seed: int):
     sectors += [(chain.symmetry_block(14, sign, sign), 1) for sign in (-1, 1)]  # s = (-1)^7
     for jp in (0.1, 0.5, 1.0):
         for sector, k in sectors:
-            op = chain.build_chain_hamiltonian(chain.ChainSpec(sector.n_sites, 1.0, jp), sector)
+            op = chain.build_chain_hamiltonian(chain.ChainSpec(L=sector.n_sites, Jp=jp), sector)
             dense = eigensolve.dense_spectrum(op)
             pairs = eigensolve.lowest_eigenpairs(op, k, tol, seed=seed)
             for i, pair in enumerate(pairs):
@@ -37,11 +37,11 @@ def triplet_ordering(tol: float, seed: int):
     """spectral_data's e_triplet, the lowest level of T0's block, against the dense
     spectra at L = 8..12: it equals the lowest 2S_z = 2 level (lowest S >= 1) and lies
     strictly below the lowest 2S_z = 4 level (lowest S >= 2), so it is the lowest S = 1
-    level and E_min(1) < E_min(2), as Marshall and Lieb-Mattis have it for J, Jp > 0."""
+    level and E_min(1) < E_min(2), as Marshall and Lieb-Mattis have it for Jp > 0 (J = 1)."""
     worst, margin = 0.0, math.inf
     for jp in (0.1, 0.5, 1.0):
         for length in (8, 10, 12):
-            spec = chain.ChainSpec(length, 1.0, jp)
+            spec = chain.ChainSpec(L=length, Jp=jp)
             e_triplet = eigensolve.spectral_data(spec, tol, seed=seed).e_triplet
             m1, m2 = [eigensolve.dense_spectrum(chain.build_chain_hamiltonian(
                 spec, chain.enumerate_sector(length, twice_sz)))[0] for twice_sz in (2, 4)]
@@ -71,7 +71,7 @@ def threshold_bisection(tol: float, seed: int):
     from scipy.optimize import brentq  # imported here, as in transfer.numeric_peak
 
     dev_two_spin = abs(teleport.threshold_temperature(_TWO_SPIN) - 1.0 / math.log(3.0))
-    sd = eigensolve.spectral_data(chain.ChainSpec(L=8, J=1.0, Jp=0.2), tol, seed=seed)
+    sd = eigensolve.spectral_data(chain.ChainSpec(L=8, Jp=0.2), tol, seed=seed)
     root = brentq(lambda t: thermal.thermal_g(sd, t) + 1.0 / 3.0, 1e-3 * sd.gap, 1e3 * sd.gap)
     dev_root = abs(teleport.threshold_temperature(sd) - root)
     return dev_two_spin <= 1e-12 and dev_root <= 1e-10, (

@@ -53,7 +53,6 @@ class RunConfig:
     l_min: int | None = None
     l_max: int | None = None
     l_step: int = 2
-    j: float = 1.0
     jp: tuple[float, ...] = (0.2,)
     gamma: object = "auto"
     temp_min: float = 0.0
@@ -77,7 +76,7 @@ _HINTS = typing.get_type_hints(RunConfig)
 _NUMERIC = {key: t for key in _SETTINGS for t in (int, float) if _HINTS[key] in (t, t | None)}
 _CHOICES = {"temp_scale": ("lin", "log"), "mode": ("effective", "full"), "format": ("csv", "json")}
 _HELP = {"jp": "value or comma list", "gamma": 'value or "auto"',
-         "seed": "random start of each solve not grown from the length L - 2 of a sweep",
+         "seed": "random start (>= 0) of each solve not grown from the length L - 2 of a sweep",
          "tol": "true eigenpair residual |Hv - Ev| to meet; at L = 14..20 every Lanczos solve "
                 "(L > 12) met 5e-15, some met 2e-15 to 3e-15 and none 1e-15"}
 
@@ -106,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("gap-scan", "teleport", "transfer", "share", "validate"):
-        p = sub.add_parser(name)
+        # no prefix matching: a flag that is gone (--j) must not read as one left (--jp)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None)
         for key, default in _SETTINGS.items():
             kind = _parse_jp if key == "jp" else _NUMERIC.get(key)
@@ -157,6 +157,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--jp repeats a value: {list(merged['jp'])}")
     if not 0.0 < merged["tol"] < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {merged['tol']}")
+    if merged["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {merged['seed']}")
     if merged["temp_max"] is None:
         merged["temp_max"] = merged["temp_min"]
     for key in ("temp_min", "temp_max"):
@@ -186,7 +188,7 @@ def _single_chain(cfg: RunConfig) -> ChainSpec:
         raise UsageError(f"command '{cfg.command}' needs --length")
     if len(cfg.jp) != 1:
         raise UsageError(f"command '{cfg.command}' needs a single --jp value")
-    return ChainSpec(L=cfg.length, J=cfg.j, Jp=cfg.jp[0])
+    return ChainSpec(L=cfg.length, Jp=cfg.jp[0])
 
 
 def _temperature_grid(cfg: RunConfig) -> np.ndarray:
@@ -255,9 +257,9 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], derived: dict, wa
 def _sweep(cfg: RunConfig, lengths: list[int], warnings: list[str], failures: list[str]):
     """(jp, scaling.gap_sweep table) of each --jp value; notes warnings and skipped lengths."""
     for jp, length in itertools.product(cfg.jp, lengths):
-        ChainSpec(L=length, J=cfg.j, Jp=jp)  # a bad length or jp fails here, before any solve
+        ChainSpec(L=length, Jp=jp)  # a bad length or jp fails here, before any solve
     for jp in cfg.jp:
-        table = scaling.gap_sweep(lengths, jp, cfg.tol, J=cfg.j, seed=cfg.seed)
+        table = scaling.gap_sweep(lengths, jp, cfg.tol, seed=cfg.seed)
         warnings.extend(table.warnings)
         failures.extend(f"jp = {jp}: L = {L} skipped (see warnings)" for L in table.skipped)
         yield jp, table

@@ -17,7 +17,7 @@ blocks to L = 12) get an exact dense ``eigh``.
 triplet, from two symmetry blocks of the m = 0 sector, solved side by side in
 the caller and a forked worker once they are large; SU(2) fixes the other
 triplet members, and T0's xx correlator is read in its block.  That the
-lowest state of the triplet's block is the triplet is a theorem for J, Jp > 0
+lowest state of the triplet's block is the triplet is a theorem for Jp > 0 (J = 1)
 (Marshall's sign rule and Lieb-Mattis, see ``spectral_data``); ``validate``
 checks it against dense spectra once.
 """
@@ -212,16 +212,16 @@ def lowest_eigenpairs(
 ) -> list[EigenPair]:
     """k lowest eigenpairs of a real symmetric operator, energies ascending.
 
-    Iterative solves start from v0, else from a seeded random vector, so a
-    fixed seed gives the same pairs on one machine; a complex v0, or one of
-    the wrong length, not finite or zero, raises ValueError; dense blocks
-    ignore it.  k = 1 is a two-pass plain Lanczos (``_lanczos_lowest``) that
+    Iterative solves start from v0, else from a seeded random vector, so a fixed
+    seed gives the same pairs on one machine; dense blocks ignore both, but a
+    seed < 0 or a complex, non-finite, zero or wrong-length v0 raises ValueError
+    on every path.  k = 1 is a two-pass plain Lanczos (``_lanczos_lowest``) that
     stores no basis; a pair above tol reruns from its own vector up to
-    ``_LANCZOS_RESTARTS`` times.  k >= 2 is ARPACK's implicitly restarted
-    Lanczos (``scipy.sparse.linalg.eigsh``), keeping max(``_ARPACK_NCV``,
-    2k + 1) vectors and restarting at most ``_ARPACK_MAXITER`` times.  Every
-    returned pair has a true residual |Hv - Ev| <= tol; otherwise, or when
-    ARPACK runs out of restarts, ConvergenceError carries the residuals.
+    ``_LANCZOS_RESTARTS`` times.  k >= 2 is ARPACK's implicitly restarted Lanczos
+    (``scipy.sparse.linalg.eigsh``), keeping max(``_ARPACK_NCV``, 2k + 1) vectors
+    and restarting at most ``_ARPACK_MAXITER`` times.  Every returned pair has a
+    true residual |Hv - Ev| <= tol; otherwise, or when ARPACK runs out of restarts,
+    ConvergenceError carries the residuals.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -229,6 +229,8 @@ def lowest_eigenpairs(
         raise ValueError(f"k = {k} exceeds operator dimension {op.dim}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_start(v0, op.dim)
 
     dim = op.dim
@@ -307,7 +309,7 @@ def spectral_data(
 
     With s = (-1)^(L/2) the singlet |G> is lowest in the (inversion,
     reflection) block (s, s) of the m = 0 sector and the triplet member |T0>
-    in (-s, -s) (see the chain module): for J, Jp > 0 the chain is a bipartite
+    in (-s, -s) (see the chain module): for Jp > 0 (J = 1) the chain is a bipartite
     antiferromagnet, whose E_min(S) increases with S (Marshall's sign rule and
     Lieb and Mattis, J. Math. Phys. 3, 749 (1962)), and block (-s, -s) holds
     only odd S.  ``validate`` checks that ordering once against dense spectra
@@ -332,7 +334,7 @@ def spectral_data(
     if grow_from is not None and (grow_from.ground is None or grow_from.triplet is None):
         raise ConfigError("grow_from needs the vectors of a spectral_data result")
 
-    a, b = spec.site_a, spec.site_b
+    a, b = 0, spec.L - 1  # the probes, A and B
 
     singlet_sign = (-1) ** (spec.L // 2)
     blocks = [symmetry_block(spec.L, sign, sign) for sign in (singlet_sign, -singlet_sign)]

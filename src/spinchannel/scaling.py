@@ -63,7 +63,6 @@ def gap_sweep(
     jp: float,
     tol: float = DEFAULT_TOL,
     *,
-    J: float = 1.0,
     seed: int = DEFAULT_SEED,
 ) -> GapTable:
     """One spectral_data per length, deterministic.
@@ -74,7 +73,7 @@ def gap_sweep(
     fabricated.
     """
     requested = [int(L) for L in lengths]
-    specs = [ChainSpec(L=L, J=J, Jp=jp) for L in sorted(set(requested))]
+    specs = [ChainSpec(L=L, Jp=jp) for L in sorted(set(requested))]
     warnings, skipped = [], []
     if len(specs) != len(requested):
         dupes = sorted({L for L in requested if requested.count(L) > 1})

@@ -67,7 +67,10 @@ __all__ = [
 
 _PEAK_SCAN_POINTS = 10_000  # grid points numeric_peak scans before refining
 _KRYLOV_DIM = 30  # Lanczos basis dimension of one Krylov time step
-_KRYLOV_REACH = 28.0  # radius * dt of _grid_steps' longest Krylov step (no halving at tol 1e-10)
+# radius * dt of _grid_steps' longest Krylov step, none of which halves at the default krylov
+# tol 1e-10.  Below it steps halve, so a T = 0 split priced at this count is unbalanced, though
+# still deterministic: at 1e-14 the L = 14, 300-point grid takes 598 steps for 299 priced
+_KRYLOV_REACH = 28.0
 _JUMP_TERM_COST = 0.33  # one real Chebyshev term in complex Lanczos steps (measured, L = 14)
 # a jump's Bessel tail bound as a fraction of krylov_tol: a Krylov step's error estimate
 # overstates its error by orders of magnitude, the tail does not; at 1e-3 the jump's error

@@ -43,7 +43,7 @@ def sweep():
     """SpectralData for every (L, jp) of the heavy sweep, plus build time."""
     start = time.perf_counter()
     data = {
-        (L, jp): spectral_data(ChainSpec(L=L, J=1.0, Jp=jp))
+        (L, jp): spectral_data(ChainSpec(L=L, Jp=jp))
         for jp in SWEEP_JPS
         for L in SWEEP_LENGTHS
     }
@@ -138,13 +138,13 @@ def test_criterion_07_gap_scaling(sweep):
 
 def test_criterion_08_effective_model_validity():
     start = time.perf_counter()
-    sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.1))
+    sd = spectral_data(ChainSpec(L=8, Jp=0.1))
     model = EffectiveModel(j_eff=sd.gap, gamma=sd.gap, g=sd.gzz_ground)
     t_pred = optimal_time(model)
     f_pred = max_fidelity(sd.gzz_ground)
     times = np.linspace(0.0, 1.35 * t_pred, 700)
     curve = full_chain_transfer(
-        ChainSpec(L=8, J=1.0, Jp=0.1), 0.0, times, krylov_tol=1e-10, gamma=sd.gap, spectral=sd
+        ChainSpec(L=8, Jp=0.1), 0.0, times, krylov_tol=1e-10, gamma=sd.gap, spectral=sd
     )
     dev_f = abs(curve.f_star - f_pred)
     dev_t = abs(curve.t_star - t_pred) / t_pred
@@ -175,7 +175,7 @@ def test_criterion_10_figure_shapes_at_desk_scale(sweep):
     temps = np.geomspace(1e-4, 1.0, 150)
     curves = {}
     for jp in (0.1, 0.2, 0.3):
-        sd = data[(12, jp)] if jp in SWEEP_JPS else spectral_data(ChainSpec(L=12, J=1.0, Jp=jp))
+        sd = data[(12, jp)] if jp in SWEEP_JPS else spectral_data(ChainSpec(L=12, Jp=jp))
         curves[jp] = fidelity_curve(sd, temps)
     for jp, curve in curves.items():
         if not np.all(np.diff(curve.fidelities) <= 1e-15):

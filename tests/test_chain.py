@@ -1,5 +1,6 @@
 """Sector enumeration and Hamiltonian assembly against the kron oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -113,13 +114,19 @@ class TestChainSpec:
 
     def test_nonpositive_couplings_rejected(self):
         with pytest.raises(ValueError):
-            ChainSpec(L=4, J=-1.0)
-        with pytest.raises(ValueError):
             ChainSpec(L=4, Jp=0.0)
         for value in (float("nan"), float("inf")):
-            for field in ("J", "Jp"):
-                with pytest.raises(ValueError, match=f"{field} must be positive"):
-                    ChainSpec(L=4, **{field: value})
+            with pytest.raises(ValueError, match="Jp must be positive"):
+                ChainSpec(L=4, Jp=value)
+
+    def test_fields_are_length_and_probe_coupling_by_keyword(self):
+        # J = 1 is the energy unit: an old J keyword, or a positional call that once
+        # read (L, J), must fail rather than set Jp
+        assert [f.name for f in dataclasses.fields(ChainSpec)] == ["L", "Jp"]
+        with pytest.raises(TypeError):
+            ChainSpec(L=8, J=1.0)
+        with pytest.raises(TypeError):
+            ChainSpec(8, 0.5)
 
     def test_gamma_zero_allowed(self):
         # gamma is the transfer builder's argument, not a field of the chain
@@ -162,7 +169,7 @@ class TestTwoSpinBond:
 class TestAssemblyAgainstKronOracle:
     @pytest.mark.parametrize("L,jp", [(4, 1.0), (4, 0.3), (6, 0.5), (8, 0.2)])
     def test_sector_blocks_match_dense(self, L, jp):
-        spec = ChainSpec(L=L, J=1.0, Jp=jp)
+        spec = ChainSpec(L=L, Jp=jp)
         full = dense_chain_hamiltonian(spec)
         for twice_sz in range(-L, L + 1, 2):
             sector = enumerate_sector(L, twice_sz)
@@ -172,7 +179,7 @@ class TestAssemblyAgainstKronOracle:
 
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_sector_union_equals_full_spectrum(self, L):
-        spec = ChainSpec(L=L, J=1.0, Jp=0.4)
+        spec = ChainSpec(L=L, Jp=0.4)
         sector_eigs = []
         for twice_sz in range(-L, L + 1, 2):
             sector = enumerate_sector(L, twice_sz)
@@ -183,7 +190,7 @@ class TestAssemblyAgainstKronOracle:
         np.testing.assert_allclose(pooled, full, atol=1e-12)
 
     def test_transfer_lowest_matches_dense(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=4, Jp=0.5)
         full = np.linalg.eigvalsh(dense_transfer_hamiltonian(spec, 0.1))
         lows = []
         for twice_sz in range(-5, 6, 2):
@@ -193,7 +200,7 @@ class TestAssemblyAgainstKronOracle:
         assert min(lows) == pytest.approx(full[0], abs=1e-12)
 
     def test_transfer_gamma_zero_decouples_sender(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.7)
+        spec = ChainSpec(L=4, Jp=0.7)
         eigs = []
         for twice_sz in range(-5, 6, 2):
             sector = enumerate_sector(5, twice_sz)
@@ -204,14 +211,14 @@ class TestAssemblyAgainstKronOracle:
         np.testing.assert_allclose(pooled, doubled, atol=1e-12)
 
     def test_spin_inversion_symmetry(self):
-        spec = ChainSpec(L=6, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=6, Jp=0.3)
         for m in (1, 2, 3):
             up = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(6, 2 * m)))
             down = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(6, -2 * m)))
             np.testing.assert_allclose(up, down, atol=1e-12)
 
     def test_exact_hermiticity(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        spec = ChainSpec(L=8, Jp=0.2)
         op = build_chain_hamiltonian(spec, enumerate_sector(8, 0))
         asymmetry = op.matrix - op.matrix.T
         assert asymmetry.nnz == 0 or np.all(asymmetry.data == 0.0)
@@ -220,7 +227,7 @@ class TestAssemblyAgainstKronOracle:
     @pytest.mark.parametrize("length", [4, 8, 12])
     def test_csr_structure(self, kind, length):
         # rows sorted and duplicate-free, int32 column indices, symmetric bit for bit
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=length, Jp=0.3)
         sector0 = enumerate_sector(length, 0)
         if kind == "plain":
             op = build_chain_hamiltonian(spec, sector0)
@@ -235,7 +242,7 @@ class TestAssemblyAgainstKronOracle:
 
     def test_int64_index_path_gives_the_same_matrix(self, monkeypatch):
         # nnz >= 2**31 takes int64 indptr and indices; force that path at L = 10
-        spec = ChainSpec(L=10, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=10, Jp=0.3)
         block = symmetry_block(10, 1, -1)
         small = build_chain_hamiltonian(spec, block).matrix
         monkeypatch.setattr(spinchannel.chain, "get_index_dtype", lambda maxval: np.int64)
@@ -244,7 +251,7 @@ class TestAssemblyAgainstKronOracle:
             np.testing.assert_array_equal(getattr(wide, name), getattr(small, name))
 
     def test_offdiagonal_row_sums_bounded(self):
-        spec = ChainSpec(L=6, J=1.0, Jp=1.0)
+        spec = ChainSpec(L=6, Jp=1.0)
         op = build_chain_hamiltonian(spec, enumerate_sector(6, 0))
         mat = op.matrix.toarray()
         off = np.abs(mat - np.diag(np.diag(mat))).sum(axis=1)
@@ -316,7 +323,7 @@ class TestAssemblyAgainstBinarySearch:
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
     def test_blocks_and_plain_chain(self, length):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=length, Jp=0.3)
         sector0 = enumerate_sector(length, 0)
         bonds = chain_bonds(spec)
         sectors = [sector0] + [symmetry_block(length, f, r) for f in (1, -1) for r in (1, -1)]
@@ -326,7 +333,7 @@ class TestAssemblyAgainstBinarySearch:
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14, 16])
     def test_transfer(self, length):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=length, Jp=0.3)
         bonds = [(0, 1, 0.05)] + chain_bonds(spec, offset=1)
         for twice_sz in (1, -1):
             sector = enumerate_sector(length + 1, twice_sz)
@@ -338,7 +345,7 @@ class TestAssemblyAgainstBinarySearch:
     def test_many_chunks_with_a_ragged_last_one(self, monkeypatch, length):
         # 97 rows per chunk: every sector spans several chunks, the last one short
         monkeypatch.setattr(spinchannel.chain, "_ASSEMBLY_CHUNK", 97)
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=length, Jp=0.3)
         bonds = chain_bonds(spec)
         sectors = [enumerate_sector(length, 0)]
         sectors += [symmetry_block(length, f, r) for f in (1, -1) for r in (1, -1)]
@@ -358,7 +365,7 @@ class TestAssemblyMemory:
         # L = 20 spans 12 chunks.  The finished int32 CSR holds 12 bytes per
         # entry; indptr, the fill pointers, the diagonal and its columns add
         # ~2 more, the block's index table ~0.7 and one chunk's temporaries ~0.5
-        spec = ChainSpec(L=20, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=20, Jp=0.1)
         block = symmetry_block(20, 1, 1)  # (s, s), s = (-1)^10
         tracemalloc.start()
         try:
@@ -401,6 +408,9 @@ class TestCorrelators:
         (pauli_xx_expectation, (8, 0), (0, 9), ValueError),
         (pauli_zz_expectation, (8, 0), (0, 9), ValueError),
         (pauli_zz_expectation, (8, 1, 1), (0, 1), SectorError),  # not constant on orbits
+        (pauli_z_expectation, (8, 0), (9,), ValueError),  # would read every pattern "down"
+        (pauli_z_expectation, (8, 0), (-1,), ValueError),
+        (pauli_z_expectation, (8, 1, 1), (0,), SectorError),  # F flips sigma_z(0) on each orbit
     ])
     def test_bad_sites_raise(self, correlator, sector, sites, error):
         sector = enumerate_sector(*sector) if len(sector) == 2 else symmetry_block(*sector)
@@ -476,7 +486,7 @@ class TestTotalSpinLadder:
 
     @pytest.mark.parametrize("length", [4, 6])
     def test_matches_kron_oracle(self, length):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=length, Jp=0.5)
         sector = enumerate_sector(length, 0)
         _, modes = np.linalg.eigh(build_chain_hamiltonian(spec, sector).matrix.toarray())
         s_plus, s_minus, s_squared = self.total_spin(length)
@@ -626,7 +636,7 @@ class TestGuards:
         # the diagonal sums in another order, hence the 1e-14
         bonds = [(5, 4, 0.3), (2, 3, 1.0), (1, 0, 0.3), (4, 3, 1.0), (1, 2, 1.0)]
         matrix = build_bond_hamiltonian(bonds, block).matrix
-        reference = build_chain_hamiltonian(ChainSpec(L=6, J=1.0, Jp=0.3), block).matrix
+        reference = build_chain_hamiltonian(ChainSpec(L=6, Jp=0.3), block).matrix
         np.testing.assert_allclose(matrix.toarray(), reference.toarray(), rtol=0, atol=1e-14)
         # plain sectors take any bond list
         build_bond_hamiltonian(bonds[:2], enumerate_sector(6, 0))
@@ -655,7 +665,7 @@ class TestApply:
         np.testing.assert_array_equal(op.matrix @ v, v)
 
     def test_symmetry_inner_product(self, rng):
-        spec = ChainSpec(L=6, J=1.0, Jp=0.4)
+        spec = ChainSpec(L=6, Jp=0.4)
         op = build_chain_hamiltonian(spec, enumerate_sector(6, 0))
         for _ in range(5):
             u = rng.standard_normal(op.dim)
@@ -663,7 +673,7 @@ class TestApply:
             assert np.dot(u, op.matrix @ v) == pytest.approx(np.dot(op.matrix @ u, v), abs=1e-12)
 
     def test_matvec_matches_dense(self, rng):
-        spec = ChainSpec(L=6, J=1.0, Jp=0.4)
+        spec = ChainSpec(L=6, Jp=0.4)
         sector = enumerate_sector(6, 0)
         op = build_chain_hamiltonian(spec, sector)
         full = dense_chain_hamiltonian(spec)
@@ -675,7 +685,7 @@ class TestApply:
     def test_magnetization_conserved(self, rng):
         # applying the operator never leaks amplitude outside the sector:
         # columns of the assembled matrix are sector indices by construction
-        spec = ChainSpec(L=6, J=1.0, Jp=0.4)
+        spec = ChainSpec(L=6, Jp=0.4)
         sector = enumerate_sector(6, 2)
         op = build_chain_hamiltonian(spec, sector)
         assert op.matrix.indices.max() < sector.dim

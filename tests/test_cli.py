@@ -752,17 +752,13 @@ class TestConfigFile:
              "Jp must be positive (antiferromagnetic) and finite, got nan"),
             (["gap-scan", "--l-min", "8", "--l-max", "8", "--jp", "inf"],
              "Jp must be positive (antiferromagnetic) and finite, got inf"),
-            (["gap-scan", "--l-min", "8", "--l-max", "8", "--jp", "0.1", "--j", "nan"],
-             "J must be positive (antiferromagnetic) and finite, got nan"),
             (["teleport", "--length", "8", "--jp", "0.2", "--temp-min", "1e-3", "--tol", "nan"],
              "--tol must be positive and finite, got nan"),
-            (["transfer", "--mode", "full", "--length", "8", "--jp", "0.2", "--j", "inf"],
-             "J must be positive (antiferromagnetic) and finite, got inf"),
             (["share", "--length", "8", "--jp", "0.2", "--tol", "nan"],
              "--tol must be positive and finite, got nan"),
         ],
-        ids=["gap-tol-nan", "gap-tol-inf", "gap-jp-nan", "gap-jp-inf", "gap-j-nan",
-             "teleport-tol", "full-j-inf", "share-tol"],
+        ids=["gap-tol-nan", "gap-tol-inf", "gap-jp-nan", "gap-jp-inf", "teleport-tol",
+             "share-tol"],
     )
     def test_non_finite_tol_or_coupling_fails_before_any_solve(
         self, monkeypatch, tmp_path, capsys, argv, message
@@ -770,6 +766,38 @@ class TestConfigFile:
         self._forbid_solves(monkeypatch)
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-scan", "--l-min", "8", "--l-max", "12", "--out", "x.csv"],
+            ["teleport", "--length", "14", "--out", "x.csv"],
+            ["validate"],
+        ],
+        ids=["gap-scan", "teleport", "validate"],
+    )
+    def test_negative_seed_fails_before_any_solve(self, monkeypatch, tmp_path, capsys, argv):
+        # dense blocks and grown starts never read the seed, and validate would
+        # report the seeded checks as failed: a usage error, checked up front
+        self._forbid_solves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bulk_coupling_is_not_a_setting(self, monkeypatch, tmp_path, capsys):
+        # J = 1 is the energy unit: --j, which --jp must not absorb as a prefix, and a
+        # config key "j" are usage errors before any solve
+        self._forbid_solves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["gap-scan", "--l-min", "8", "--l-max", "12", "--j", "1", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --j 1" in capsys.readouterr().err
+        Path("cfg.json").write_text(json.dumps({"l_min": 8, "l_max": 12, "j": 1.0}))
+        assert run(["gap-scan", "--config", "cfg.json", "--out", "x.csv"]) == 2
+        assert "unknown config keys: ['j']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "argv, config",

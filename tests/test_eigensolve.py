@@ -51,7 +51,7 @@ class TestLowestEigenpairs:
     # oracles below compare ARPACK, not eigh, with the dense spectrum
     @pytest.mark.parametrize("jp", [0.1, 0.5, 1.0])
     def test_L12_matches_dense(self, jp, arpack_dims):
-        spec = ChainSpec(L=12, J=1.0, Jp=jp)
+        spec = ChainSpec(L=12, Jp=jp)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         pairs = lowest_eigenpairs(op, 2, 1e-10)
         dense = dense_spectrum(op)
@@ -65,7 +65,7 @@ class TestLowestEigenpairs:
         # force the smallest ARPACK subspace for k = 2 (ncv = 2k + 1 = 5) so
         # that many implicit restarts must happen
         monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_NCV", 5)
-        spec = ChainSpec(L=12, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=12, Jp=0.3)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         pairs = lowest_eigenpairs(op, 2, 1e-10)
         dense = dense_spectrum(op)
@@ -74,7 +74,7 @@ class TestLowestEigenpairs:
         assert pairs[1].energy == pytest.approx(dense[1], abs=1e-9)
 
     def test_deterministic_given_seed(self, arpack_dims):
-        spec = ChainSpec(L=12, J=1.0, Jp=0.2)
+        spec = ChainSpec(L=12, Jp=0.2)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 2))
         a = lowest_eigenpairs(op, 2, seed=42)
         b = lowest_eigenpairs(op, 2, seed=42)
@@ -85,7 +85,7 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("k", [12, 13])
     def test_many_pairs_widen_the_subspace(self, k, arpack_dims):
         # ARPACK needs ncv > k; ncv = max(_ARPACK_NCV, 2k + 1) keeps k >= 12 working
-        spec = ChainSpec(L=12, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=12, Jp=0.5)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         pairs = lowest_eigenpairs(op, k, 1e-10)
         dense = dense_spectrum(op)
@@ -97,7 +97,7 @@ class TestLowestEigenpairs:
         # k = 1 keeps no Lanczos basis: the start, v_(j-1), v_j and the product,
         # then the Ritz vector, and the coefficient arrays.  ARPACK with ncv = 12
         # read ~29 vectors of dim here, and ~45 with 20.
-        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=18, Jp=0.1)
         block = symmetry_block(18, -1, -1)  # (s, s), s = (-1)^9
         op = build_chain_hamiltonian(spec, block)
         tracemalloc.start()
@@ -110,7 +110,7 @@ class TestLowestEigenpairs:
         assert peak <= 8 * op.dim * 8
 
     def test_variational_bound(self, rng):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         op = build_chain_hamiltonian(spec, enumerate_sector(8, 0))
         (ground, _) = lowest_eigenpairs(op, 2)
         for _ in range(10):
@@ -120,7 +120,7 @@ class TestLowestEigenpairs:
 
     def test_convergence_error_carries_residuals(self, monkeypatch):
         monkeypatch.setattr(spinchannel.eigensolve, "_ARPACK_MAXITER", 3)
-        spec = ChainSpec(L=12, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=12, Jp=0.1)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 2, 1e-14)
@@ -136,7 +136,7 @@ class TestLowestEigenpairs:
             return energies, vectors
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
-        spec = ChainSpec(L=12, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=12, Jp=0.1)
         op = build_chain_hamiltonian(spec, enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 2, 1e-10)
@@ -153,7 +153,7 @@ class TestLowestEigenpairs:
                 yield v + 1e-3 if known else v
 
         monkeypatch.setattr(spinchannel.eigensolve, "_lanczos_vectors", perturbed)
-        op = build_chain_hamiltonian(ChainSpec(L=12, J=1.0, Jp=0.1), enumerate_sector(12, 0))
+        op = build_chain_hamiltonian(ChainSpec(L=12, Jp=0.1), enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError, match="steps in 3 runs") as err:
             lowest_eigenpairs(op, 1, 1e-10)
         (residual,) = err.value.residuals
@@ -161,7 +161,7 @@ class TestLowestEigenpairs:
 
     def test_step_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(spinchannel.eigensolve, "_LANCZOS_MAX_STEPS", 3)
-        op = build_chain_hamiltonian(ChainSpec(L=12, J=1.0, Jp=0.1), enumerate_sector(12, 0))
+        op = build_chain_hamiltonian(ChainSpec(L=12, Jp=0.1), enumerate_sector(12, 0))
         with pytest.raises(ConvergenceError, match="after 9 steps in 3 runs") as err:
             lowest_eigenpairs(op, 1)
         (residual,) = err.value.residuals
@@ -178,7 +178,7 @@ class TestLowestEigenpairs:
         assert pair.residual <= 1e-14
 
     def test_k1_deterministic_given_seed(self, arpack_dims):
-        op = build_chain_hamiltonian(ChainSpec(L=16, J=1.0, Jp=0.2), symmetry_block(16, 1, 1))
+        op = build_chain_hamiltonian(ChainSpec(L=16, Jp=0.2), symmetry_block(16, 1, 1))
         (a,), (b,) = lowest_eigenpairs(op, 1, seed=42), lowest_eigenpairs(op, 1, seed=42)
         assert arpack_dims == []
         assert a.energy == b.energy
@@ -204,7 +204,7 @@ class TestTwoPassLanczos:
     @pytest.mark.parametrize("length", [14, 16, 18])
     @pytest.mark.parametrize("jp", [0.05, 0.1, 0.5, 1.0])
     def test_matches_arpack(self, length, jp, arpack_dims):
-        spec, short = ChainSpec(L=length, J=1.0, Jp=jp), ChainSpec(L=length - 2, J=1.0, Jp=jp)
+        spec, short = ChainSpec(L=length, Jp=jp), ChainSpec(L=length - 2, Jp=jp)
         # the lowest vector of block (F, R) at L - 2 with a middle singlet is in (-F, -R) at L
         seeds = {}
         for flip, reflect in self.SIGNS:
@@ -313,7 +313,7 @@ class TestDenseSpectrum:
             dense_spectrum(op)
 
     def test_L8_sectors_cover_full_spectrum(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.6)
+        spec = ChainSpec(L=8, Jp=0.6)
         eigs = []
         for twice_sz in range(-8, 9, 2):
             op = build_chain_hamiltonian(spec, enumerate_sector(8, twice_sz))
@@ -338,7 +338,7 @@ class TestSpinInversionBlocks:
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("jp", [0.1, 0.5, 1.0])
     def test_block_spectra_make_up_the_sector(self, length, jp):
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        spec = ChainSpec(L=length, Jp=jp)
         sector0 = enumerate_sector(length, 0)
         blocks = [
             dense_spectrum(build_chain_hamiltonian(spec, symmetry_block(length, *signs)))
@@ -361,7 +361,7 @@ class TestSpinInversionBlocks:
     @pytest.mark.parametrize("signs", SIGNS)
     def test_block_matrix_is_projected_plain_matrix(self, length, signs):
         # E^T H E with E's columns the expansions of the block's unit vectors
-        spec = ChainSpec(L=length, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=length, Jp=0.3)
         sector0 = enumerate_sector(length, 0)
         block = symmetry_block(length, *signs)
         expansion = _block_expansion(block, sector0)
@@ -374,7 +374,7 @@ class TestSpinInversionBlocks:
     def test_ground_state_parity(self, length, jp):
         # spectral_data solves block (s, s) for the singlet and (-s, -s) for T0
         sector0 = enumerate_sector(length, 0)
-        op = build_chain_hamiltonian(ChainSpec(L=length, J=1.0, Jp=jp), sector0)
+        op = build_chain_hamiltonian(ChainSpec(L=length, Jp=jp), sector0)
         ground, triplet = np.linalg.eigh(op.matrix.toarray())[1][:, :2].T
         mirrored = [int(format(int(p), f"0{length}b")[::-1], 2) for p in sector0.basis]
         mirror = rank(sector0, np.array(mirrored, dtype=np.uint64))
@@ -393,7 +393,7 @@ class TestSpinInversionBlocks:
     @pytest.mark.parametrize("length", [12, 14, 16])
     def test_matches_plain_k2_solve(self, length):
         tol = 1e-10
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=length, Jp=0.1)
         sd = spectral_data(spec, tol)
         op = build_chain_hamiltonian(spec, enumerate_sector(length, 0))
         ground, triplet = lowest_eigenpairs(op, 2, tol)
@@ -403,14 +403,14 @@ class TestSpinInversionBlocks:
             assert np.linalg.norm(op.matrix @ vector - energy * vector) <= tol
 
     def test_gap_independent_of_seed(self):
-        spec = ChainSpec(L=14, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=14, Jp=0.1)
         gaps = [spectral_data(spec, seed=seed).gap for seed in (1, 2, 1234)]
         assert max(gaps) - min(gaps) <= 1e-10
 
 
 class TestSpectralData:
     def test_uniform_L4_gap_matches_dense(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=1.0)
+        spec = ChainSpec(L=4, Jp=1.0)
         sd = spectral_data(spec)
         m0 = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(4, 0)))
         m1 = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(4, 2)))
@@ -421,12 +421,12 @@ class TestSpectralData:
     def test_L16_spectrum_pinned(self, seed):
         # e0 and gap as computed by the original thick-restart Lanczos solver
         kwargs = {} if seed is None else {"seed": seed}
-        sd = spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1), **kwargs)
+        sd = spectral_data(ChainSpec(L=16, Jp=0.1), **kwargs)
         assert sd.e0 == pytest.approx(-6.035563591378224, abs=1e-9)
         assert sd.gap == pytest.approx(0.002929115857094544, abs=1e-9)
 
     def test_triplet_degeneracy_holds(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        spec = ChainSpec(L=8, Jp=0.2)
         sd = spectral_data(spec, 1e-10)
         assert sd.gap > 0
         # e_triplet is the lowest level of T0's block; it must sit on the lowest
@@ -436,17 +436,17 @@ class TestSpectralData:
         assert lowest_m1 == pytest.approx(sd.e_triplet, abs=1e-9)
 
     def test_weak_probes_strongly_entangled(self):
-        sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
+        sd = spectral_data(ChainSpec(L=8, Jp=0.2))
         assert sd.gzz_ground < -1.0 / 3.0
 
     def test_correlators_in_range(self):
-        sd = spectral_data(ChainSpec(L=6, J=1.0, Jp=0.5))
+        sd = spectral_data(ChainSpec(L=6, Jp=0.5))
         for val in (sd.gzz_ground, sd.gzz_triplet, sd.gxx_triplet):
             assert -1.0 <= val <= 1.0
 
     def test_huge_tol_trips_degeneracy_guard(self):
         with pytest.raises(OrderingError):
-            spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2), tol=1.0)
+            spectral_data(ChainSpec(L=8, Jp=0.2), tol=1.0)
 
     def test_both_block_solves_precede_the_expansions(self, monkeypatch):
         # a plain m = 0 vector holds four block vectors' worth of entries; none
@@ -467,7 +467,7 @@ class TestSpectralData:
 
         monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", recorded_solve)
         monkeypatch.setattr(spinchannel.eigensolve, "expand_to_sector", recorded_expand)
-        spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
+        spectral_data(ChainSpec(L=12, Jp=0.1))
         assert [name for name, _ in calls] == ["solve", "solve", "expand", "expand"]
         assert [dim for _, dim in calls[2:]] == [dim for _, dim in calls[1::-1]]
 
@@ -475,7 +475,7 @@ class TestSpectralData:
         # every phase stays near the solve's floor, one block's CSR and its
         # Lanczos vectors.  At L = 20 the last correlator, zz of |G>, tops it by
         # 0.3 MB: the m = 0 basis, |T0> and |G> are four block vectors each
-        spec = ChainSpec(L=20, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=20, Jp=0.1)
         block = symmetry_block(20, 1, 1)  # (s, s), s = (-1)^10, the larger block
         csr = build_chain_hamiltonian(spec, block).matrix
         csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
@@ -493,7 +493,7 @@ class TestSpectralData:
         # the blocks list their own representatives, so the plain m = 0 basis is
         # enumerated once, for the correlators after both solves, and no other
         # sector is listed: the triplet's spin is a theorem, not a run-time check
-        short = spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1)) if grown else None
+        short = spectral_data(ChainSpec(L=12, Jp=0.1)) if grown else None
         enumerate_m, patterns = spinchannel.eigensolve.enumerate_sector, spinchannel.chain._patterns
         sectors, listed = [], []
 
@@ -507,7 +507,7 @@ class TestSpectralData:
 
         monkeypatch.setattr(spinchannel.eigensolve, "enumerate_sector", recorded_enumerate)
         monkeypatch.setattr(spinchannel.chain, "_patterns", recorded_patterns)
-        spectral_data(ChainSpec(L=14, J=1.0, Jp=0.1), grow_from=short)
+        spectral_data(ChainSpec(L=14, Jp=0.1), grow_from=short)
         assert sectors == [(14, 0)]
         assert listed.count((14, 7)) == 1
         assert (14, 8) not in listed
@@ -519,13 +519,13 @@ class TestSpectralData:
         # its energy is the lowest m = 1 level, and the lowest m = 2 level lies
         # above it, which an S = 3 state would not.  The m = 1 route that
         # spectral_data does not take is the oracle of the Wigner-Eckart correlators
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        spec = ChainSpec(L=length, Jp=jp)
         sd = spectral_data(spec)
         sector1 = enumerate_sector(length, 2)
         (pair,) = lowest_eigenpairs(build_chain_hamiltonian(spec, sector1), 1, tol=1e-12)
         (lowest_m2,) = lowest_eigenpairs(
             build_chain_hamiltonian(spec, enumerate_sector(length, 4)), 1, tol=1e-12)
-        a, b = spec.site_a, spec.site_b
+        a, b = 0, spec.L - 1  # the probes, A and B
         assert sd.e_triplet == pytest.approx(pair.energy, abs=1e-10)
         assert lowest_m2.energy - sd.e_triplet > 1e-9
         assert sd.gzz_triplet == pytest.approx(
@@ -537,7 +537,7 @@ class TestSpectralData:
 
     def test_reflection_symmetry_of_gzz(self):
         # the chain is mirror symmetric, so swapping probes changes nothing
-        spec = ChainSpec(L=6, J=1.0, Jp=0.3)
+        spec = ChainSpec(L=6, Jp=0.3)
         sector = enumerate_sector(6, 0)
         op = build_chain_hamiltonian(spec, sector)
         (ground, _) = lowest_eigenpairs(op, 2)
@@ -573,7 +573,7 @@ class TestGrownStarts:
     @pytest.mark.parametrize("length", [6, 8, 12, 14, 16])
     def test_grown_starts_are_pure_singlet_and_triplet(self, length):
         # <S^2> = |S+ v|^2 at m = 0: 0 for the grown |G>, 2 for the grown |T0>
-        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
+        short = spectral_data(ChainSpec(L=length - 2, Jp=0.1))
         sector = enumerate_sector(length, 0)
         s = (-1) ** (length // 2)
         for sign, vec, s2 in ((s, short.ground, 0.0), (-s, short.triplet, 2.0)):
@@ -586,8 +586,8 @@ class TestGrownStarts:
     @pytest.mark.parametrize("length", [14, 16])  # Lanczos blocks; dense ones ignore v0
     @pytest.mark.parametrize("jp", [0.1, 0.5])
     def test_grown_solve_matches_random_start(self, length, jp):
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
-        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=jp))
+        spec = ChainSpec(L=length, Jp=jp)
+        short = spectral_data(ChainSpec(L=length - 2, Jp=jp))
         grown, fresh = spectral_data(spec, grow_from=short), spectral_data(spec)
         for name in ("e0", "e_triplet", "gap", "gzz_ground", "gzz_triplet", "gxx_triplet"):
             assert getattr(grown, name) == pytest.approx(getattr(fresh, name), abs=1e-10)
@@ -595,8 +595,8 @@ class TestGrownStarts:
     @pytest.mark.parametrize("length", [16, 18])
     def test_grown_start_saves_products(self, monkeypatch, in_process_worker, length):
         # the worker's block is solved in process here, so both blocks' products count
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
-        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1))
+        spec = ChainSpec(L=length, Jp=0.1)
+        short = spectral_data(ChainSpec(L=length - 2, Jp=0.1))
         counts = _counting_products(monkeypatch)
         spectral_data(spec)
         random_products = sum(counts)
@@ -606,7 +606,7 @@ class TestGrownStarts:
         assert sum(counts) < random_products
 
     def test_random_start_is_the_seeded_vector(self):
-        op = build_chain_hamiltonian(ChainSpec(L=14, J=1.0, Jp=0.1), enumerate_sector(14, 0))
+        op = build_chain_hamiltonian(ChainSpec(L=14, Jp=0.1), enumerate_sector(14, 0))
         v0 = np.random.default_rng(5).standard_normal(op.dim)
         (seeded,), (given,) = lowest_eigenpairs(op, 1, seed=5), lowest_eigenpairs(op, 1, v0=v0)
         assert seeded.energy == given.energy
@@ -624,11 +624,19 @@ class TestGrownStarts:
         with pytest.raises(ValueError, match="start vector"):
             lowest_eigenpairs(op, 1, v0=make(dim))
 
+    @pytest.mark.parametrize("dim, k", [(3, 1), (1003, 1), (1003, 2)],
+                             ids=["dense", "lanczos", "arpack"])
+    def test_negative_seed_raises_on_every_path(self, dim, k):
+        # the dense path never draws a start vector, yet refuses the seed all the same
+        op = SparseOperator(diags(np.arange(dim, dtype=float)).tocsr())
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            lowest_eigenpairs(op, k, seed=-1)
+
     @pytest.mark.parametrize("phase", [1j, 1.0 + 1.0j], ids=["imaginary", "complex"])
     def test_complex_start_vector_names_its_dtype(self, phase):
         # the operator is real: a complex start fails before any product, with
         # neither a ComplexWarning nor a silently dropped imaginary part
-        op = build_chain_hamiltonian(ChainSpec(L=14, J=1.0, Jp=0.1), symmetry_block(14, 1, 1))
+        op = build_chain_hamiltonian(ChainSpec(L=14, Jp=0.1), symmetry_block(14, 1, 1))
 
         class NoProducts(csr_matrix):
             def _matmul_vector(self, other):
@@ -643,14 +651,14 @@ class TestGrownStarts:
     def test_complex_grow_from_names_its_dtype(self, monkeypatch, phase):
         # the blocks are real: growing a complex L - 2 vector neither warns nor drops
         # its imaginary part, and fails before any assembly
-        sd12 = spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1))
+        sd12 = spectral_data(ChainSpec(L=12, Jp=0.1))
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled although the grown vector is complex")
 
         monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", no_assembly)
         with pytest.raises(ValueError, match="must be real, got dtype complex128"):
-            spectral_data(ChainSpec(L=14, J=1.0, Jp=0.1),
+            spectral_data(ChainSpec(L=14, Jp=0.1),
                           grow_from=replace(sd12, ground=phase * sd12.ground))
         with pytest.raises(ValueError, match="must be real, got dtype complex128"):
             grow_into_block(symmetry_block(14, 1, 1), phase * sd12.ground)
@@ -661,8 +669,8 @@ class TestGrownStarts:
             (lambda sd: SpectralData(sd.e0, sd.e_triplet, sd.gap, sd.gzz_ground, sd.gzz_triplet,
                                      sd.gxx_triplet), ConfigError, "vectors"),
             (lambda sd: replace(sd, triplet=None), ConfigError, "vectors"),
-            (lambda sd: spectral_data(ChainSpec(L=8, J=1.0, Jp=0.1)), DimensionError, "10-site"),
-            (lambda sd: spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1)), DimensionError, "10-site"),
+            (lambda sd: spectral_data(ChainSpec(L=8, Jp=0.1)), DimensionError, "10-site"),
+            (lambda sd: spectral_data(ChainSpec(L=12, Jp=0.1)), DimensionError, "10-site"),
             (lambda sd: replace(sd, ground=sd.ground[:-1]), DimensionError, "10-site"),
             (lambda sd: replace(sd, triplet=np.full(sd.triplet.size, np.nan)), ValueError,
              "start vector"),
@@ -671,21 +679,21 @@ class TestGrownStarts:
         ids=["no-vectors", "no-triplet", "L-4", "same-L", "short-vector", "nan", "zero"],
     )
     def test_bad_grow_from_raises_before_assembly(self, monkeypatch, change, error, message):
-        grow_from = change(spectral_data(ChainSpec(L=10, J=1.0, Jp=0.1)))
+        grow_from = change(spectral_data(ChainSpec(L=10, Jp=0.1)))
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled although grow_from is invalid")
 
         monkeypatch.setattr(spinchannel.eigensolve, "build_chain_hamiltonian", no_assembly)
         with pytest.raises(error, match=message):
-            spectral_data(ChainSpec(L=12, J=1.0, Jp=0.1), grow_from=grow_from)
+            spectral_data(ChainSpec(L=12, Jp=0.1), grow_from=grow_from)
 
 
 def in_process_spectral_data(spec, grow_from=None):
     """spectral_data's result from both block solves in this process, by lowest_eigenpairs."""
     s = (-1) ** (spec.L // 2)
     starts = (None, None) if grow_from is None else (grow_from.ground, grow_from.triplet)
-    a, b = spec.site_a, spec.site_b
+    a, b = 0, spec.L - 1  # the probes, A and B
     solved = []
     for sign, short in zip((s, -s), starts):
         block = symmetry_block(spec.L, sign, sign)
@@ -723,8 +731,8 @@ class TestWorkerBlock:
 
     @pytest.mark.parametrize("length", [16, 18, 20])
     def test_bytes_equal_both_blocks_in_process(self, length):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
-        short = spectral_data(ChainSpec(L=length - 2, J=1.0, Jp=0.1)) if length == 18 else None
+        spec = ChainSpec(L=length, Jp=0.1)
+        short = spectral_data(ChainSpec(L=length - 2, Jp=0.1)) if length == 18 else None
         forked, oracle = spectral_data(spec, grow_from=short), in_process_spectral_data(spec, short)
         for name in ("e0", "e_triplet", "gap", "gzz_ground", "gzz_triplet", "gxx_triplet"):
             assert getattr(forked, name).hex() == getattr(oracle, name).hex()
@@ -745,7 +753,7 @@ class TestWorkerBlock:
 
         monkeypatch.setattr(spinchannel.eigensolve, "lowest_eigenpairs", failing_t0)
         with pytest.raises(ConvergenceError, match=f"dim = {t0_dim}") as failure:
-            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+            spectral_data(ChainSpec(L=16, Jp=0.1))
         assert len(failure.value.residuals) == 1 and failure.value.residuals[0] > 1e-300
         assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
         forked = gap_sweep([14, 16, 18], 0.1)
@@ -765,7 +773,7 @@ class TestWorkerBlock:
 
         _solve_by_process(monkeypatch, in_caller, exiting)
         with pytest.raises(SpinChainError, match="worker process ended without a result"):
-            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+            spectral_data(ChainSpec(L=16, Jp=0.1))
         assert multiprocessing.active_children() == []
 
     def test_caller_error_does_not_wait_for_the_worker(self, monkeypatch):
@@ -779,7 +787,7 @@ class TestWorkerBlock:
         _solve_by_process(monkeypatch, failing, sleeping)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="caller failed"):
-            spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+            spectral_data(ChainSpec(L=16, Jp=0.1))
         assert time.perf_counter() - start < 2.5
         assert multiprocessing.active_children() == []
 
@@ -789,4 +797,4 @@ class TestWorkerBlock:
 
         monkeypatch.setattr(spinchannel.worker, "call_both", no_fork)
         for length in (10, 12, 14):
-            spectral_data(ChainSpec(L=length, J=1.0, Jp=0.1))
+            spectral_data(ChainSpec(L=length, Jp=0.1))

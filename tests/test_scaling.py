@@ -78,7 +78,7 @@ class TestGapSweep:
 
     def test_uniform_chain_matches_dense(self):
         table = gap_sweep([8], 1.0)
-        spec = ChainSpec(L=8, J=1.0, Jp=1.0)
+        spec = ChainSpec(L=8, Jp=1.0)
         m0 = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(8, 0)))
         m1 = dense_spectrum(build_chain_hamiltonian(spec, enumerate_sector(8, 2)))
         assert table.rows[0].gap == pytest.approx(m1[0] - m0[0], abs=1e-10)
@@ -86,7 +86,7 @@ class TestGapSweep:
 
     def test_matches_spectral_data(self):
         table = gap_sweep([10], 0.3)
-        sd = spectral_data(ChainSpec(L=10, J=1.0, Jp=0.3))
+        sd = spectral_data(ChainSpec(L=10, Jp=0.3))
         assert table.rows[0].gap == pytest.approx(sd.gap, abs=1e-12)
         # each row carries its spectral_data, without the vectors
         assert table.rows[0].spectral == replace(sd, ground=None, triplet=None)
@@ -114,7 +114,7 @@ class TestGrownSweep:
         table = gap_sweep(range(8, 19, 2), jp)
         assert [row.length for row in table.rows] == list(range(8, 19, 2))
         for row in table.rows:
-            sd = spectral_data(ChainSpec(L=row.length, J=1.0, Jp=jp))
+            sd = spectral_data(ChainSpec(L=row.length, Jp=jp))
             assert row.e0 == pytest.approx(sd.e0, abs=1e-10)
             assert row.gap == pytest.approx(sd.gap, abs=1e-10)
             for name in ("gzz_ground", "gzz_triplet", "gxx_triplet"):
@@ -143,9 +143,9 @@ class TestGrownSweep:
         # the L = 16 vectors must die before the L = 18 solves, so the sweep
         # peaks where one L = 18 call grown from an L = 16 result does, within
         # half an L = 18 block vector (49 KB); a live L = 16 plain vector is 103 KB
-        spec = ChainSpec(L=18, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=18, Jp=0.1)
         block_dim = symmetry_block(18, -1, -1).dim
-        short = spectral_data(ChainSpec(L=16, J=1.0, Jp=0.1))
+        short = spectral_data(ChainSpec(L=16, Jp=0.1))
         gap_sweep([16, 18], 0.1)  # warm caches and imports
         tracemalloc.start()
         try:

@@ -124,7 +124,7 @@ class TestThresholdTemperature:
         assert threshold_temperature(TWO_SPIN) == pytest.approx(1.0 / np.log(3.0), abs=1e-12)
 
     def test_inverts_thermal_g(self):
-        sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
+        sd = spectral_data(ChainSpec(L=8, Jp=0.2))
         t_star = threshold_temperature(sd)
         assert thermal_g(sd, t_star) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
@@ -139,7 +139,7 @@ class TestThresholdTemperature:
 
 class TestFidelityCurve:
     def test_curve_shape_and_limits(self):
-        sd = spectral_data(ChainSpec(L=8, J=1.0, Jp=0.2))
+        sd = spectral_data(ChainSpec(L=8, Jp=0.2))
         temps = np.geomspace(1e-6, 1e-1, 40)
         curve = fidelity_curve(sd, temps)
         assert curve.fidelities[0] == pytest.approx((1.0 - sd.gzz_ground) / 2.0, abs=1e-12)
@@ -149,7 +149,7 @@ class TestFidelityCurve:
 
     def test_smaller_jp_higher_fidelity_at_low_t(self):
         temps = np.array([1e-6])
-        weak, strong = (spectral_data(ChainSpec(L=12, J=1.0, Jp=jp)) for jp in (0.1, 0.2))
+        weak, strong = (spectral_data(ChainSpec(L=12, Jp=jp)) for jp in (0.1, 0.2))
         assert fidelity_curve(weak, temps).fidelities[0] > fidelity_curve(strong, temps).fidelities[0]
 
     def test_rejects_bad_grid(self):

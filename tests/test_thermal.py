@@ -65,7 +65,7 @@ class TestThermalG:
 
     @pytest.mark.parametrize("length, jp", [(4, 0.5), (8, 0.2), (12, 0.1)])
     def test_zero_temperature_is_the_ground_value_to_the_bit(self, length, jp):
-        sd = spectral_data(ChainSpec(L=length, J=1.0, Jp=jp))
+        sd = spectral_data(ChainSpec(L=length, Jp=jp))
         expected = validate_werner_g(sd.gzz_ground)
         assert boltzmann_factor(sd, 0.0) == 0.0
         assert thermal_g(sd, 0.0).hex() == expected.hex()
@@ -82,7 +82,7 @@ class TestTemperatureRule:
 
     @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
     def test_same_error_in_every_protocol(self, monkeypatch, temperature):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=4, Jp=0.5)
         sd = spectral_data(spec)
 
         def no_work(*args, **kwargs):

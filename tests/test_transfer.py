@@ -249,7 +249,7 @@ class TestEffectiveCoupling:
             numeric_peak(EffectiveModel(j_eff=1.0, gamma=1.0, g=-1.0), gamma)
 
     def test_jeff_is_the_gap(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        spec = ChainSpec(L=8, Jp=0.2)
         sd = spectral_data(spec)
         model = effective_coupling(sd)
         assert model.j_eff == pytest.approx(sd.gap, abs=1e-12)
@@ -257,14 +257,14 @@ class TestEffectiveCoupling:
         assert model.gamma == pytest.approx(sd.gap)  # "auto"
 
     def test_perturbative_scaling_of_jeff(self):
-        strong_spec = ChainSpec(L=8, J=1.0, Jp=0.2)
-        weak_spec = ChainSpec(L=8, J=1.0, Jp=0.1)
+        strong_spec = ChainSpec(L=8, Jp=0.2)
+        weak_spec = ChainSpec(L=8, Jp=0.1)
         strong = effective_coupling(spectral_data(strong_spec)).j_eff
         weak = effective_coupling(spectral_data(weak_spec)).j_eff
         assert 3.0 < strong / weak < 5.5  # ~4x from the quadratic prefactor
 
     def test_finite_temperature_g(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.2)
+        spec = ChainSpec(L=8, Jp=0.2)
         sd = spectral_data(spec)
         model = effective_coupling(sd, temperature=sd.gap)
         assert model.g > sd.gzz_ground
@@ -322,7 +322,7 @@ def dense_mixture_theta(spec, gamma, temperature, times):
 
 class TestFullChainTransfer:
     def test_matches_dense_evolution(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=4, Jp=0.5)
         times = np.linspace(0.0, 25.0, 40)
         curve = full_chain_transfer(
             spec, 0.0, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
@@ -331,7 +331,7 @@ class TestFullChainTransfer:
         np.testing.assert_allclose(curve.thetas, expected, atol=1e-10)
 
     def test_finite_temperature_matches_dense(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=4, Jp=0.5)
         times = np.linspace(0.0, 15.0, 25)
         curve = full_chain_transfer(
             spec, 0.2, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
@@ -354,7 +354,7 @@ class TestFullChainTransfer:
             return psi_new, dt_done
 
         monkeypatch.setattr(transfer, "_krylov_step", recorded)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         times = np.linspace(0.0, 80.0, 9)
         curve = full_chain_transfer(
             spec, temperature, times, krylov_tol=1e-12, gamma=0.3, spectral=spectral_data(spec)
@@ -366,7 +366,7 @@ class TestFullChainTransfer:
         )
 
     def test_decoupled_sender_constant_theta(self):
-        spec = ChainSpec(L=4, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=4, Jp=0.5)
         curve = full_chain_transfer(
             spec, 0.0, np.linspace(0.0, 30.0, 16), gamma=0.0, spectral=spectral_data(spec)
         )
@@ -384,7 +384,7 @@ class TestFullChainTransfer:
             return build(spec, sector, gamma)
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", recorded)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         full_chain_transfer(
             spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
@@ -399,7 +399,7 @@ class TestFullChainTransfer:
             enumerated.append((n_sites, twice_sz))
             return enumerate_own(n_sites, twice_sz)
 
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         sd = spectral_data(spec)
         monkeypatch.setattr(transfer, "enumerate_sector", recorded)
         for temperature in (0.0, 0.2):
@@ -437,7 +437,7 @@ class TestFullChainTransfer:
 
         monkeypatch.setattr(transfer, "_trajectory", recorded)
         monkeypatch.setattr(transfer, "_branch_theta", recorded_branch)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         grid = np.linspace(0.0, 10.0, 5)
         full_chain_transfer(spec, temperature, grid, gamma=0.3, spectral=spectral_data(spec))
         assert len(started) == trajectories
@@ -454,7 +454,7 @@ class TestFullChainTransfer:
 
         monkeypatch.setattr(transfer, "build_transfer_hamiltonian", no_assembly)
         for length in (6, 8):
-            spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+            spec = ChainSpec(L=length, Jp=0.5)
             sd = spectral_data(spec)
             block_sign = -((-1) ** (length // 2))
             # G and T0 have spin-flip parities s and -s: their sum has <F> = 0, and G
@@ -528,7 +528,7 @@ class TestFullChainTransfer:
 
     def test_agrees_with_effective_model_at_weak_coupling(self):
         # small version of the headline comparison (L = 6 keeps it quick)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=6, Jp=0.1)
         sd = spectral_data(spec)
         model = EffectiveModel(j_eff=sd.gap, gamma=sd.gap, g=sd.gzz_ground)
         t_pred = optimal_time(model)
@@ -538,8 +538,8 @@ class TestFullChainTransfer:
         assert abs(curve.f_star - f_pred) < 0.05
         assert abs(curve.t_star - t_pred) / t_pred < 0.1
         # flying-qubit bound: information cannot arrive faster than the
-        # excitations carrying it, so t* J >= L/2 inside the validity window
-        assert curve.t_star * spec.J >= 0.5 * spec.L
+        # excitations carrying it, so t* >= L/2 (units of 1/J) inside the validity window
+        assert curve.t_star >= 0.5 * spec.L
 
 
 def lockstep_theta(spec, gamma, temperature, times, sd, tol=1e-10):
@@ -571,7 +571,7 @@ class TestWorkerProcess:
     @pytest.mark.parametrize("length", [6, 8, 10])
     def test_theta_bitwise_equals_both_branches_in_process(self, length, temperature):
         # Jp = 0.1 keeps the gap near 4e-3, so the triplet weight is not 0 at T = 1e-3
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=length, Jp=0.1)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 400.0, 41)
         curve = full_chain_transfer(spec, temperature, times, gamma=sd.gap, spectral=sd)
@@ -587,7 +587,7 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, own_tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", reachable_in_caller)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 10.0, 5)
         full_chain_transfer(spec, 0.2, times, gamma=0.3, spectral=sd)
@@ -609,7 +609,7 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", failing_in_caller)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         sd = spectral_data(spec)
         start = time.perf_counter()
         with pytest.raises(PropagationError, match="caller failed"):
@@ -627,7 +627,7 @@ class TestWorkerProcess:
             return trajectory(matrix, psi, times, tol, radius)
 
         monkeypatch.setattr(transfer, "_trajectory", exiting_in_worker)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         sd = spectral_data(spec)
         with pytest.raises(SpinChainError, match="worker") as failure:
             full_chain_transfer(spec, 0.2, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=sd)
@@ -637,7 +637,7 @@ class TestWorkerProcess:
     def test_zero_temperature_worker_rules(self, monkeypatch):
         # the worker's segment at T = 0 keeps the rules: a worker error arrives typed, a
         # caller error ends the worker at once, a dead worker raises a package error
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 10.0, 5)
         caller, trajectory = os.getpid(), transfer._trajectory
@@ -691,7 +691,7 @@ class TestWorkerProcess:
             return fork(process)
 
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         full_chain_transfer(
             spec, 0.0, np.linspace(0.0, 10.0, 5), gamma=0.3, spectral=spectral_data(spec)
         )
@@ -708,7 +708,7 @@ class TestWorkerProcess:
             return split_index(times, radius)
 
         monkeypatch.setattr(transfer, "_split_index", recorded)
-        spec = ChainSpec(L=6, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=6, Jp=0.5)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 10.0, 9)
         assert boltzmann_factor(sd, 1e-9) == 0.0
@@ -724,7 +724,7 @@ class TestWorkerProcess:
         # the caller's segment is the unsplit trajectory's to the bit; the worker's,
         # reached by a Chebyshev jump, agrees to 1e-10.  At Jp = 0.03 a grid step takes
         # 4 Krylov steps, and the jump has z ~ 3.2e4
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        spec = ChainSpec(L=length, Jp=jp)
         sd = spectral_data(spec)
         times = np.linspace(0.0, 1.35 * np.pi / sd.gap, points)
         curve = full_chain_transfer(spec, 0.0, times, gamma=sd.gap, spectral=sd)
@@ -765,44 +765,6 @@ class TestWorkerProcess:
             full_chain_transfer(spec, temperature, times, gamma=gamma, spectral=spectral_data(spec))
 
 
-class TestCouplingScale:
-    """Metamorphic: (J, Jp, gamma, T) -> lam (J, Jp, gamma, T) scales H by lam.
-
-    Energies and the gap scale by lam, the Werner parameter g is unchanged,
-    and the dynamics on the time grid t / lam are those on t.
-    """
-
-    @pytest.mark.parametrize("lam", [0.5, 3.0])
-    @pytest.mark.parametrize("length", [8, 12])
-    def test_energies_scale_and_g_does_not(self, lam, length):
-        base = ChainSpec(L=length, J=1.0, Jp=0.2)
-        scaled = ChainSpec(L=length, J=lam, Jp=lam * 0.2)
-        sd, sd_scaled = spectral_data(base), spectral_data(scaled)
-        assert sd_scaled.e0 == pytest.approx(lam * sd.e0, rel=1e-10, abs=0)
-        assert sd_scaled.gap == pytest.approx(lam * sd.gap, rel=1e-10, abs=0)
-        for temperature in (0.0, 0.02, 0.3):
-            g = effective_coupling(sd, temperature=temperature).g
-            g_scaled = effective_coupling(sd_scaled, temperature=lam * temperature).g
-            assert g_scaled == pytest.approx(g, abs=1e-10)
-
-    @pytest.mark.parametrize("lam", [0.5, 3.0])
-    @pytest.mark.parametrize("temperature", [0.0, 0.05])
-    def test_full_chain_peak_time_scales_inversely(self, lam, temperature):
-        base = ChainSpec(L=8, J=1.0, Jp=0.2)
-        scaled = ChainSpec(L=8, J=lam, Jp=lam * 0.2)
-        sd, sd_scaled = spectral_data(base), spectral_data(scaled)
-        gamma = sd.gap
-        times = np.linspace(0.0, 1.35 * np.pi / gamma, 120)
-        curve = full_chain_transfer(base, temperature, times, gamma=gamma, spectral=sd)
-        curve_scaled = full_chain_transfer(
-            scaled, lam * temperature, times / lam, gamma=lam * gamma, spectral=sd_scaled
-        )
-        assert 0.0 < curve.t_star < times[-1]
-        assert lam * curve_scaled.t_star == pytest.approx(curve.t_star, rel=1e-10, abs=0)
-        assert curve_scaled.f_star == pytest.approx(curve.f_star, abs=1e-10)
-        np.testing.assert_allclose(curve_scaled.thetas, curve.thetas, rtol=0, atol=1e-10)
-
-
 def krylov_basis(psi):
     """A trajectory's reusable (_KRYLOV_DIM, dim) basis buffer for psi's sector."""
     return np.empty((transfer._KRYLOV_DIM, psi.size), dtype=complex)
@@ -837,7 +799,7 @@ class TestKrylovStep:
             return spinchannel.eigensolve._lanczos_vectors(*args, **kwargs)
 
         monkeypatch.setattr(transfer, "_lanczos_vectors", counted)
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         matrix = CountingMatrix(
             build_transfer_hamiltonian(spec, enumerate_sector(9, 1), 0.3).matrix
         )
@@ -852,7 +814,7 @@ class TestKrylovStep:
     def test_step_allocates_a_few_vectors_not_a_basis(self, rng):
         # the trajectory's one (_KRYLOV_DIM, dim) buffer holds the basis; a step itself
         # allocates the recurrence's product and psi_new, not _KRYLOV_DIM vectors
-        spec = ChainSpec(L=12, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=12, Jp=0.5)
         matrix = build_transfer_hamiltonian(spec, enumerate_sector(13, 1), 0.3).matrix
         psi = rng.standard_normal(matrix.shape[0]) + 1j * rng.standard_normal(matrix.shape[0])
         psi /= np.linalg.norm(psi)
@@ -876,7 +838,7 @@ class TestKrylovStep:
         np.testing.assert_allclose(psi_new, np.exp(-2.5j * energies[3]) * psi, atol=1e-12)
 
     def test_transfer_matrix_is_complex_copy_of_real_assembly(self):
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         sector = enumerate_sector(9, 1)
         matrix = build_transfer_hamiltonian(spec, sector, 0.3).matrix
         bonds = [(0, 1, 0.3)] + chain_bonds(spec, offset=1)
@@ -890,7 +852,7 @@ class TestKrylovStep:
     def test_chained_steps_match_dense_expm_at_L8(self):
         # L = 8 transfer sector (dim 126 > _KRYLOV_DIM) against exp(-iHt) of the
         # Kronecker-product Hamiltonian restricted to the same sector
-        spec = ChainSpec(L=8, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=8, Jp=0.5)
         sector = enumerate_sector(9, 1)
         assert sector.dim == 126
         matrix = build_transfer_hamiltonian(spec, sector, 0.3).matrix
@@ -922,12 +884,12 @@ class TestChebyshevJump:
 
     @staticmethod
     def real_transfer_matrix(length, gamma=0.3):
-        spec = ChainSpec(L=length, J=1.0, Jp=0.5)
+        spec = ChainSpec(L=length, Jp=0.5)
         return build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix.real
 
     @staticmethod
     def interval(length, gamma=0.3):
-        return transfer._spectral_interval(ChainSpec(L=length, J=1.0, Jp=0.5), gamma)
+        return transfer._spectral_interval(ChainSpec(L=length, Jp=0.5), gamma)
 
     # t0 = 4000 puts z = radius * t0 at 8.6e3-1.7e4, where jv's rounding in the
     # Bessel check reaches 1e-12 (L = 8 and 10 exceed it)
@@ -985,7 +947,7 @@ class TestChebyshevJump:
             return split_index(times, radius)
 
         monkeypatch.setattr(transfer, "_split_index", recorded)
-        spec = ChainSpec(L=length, J=1.0, Jp=0.1)
+        spec = ChainSpec(L=length, Jp=0.1)
         full_chain_transfer(spec, 0.0, np.linspace(0.0, 5.0, 4), gamma=gamma,
                             spectral=spectral_data(spec))
         matrix = build_transfer_hamiltonian(spec, enumerate_sector(length + 1, 1), gamma).matrix
@@ -998,7 +960,7 @@ class TestChebyshevJump:
     ])
     def test_split_of_the_command_grids(self, length, jp, points, temperature, split):
         # the transfer command's grid: 1.35 times the predicted peak time
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        spec = ChainSpec(L=length, Jp=jp)
         model = transfer.effective_coupling(spectral_data(spec), temperature=temperature)
         times = np.linspace(0.0, 1.35 * transfer.predicted_peak(model)[0], points)
         radius = transfer._spectral_interval(spec, model.gamma)[1]
@@ -1025,7 +987,7 @@ class TestChebyshevJump:
             return psi_new, dt_done
 
         monkeypatch.setattr(transfer, "_krylov_step", recorded)
-        spec = ChainSpec(L=length, J=1.0, Jp=jp)
+        spec = ChainSpec(L=length, Jp=jp)
         sd = spectral_data(spec)
         model = transfer.effective_coupling(sd, temperature=temperature)
         times = np.linspace(0.0, 1.35 * transfer.predicted_peak(model)[0], points)
